@@ -3,8 +3,10 @@
 One step picks an ordered pair of distinct rows (i, j) uniformly among the
 n(n-1) choices and adds row j to row i modulo 2.  The lazy variant first
 flips a fair coin and holds in place with probability 1/2.  A run records
-its move sequence as a Trajectory, which replays deterministically; the
-trajectory is the secret in the authentication protocol.
+its move sequence as a Trajectory, a (t, 2) array of row pairs, which
+replays deterministically; the trajectory is the secret in the
+authentication protocol.  Runs, replays and the protocol's honest
+responder all apply moves through one kernel that XORs Python-int rows.
 
 The projection onto the first k columns of the state is itself a Markov
 chain (the same row operations restricted to a slice); for k = 1 it is the
@@ -39,39 +41,52 @@ STREAM_WALK = 1
 
 _TRAJ_MAGIC = b"TVWK"
 _TRAJ_VERSION = 1
-_HOLD_RECORD = (0xFFFF, 0xFFFF)
+_TRAJ_HEADER = 18  # magic, version, n (u32), step count (u64), lazy flag
+_HOLD = -1  # both columns of a held lazy step
+_HOLD_RECORD = 0xFFFF  # both u16 fields of a held step in a TVWK file
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A recorded run: dimension, master seed, moves, and laziness.
 
-    ``moves`` has one entry per step; held lazy steps are recorded as None.
-    Replaying the non-None moves from the identity reproduces the final
-    state bit for bit.
+    ``moves`` is a read-only (t, 2) int64 array with one (i, j) row per
+    step; a held lazy step is the row (-1, -1).  Replaying the applied
+    moves from the identity reproduces the final state bit for bit.
     """
 
     n: int
     seed: int
-    moves: tuple[Transvection | None, ...]
+    moves: np.ndarray
     lazy: bool = False
 
     def __post_init__(self) -> None:
-        for mv in self.moves:
-            if mv is None:
-                if not self.lazy:
-                    raise ValueError("held step in a non-lazy trajectory")
-            elif mv.i >= self.n or mv.j >= self.n:
-                raise ValueError("move indices exceed dimension")
+        moves = np.array(self.moves, dtype=np.int64)
+        if moves.size == 0:
+            moves = moves.reshape(0, 2)
+        if moves.ndim != 2 or moves.shape[1] != 2:
+            raise ValueError("moves must be a (t, 2) array of row pairs")
+        held = (moves == _HOLD).all(axis=1)
+        if held.any() and not self.lazy:
+            raise ValueError("held step in a non-lazy trajectory")
+        live = moves[~held]
+        if ((live < 0) | (live >= self.n)).any() or (live[:, 0] == live[:, 1]).any():
+            raise ValueError("each move needs two distinct rows in 0..n-1")
+        moves.flags.writeable = False
+        object.__setattr__(self, "moves", moves)
 
     @property
     def steps(self) -> int:
         return len(self.moves)
 
+    def applied(self) -> np.ndarray:
+        """The (work_steps, 2) moves that are not held, in order."""
+        return self.moves[self.moves[:, 0] != _HOLD] if self.lazy else self.moves
+
     @property
     def work_steps(self) -> int:
         """Number of non-held moves; the honest responder's bit-op cost."""
-        return sum(1 for mv in self.moves if mv is not None)
+        return len(self.applied())
 
 
 @dataclass
@@ -82,28 +97,51 @@ class ProjectionState:
     k: int
     cols: np.ndarray = field(repr=False)  # (n, ceil(k/64)) uint64
 
-    def copy(self) -> "ProjectionState":
-        return ProjectionState(self.n, self.k, self.cols.copy())
-
     def to_bits(self) -> np.ndarray:
         raw = np.unpackbits(self.cols.view(np.uint8), axis=1, bitorder="little")
         return raw[:, : self.k]
 
 
-def draw_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
-    """Uniform ordered pair (i, j), i != j, without rejection.
+def _decode_pairs(u: np.ndarray, n: int) -> np.ndarray:
+    """Uniform draws u in [0, n(n-1)) as a (len(u), 2) array of pairs.
 
-    A single uniform integer u in [0, n(n-1)) maps to i = u // (n-1) and
-    j = u mod (n-1), shifted past the diagonal gap when j >= i.
+    u maps to i = u // (n-1) and j = u mod (n-1), shifted past the diagonal
+    gap when j >= i; the map is a bijection onto the ordered pairs i != j.
+    """
+    i, j = np.divmod(u, n - 1)
+    j += j >= i
+    return np.stack((i, j), axis=1)
+
+
+def draw_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    """Uniform ordered pair (i, j), i != j, from one draw, without rejection.
+
+    A batch of t draws consumes the generator exactly like t calls here, so
+    run() reproduces this scalar stream.
     """
     if n < 2:
         raise ValueError("need n >= 2 to pick two distinct rows")
-    u = int(rng.integers(0, n * (n - 1)))
-    i = u // (n - 1)
-    j = u % (n - 1)
-    if j >= i:
-        j += 1
-    return i, j
+    return tuple(_decode_pairs(rng.integers(0, n * (n - 1), size=1), n)[0].tolist())
+
+
+def _apply_moves(rows: list, i: np.ndarray, j: np.ndarray) -> None:
+    """The move kernel: rows[i[s]] ^= rows[j[s]] for each step s in order.
+
+    ``rows`` holds Python ints: n-bit rows of a matrix, or single bits of a
+    vector.  Columns go through tolist() one at a time, which is much
+    cheaper than tolist() on the (t, 2) array.
+    """
+    for a, b in zip(i.tolist(), j.tolist()):
+        rows[a] ^= rows[b]
+
+
+def _endpoint(n: int, moves: np.ndarray) -> BitMatrix:
+    """Identity with the given non-held moves applied, as packed words."""
+    rows = [1 << r for r in range(n)]
+    _apply_moves(rows, moves[:, 0], moves[:, 1])
+    w = (n + WORD_BITS - 1) // WORD_BITS
+    raw = b"".join(r.to_bytes(8 * w, "little") for r in rows)
+    return BitMatrix(n, np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(n, w))
 
 
 def step(x: BitMatrix, rng: np.random.Generator) -> tuple[BitMatrix, Transvection]:
@@ -117,34 +155,33 @@ def step(x: BitMatrix, rng: np.random.Generator) -> tuple[BitMatrix, Transvectio
 def run(n: int, t: int, seed: int, lazy: bool = False) -> tuple[Trajectory, BitMatrix]:
     """Run the walk for t steps from the identity.
 
-    Fully deterministic in (n, t, seed, lazy).  When lazy, each step first
-    flips a fair coin and holds with probability 1/2; a held step records
-    None and leaves the state unchanged.
+    Fully deterministic in (n, t, seed, lazy).  A non-lazy run draws all t
+    pairs in one batch.  When lazy, each step first flips a fair coin and
+    holds with probability 1/2; a held step records (-1, -1) and leaves the
+    state unchanged.
     """
     if t < 0:
         raise ValueError("step count must be non-negative")
     if n < 2 and t > 0:
         raise ValueError("need n >= 2 to pick two distinct rows")
     rng = derive_rng(seed, STREAM_WALK)
-    words = BitMatrix.identity(n).words
-    moves: list[Transvection | None] = []
-    for _ in range(t):
-        if lazy and int(rng.integers(0, 2)):
-            moves.append(None)
-            continue
-        i, j = draw_pair(rng, n)
-        words[i] ^= words[j]
-        moves.append(Transvection(i, j))
-    return Trajectory(n, seed, tuple(moves), lazy), BitMatrix(n, words.copy())
+    if not lazy:
+        moves = _decode_pairs(rng.integers(0, n * (n - 1), size=t), n)
+    else:  # a coin, then a pair draw when the coin says move
+        steps, draws = [], []
+        for s in range(t):
+            if not int(rng.integers(0, 2)):
+                steps.append(s)
+                draws.append(int(rng.integers(0, n * (n - 1))))
+        moves = np.full((t, 2), _HOLD, dtype=np.int64)
+        moves[steps] = _decode_pairs(np.array(draws, dtype=np.int64), n)
+    traj = Trajectory(n, seed, moves, lazy)
+    return traj, _endpoint(n, traj.applied())
 
 
 def replay(traj: Trajectory) -> BitMatrix:
     """Apply the recorded moves to the identity; held steps are skipped."""
-    words = BitMatrix.identity(traj.n).words
-    for mv in traj.moves:
-        if mv is not None:
-            words[mv.i] ^= words[mv.j]
-    return BitMatrix(traj.n, words)
+    return _endpoint(traj.n, traj.applied())
 
 
 def projection_from_identity(n: int, k: int) -> ProjectionState:
@@ -180,18 +217,16 @@ def save_trajectory(path, traj: Trajectory) -> None:
     """
     if traj.n > 0xFFFE:
         raise ValueError("dimension exceeds the u16 move encoding")
-    payload = bytearray()
-    payload += _TRAJ_MAGIC
-    payload.append(_TRAJ_VERSION)
-    payload += traj.n.to_bytes(4, "little")
-    payload += len(traj.moves).to_bytes(8, "little")
-    payload.append(1 if traj.lazy else 0)
-    for mv in traj.moves:
-        i, j = _HOLD_RECORD if mv is None else (mv.i, mv.j)
-        payload += i.to_bytes(2, "little")
-        payload += j.to_bytes(2, "little")
+    header = (
+        _TRAJ_MAGIC
+        + bytes([_TRAJ_VERSION])
+        + traj.n.to_bytes(4, "little")
+        + traj.steps.to_bytes(8, "little")
+        + bytes([1 if traj.lazy else 0])
+    )
+    records = np.where(traj.moves == _HOLD, _HOLD_RECORD, traj.moves).astype("<u2")
     with open(path, "wb") as fh:
-        fh.write(bytes(payload))
+        fh.write(header + records.tobytes())
 
 
 def load_trajectory(path) -> Trajectory:
@@ -204,20 +239,16 @@ def load_trajectory(path) -> Trajectory:
         raw = fh.read()
     if raw[:4] != _TRAJ_MAGIC:
         raise ValueError("not a TVWK file")
+    if len(raw) < _TRAJ_HEADER:
+        raise ValueError("truncated TVWK header")
     if raw[4] != _TRAJ_VERSION:
         raise ValueError(f"unsupported TVWK version {raw[4]}")
+    if raw[17] > 1:
+        raise ValueError(f"TVWK lazy flag must be 0 or 1 (got {raw[17]})")
     n = int.from_bytes(raw[5:9], "little")
     t = int.from_bytes(raw[9:17], "little")
-    lazy = bool(raw[17])
-    body = raw[18:]
-    if len(body) != 4 * t:
+    if len(raw) - _TRAJ_HEADER != 4 * t:
         raise ValueError("TVWK payload length mismatch")
-    moves: list[Transvection | None] = []
-    for s in range(t):
-        i = int.from_bytes(body[4 * s : 4 * s + 2], "little")
-        j = int.from_bytes(body[4 * s + 2 : 4 * s + 4], "little")
-        if (i, j) == _HOLD_RECORD:
-            moves.append(None)
-        else:
-            moves.append(Transvection(i, j))
-    return Trajectory(n, 0, tuple(moves), lazy)
+    moves = np.frombuffer(raw, dtype="<u2", offset=_TRAJ_HEADER).reshape(t, 2).astype(np.int64)
+    moves[(moves == _HOLD_RECORD).all(axis=1)] = _HOLD
+    return Trajectory(n, 0, moves, bool(raw[17]))

@@ -329,11 +329,9 @@ def _cmd_protocol(args) -> int:
 
     if args.action == "prove":
         if args.secret:
-            traj = chain.load_trajectory(args.secret)
-            public = chain.replay(traj)
-            kp = protocol.KeyPair(public=public, secret=traj, t=traj.steps)
-            challenge = protocol.Challenge(_vector_from_hex(args.challenge, traj.n))
-            response = protocol.respond_honest(kp, challenge)
+            secret = chain.load_trajectory(args.secret)
+            challenge = protocol.Challenge(_vector_from_hex(args.challenge, secret.n))
+            response = protocol.respond_honest(secret, challenge)
         else:
             public = gf2core.load_matrix(args.key)
             challenge = protocol.Challenge(_vector_from_hex(args.challenge, public.n))

@@ -51,6 +51,7 @@ _ONE = np.uint64(1)
 # Magic prefix for the matrix file format.
 _MATRIX_MAGIC = b"GF2M"
 _MATRIX_VERSION = 1
+_MATRIX_HEADER = 9  # magic, version, n (u32)
 
 # Rejection sampling accepts with probability > 0.288 for every n, so this
 # cap is astronomically unlikely to be reached; it bounds the loop anyway.
@@ -312,36 +313,12 @@ def apply_transvection_vec(v: BitVector, t: Transvection) -> BitVector:
 
 
 def rank(x: BitMatrix) -> int:
-    """Row rank over Z_2 by Gaussian elimination on a scratch copy.
-
-    Pivots on the lowest-index nonzero column; no heuristics are needed over
-    a two-element field.
-    """
-    work = x.words.copy()
-    n = x.n
-    r = 0
-    for col in range(n):
-        word, bit = col // WORD_BITS, np.uint64(col % WORD_BITS)
-        pivot = -1
-        for row in range(r, n):
-            if (work[row, word] >> bit) & _ONE:
-                pivot = row
-                break
-        if pivot < 0:
-            continue
-        if pivot != r:
-            work[[r, pivot]] = work[[pivot, r]]
-        for row in range(r + 1, n):
-            if (work[row, word] >> bit) & _ONE:
-                work[row] ^= work[r]
-        r += 1
-        if r == n:
-            break
-    return r
+    """Row rank over Z_2: rank_words_batch on a batch of one."""
+    return int(rank_words_batch(x.words[None], x.n)[0])
 
 
 def rank_naive(x: BitMatrix) -> int:
-    """Independent bit-by-bit eliminator used to cross-check rank()."""
+    """Independent bit-by-bit eliminator: the test oracle for rank()."""
     a = x.to_bits().astype(np.uint8)
     n = x.n
     r = 0
@@ -513,16 +490,10 @@ def save_matrix(path, x: BitMatrix) -> None:
     Layout: magic "GF2M", version byte 0x01, n as u32 little-endian, then
     ceil(n/8) bytes per row, row-major, LSB-first within each byte.
     """
-    row_bytes = (x.n + 7) // 8
-    payload = bytearray()
-    payload += _MATRIX_MAGIC
-    payload.append(_MATRIX_VERSION)
-    payload += x.n.to_bytes(4, "little")
-    bits = x.to_bits()
-    for i in range(x.n):
-        payload += np.packbits(bits[i], bitorder="little").tobytes()[:row_bytes]
+    header = _MATRIX_MAGIC + bytes([_MATRIX_VERSION]) + x.n.to_bytes(4, "little")
+    rows = np.packbits(x.to_bits(), axis=1, bitorder="little")
     with open(path, "wb") as fh:
-        fh.write(bytes(payload))
+        fh.write(header + rows.tobytes())
 
 
 def load_matrix(path) -> BitMatrix:
@@ -531,13 +502,15 @@ def load_matrix(path) -> BitMatrix:
         raw = fh.read()
     if raw[:4] != _MATRIX_MAGIC:
         raise ValueError("not a GF2M file")
+    if len(raw) < _MATRIX_HEADER:
+        raise ValueError("truncated GF2M header")
     if raw[4] != _MATRIX_VERSION:
         raise ValueError(f"unsupported GF2M version {raw[4]}")
     n = int.from_bytes(raw[5:9], "little")
     if n < 1:
         raise ValueError("corrupt GF2M header")
     row_bytes = (n + 7) // 8
-    body = raw[9:]
+    body = raw[_MATRIX_HEADER:]
     if len(body) != n * row_bytes:
         raise ValueError("GF2M payload length mismatch")
     rows = np.frombuffer(body, dtype=np.uint8).reshape(n, row_bytes)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import Trajectory, run
+from .chain import Trajectory, _apply_moves, run
 from .gf2core import BitMatrix, BitVector, OpCount, matvec, matvec_cost
 
 __all__ = [
@@ -81,24 +81,19 @@ def keygen(n: int, t: int, seed: int, lazy: bool = False) -> KeyPair:
     return KeyPair(public=public, secret=secret, t=t)
 
 
-def respond_honest(kp: KeyPair, c: Challenge) -> Response:
+def respond_honest(secret: Trajectory, c: Challenge) -> Response:
     """Answer by replaying the secret moves as single-bit updates on x.
 
-    Each non-held move costs one bit operation (v_i ^= v_j); held lazy
-    steps change nothing and cost nothing.
+    The secret is all the honest prover holds.  Each non-held move costs one
+    bit operation (x_i ^= x_j); held lazy steps change nothing and cost
+    nothing.
     """
-    if c.x.n != kp.public.n:
+    if c.x.n != secret.n:
         raise ValueError("challenge dimension mismatch")
-    words = c.x.words.copy()
-    bit_ops = 0
-    for mv in kp.secret.moves:
-        if mv is None:
-            continue
-        wj, bj = divmod(mv.j, 64)
-        wi, bi = divmod(mv.i, 64)
-        words[wi] ^= ((words[wj] >> bj) & 1) << bi
-        bit_ops += 1
-    return Response(y=BitVector(c.x.n, words), ops=OpCount(bit_ops, 0), role="honest")
+    moves = secret.applied()
+    bits = c.x.to_bits().tolist()
+    _apply_moves(bits, moves[:, 0], moves[:, 1])
+    return Response(y=BitVector.from_bits(bits), ops=OpCount(len(moves), 0), role="honest")
 
 
 def respond_dishonest(public: BitMatrix, c: Challenge) -> Response:

@@ -166,7 +166,7 @@ def test_criterion_8_protocol():
         for value in range(1 << n):
             x = g.BitVector(n, np.array([value], dtype=np.uint64))
             ch = pr.Challenge(x)
-            if pr.respond_honest(kp, ch).y != pr.respond_dishonest(kp.public, ch).y:
+            if pr.respond_honest(kp.secret, ch).y != pr.respond_dishonest(kp.public, ch).y:
                 exhaustive_ok = False
     # random challenges at production sizes + deadline rejection
     random_ok = True
@@ -176,7 +176,7 @@ def test_criterion_8_protocol():
         rng = g.derive_rng(901, n)
         for _ in range(1000):
             ch = pr.Challenge(g.BitVector(n, g.random_bit_words(rng, (1,), n)[0]))
-            rh = pr.respond_honest(kp, ch)
+            rh = pr.respond_honest(kp.secret, ch)
             rd = pr.respond_dishonest(kp.public, ch)
             if rh.y != rd.y:
                 random_ok = False

@@ -1,5 +1,6 @@
 """Walk runner: determinism, replay, laziness, projections, file format."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvwalk import chain as c
+from tvwalk import cli
 from tvwalk import gf2core as g
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 run_params = st.tuples(
     st.integers(2, 16), st.integers(0, 120), st.integers(0, 2**32 - 1), st.booleans()
@@ -33,7 +39,7 @@ class TestRun:
     def test_deterministic_in_seed(self):
         a = c.run(6, 200, seed=4)
         b = c.run(6, 200, seed=4)
-        assert a[1] == b[1] and a[0].moves == b[0].moves
+        assert a[1] == b[1] and np.array_equal(a[0].moves, b[0].moves)
         assert c.run(6, 200, seed=5)[1] != a[1]
 
     def test_endpoint_stays_in_group(self):
@@ -44,7 +50,7 @@ class TestRun:
     def test_non_lazy_never_holds(self):
         traj, _ = c.run(4, 500, seed=0)
         assert traj.work_steps == 500
-        assert all(mv is not None for mv in traj.moves)
+        assert (traj.moves >= 0).all()
 
     def test_lazy_holds_about_half(self):
         traj, final = c.run(4, 4000, seed=1, lazy=True)
@@ -86,12 +92,76 @@ class TestRun:
 class TestTrajectory:
     def test_validates_move_indices(self):
         with pytest.raises(ValueError):
-            c.Trajectory(2, 0, (g.Transvection(0, 5),))
+            c.Trajectory(2, 0, np.array([[0, 5]]))
+
+    @pytest.mark.parametrize(
+        "moves", [[[1, 1]], [[-2, 0]], [[-1, 0]], [[0, 1, 1]], [0, 1]]
+    )
+    def test_rejects_malformed_moves(self, moves):
+        # i == j, a negative index, a half-held row, a wrong shape
+        with pytest.raises(ValueError):
+            c.Trajectory(3, 0, np.array(moves), lazy=True)
 
     def test_work_steps_counts_non_held(self):
-        moves = (g.Transvection(0, 1), None, g.Transvection(1, 0), None, None)
+        moves = np.array([[0, 1], [-1, -1], [1, 0], [-1, -1], [-1, -1]])
         traj = c.Trajectory(2, 0, moves, lazy=True)
         assert traj.steps == 5 and traj.work_steps == 2
+        assert traj.applied().tolist() == [[0, 1], [1, 0]]
+
+    def test_moves_are_read_only_int_pairs(self):
+        traj, _ = c.run(5, 20, seed=1)
+        assert traj.moves.shape == (20, 2) and traj.moves.dtype == np.int64
+        with pytest.raises(ValueError):
+            traj.moves[0, 0] = 1
+        assert c.Trajectory(5, 0, ()).moves.shape == (0, 2)
+
+
+class TestKeyStream:
+    @pytest.mark.parametrize("n", [2, 3, 64, 1024])
+    def test_batched_draws_match_scalar_draw_pair(self, n):
+        traj, _ = c.run(n, 500, seed=41)
+        rng = g.derive_rng(41, c.STREAM_WALK)
+        assert traj.moves.tolist() == [list(c.draw_pair(rng, n)) for _ in range(500)]
+
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    def test_lazy_draws_match_scalar_coin_then_pair(self, n):
+        traj, _ = c.run(n, 400, seed=8, lazy=True)
+        rng = g.derive_rng(8, c.STREAM_WALK)
+        want = [
+            [-1, -1] if int(rng.integers(0, 2)) else list(c.draw_pair(rng, n))
+            for _ in range(400)
+        ]
+        assert traj.moves.tolist() == want
+
+    def test_golden_protocol_keygen(self, tmp_path, capsys):
+        # sha256 of the files written by
+        # `tvwalk protocol keygen --n 1024 --t 100000 --seed 3`
+        code = cli.cli_dispatch(
+            ["protocol", "keygen", "--n", "1024", "--t", "100000", "--seed", "3",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0 and "applied=100000" in capsys.readouterr().out
+        assert sha256(tmp_path / "key.gf2m") == (
+            "235402a032488a17b56df3f2e68528c8f23bda3871db4f779b0ae8aa4a5a2ab8"
+        )
+        assert sha256(tmp_path / "secret.tvwk") == (
+            "fafa79254ff71dead1db45fa71a8efeaaff511acb82b0139e0c26a3e14545d1f"
+        )
+
+    def test_golden_lazy_walk(self, tmp_path, capsys):
+        # sha256 of the files written by `tvwalk walk --n 64 --t 1000 --seed 7 --lazy`
+        traj, mat = tmp_path / "w.tvwk", tmp_path / "w.gf2m"
+        code = cli.cli_dispatch(
+            ["walk", "--n", "64", "--t", "1000", "--seed", "7", "--lazy",
+             "--save-trajectory", str(traj), "--save-matrix", str(mat)]
+        )
+        assert code == 0 and "invertible=true" in capsys.readouterr().out
+        assert sha256(traj) == (
+            "c25998c51601fff3b33501d2aef9679f62bd3f096f95b429eb099d595dc41aa5"
+        )
+        assert sha256(mat) == (
+            "9fea6a84c164ff9ac3e2f16cd108f686e527c6c7cd6e143c3dbf06bd83861a73"
+        )
 
 
 class TestProjection:
@@ -137,13 +207,13 @@ class TestTrajectoryFile:
         c.save_trajectory(path, traj)
         back = c.load_trajectory(path)
         assert back.n == traj.n and back.lazy == traj.lazy
-        assert back.moves == traj.moves
+        assert np.array_equal(back.moves, traj.moves)
         assert c.replay(back) == c.replay(traj)
         # the master seed is not stored in the file
         assert back.seed == 0
 
     def test_format_bytes(self, tmp_path):
-        traj = c.Trajectory(3, 9, (g.Transvection(2, 0), None), lazy=True)
+        traj = c.Trajectory(3, 9, np.array([[2, 0], [-1, -1]]), lazy=True)
         path = tmp_path / "t.tvwk"
         c.save_trajectory(path, traj)
         expected = (
@@ -190,4 +260,22 @@ class TestTrajectoryFile:
         )
         path.write_bytes(data)
         with pytest.raises(ValueError):
+            c.load_trajectory(path)
+
+    def test_rejects_truncated_header(self, tmp_path):
+        # cut before the lazy byte, and after the magic alone
+        path = tmp_path / "cut.tvwk"
+        for data in (b"TVWK" + bytes([1]) + (3).to_bytes(4, "little") + bytes(8), b"TVWK"):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match="truncated"):
+                c.load_trajectory(path)
+
+    def test_rejects_lazy_flag_other_than_0_or_1(self, tmp_path):
+        path = tmp_path / "bad.tvwk"
+        data = (
+            b"TVWK" + bytes([1]) + (3).to_bytes(4, "little") + (1).to_bytes(8, "little")
+            + bytes([7]) + (0).to_bytes(2, "little") + (1).to_bytes(2, "little")
+        )
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="lazy flag"):
             c.load_trajectory(path)

@@ -395,6 +395,25 @@ class TestProtocolFlow:
         )
         assert code == 2 and "missing fields" in err
 
+    def test_truncated_files_exit_2(self, capsys, tmp_path):
+        """Cut headers are invalid input (2), never a rejection (1)."""
+        (tmp_path / "cut.gf2m").write_bytes(b"GF2M")
+        (tmp_path / "cut.tvwk").write_bytes(
+            b"TVWK" + bytes([1]) + (8).to_bytes(4, "little") + (5).to_bytes(8, "little")
+        )
+        code, _, err = run(
+            capsys,
+            "protocol", "verify", "--key", str(tmp_path / "cut.gf2m"),
+            "--challenge", "00", "--response", "y=00 bit_ops=0 word_ops=0 role=honest",
+            "--deadline", "10",
+        )
+        assert code == 2 and "truncated GF2M header" in err
+        code, _, err = run(
+            capsys,
+            "protocol", "prove", "--secret", str(tmp_path / "cut.tvwk"), "--challenge", "00",
+        )
+        assert code == 2 and "truncated TVWK header" in err
+
     def test_prove_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, _ = run(capsys, "protocol", "prove", "--challenge", "01")
         assert code == 2

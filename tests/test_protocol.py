@@ -21,7 +21,7 @@ class TestKeygen:
     def test_deterministic(self):
         a = pr.keygen(16, 200, seed=9)
         b = pr.keygen(16, 200, seed=9)
-        assert a.public == b.public and a.secret.moves == b.secret.moves
+        assert a.public == b.public and np.array_equal(a.secret.moves, b.secret.moves)
         assert pr.keygen(16, 200, seed=10).public != a.public
 
     def test_secret_replays_to_public(self):
@@ -48,7 +48,7 @@ class TestResponders:
         kp = pr.keygen(8, 0, seed=0)
         rng = g.derive_rng(1)
         ch = random_challenge(8, rng)
-        r = pr.respond_honest(kp, ch)
+        r = pr.respond_honest(kp.secret, ch)
         assert r.y == ch.x
         assert r.ops == g.OpCount(0, 0)
         assert r.role == "honest"
@@ -59,14 +59,14 @@ class TestResponders:
         rng = g.derive_rng(33, n)
         for _ in range(25):
             ch = random_challenge(n, rng)
-            rh = pr.respond_honest(kp, ch)
+            rh = pr.respond_honest(kp.secret, ch)
             rd = pr.respond_dishonest(kp.public, ch)
             assert rh.y == rd.y == g.matvec(kp.public, ch.x)
 
     def test_honest_cost_is_work_steps(self):
         kp = pr.keygen(1024, 500_000, seed=6)
         ch = random_challenge(1024, g.derive_rng(2))
-        r = pr.respond_honest(kp, ch)
+        r = pr.respond_honest(kp.secret, ch)
         assert r.ops.bit_ops == kp.secret.work_steps == 500_000
         assert r.ops.word_ops == 0
 
@@ -82,7 +82,7 @@ class TestResponders:
     def test_lazy_honest_skips_held_steps(self):
         kp = pr.keygen(16, 800, seed=8, lazy=True)
         ch = random_challenge(16, g.derive_rng(4))
-        r = pr.respond_honest(kp, ch)
+        r = pr.respond_honest(kp.secret, ch)
         assert r.ops.bit_ops == kp.secret.work_steps < 800
         assert r.y == g.matvec(kp.public, ch.x)
 
@@ -90,7 +90,7 @@ class TestResponders:
         kp = pr.keygen(8, 10, seed=0)
         ch = random_challenge(9, g.derive_rng(5))
         with pytest.raises(ValueError):
-            pr.respond_honest(kp, ch)
+            pr.respond_honest(kp.secret, ch)
         with pytest.raises(ValueError):
             pr.respond_dishonest(kp.public, ch)
 
@@ -105,7 +105,7 @@ def setup():
 class TestVerify:
     def test_honest_accepted(self, setup):
         kp, ch = setup
-        v = pr.verify(kp.public, ch, pr.respond_honest(kp, ch), deadline_ops=60)
+        v = pr.verify(kp.public, ch, pr.respond_honest(kp.secret, ch), deadline_ops=60)
         assert v.accepted and v.correct and v.within_deadline
 
     def test_correct_but_slow_rejected(self, setup):
@@ -116,7 +116,7 @@ class TestVerify:
 
     def test_wrong_answer_rejected(self, setup):
         kp, ch = setup
-        r = pr.respond_honest(kp, ch)
+        r = pr.respond_honest(kp.secret, ch)
         bad = r.y.words.copy()
         bad[0] ^= np.uint64(1)
         forged = pr.Response(g.BitVector(8, bad), r.ops, "honest")
