@@ -1,4 +1,4 @@
-"""The transvection random walk: single steps, recorded runs, projections.
+"""The transvection random walk: recorded runs and their replay.
 
 One step picks an ordered pair of distinct rows (i, j) uniformly among the
 n(n-1) choices and adds row j to row i modulo 2.  The lazy variant first
@@ -7,29 +7,21 @@ its move sequence as a Trajectory, a (t, 2) array of row pairs, which
 replays deterministically; the trajectory is the secret in the
 authentication protocol.  Runs, replays and the protocol's honest
 responder all apply moves through one kernel that XORs Python-int rows.
-
-The projection onto the first k columns of the state is itself a Markov
-chain (the same row operations restricted to a slice); for k = 1 it is the
-vector chain used by the cutoff diagnostics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2core import WORD_BITS, BitMatrix, Transvection, derive_rng
+from .gf2core import WORD_BITS, BitMatrix, derive_rng
 
 __all__ = [
     "Trajectory",
-    "ProjectionState",
     "draw_pair",
-    "step",
     "run",
     "replay",
-    "step_projection",
-    "projection_from_identity",
     "save_trajectory",
     "load_trajectory",
     "STREAM_WALK",
@@ -89,28 +81,17 @@ class Trajectory:
         return len(self.applied())
 
 
-@dataclass
-class ProjectionState:
-    """First k columns of a walk state: n rows of k bits, word-packed."""
-
-    n: int
-    k: int
-    cols: np.ndarray = field(repr=False)  # (n, ceil(k/64)) uint64
-
-    def to_bits(self) -> np.ndarray:
-        raw = np.unpackbits(self.cols.view(np.uint8), axis=1, bitorder="little")
-        return raw[:, : self.k]
-
-
-def _decode_pairs(u: np.ndarray, n: int) -> np.ndarray:
-    """Uniform draws u in [0, n(n-1)) as a (len(u), 2) array of pairs.
+def _decode(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform draws u in [0, n(n-1)) as the row arrays (i, j) of their pairs.
 
     u maps to i = u // (n-1) and j = u mod (n-1), shifted past the diagonal
-    gap when j >= i; the map is a bijection onto the ordered pairs i != j.
+    gap when j is at least i; the map is a bijection onto the ordered pairs
+    i != j.  Every consumer of pair draws, here and in the diagnostics'
+    batched walks, decodes them with this function.
     """
     i, j = np.divmod(u, n - 1)
     j += j >= i
-    return np.stack((i, j), axis=1)
+    return i, j
 
 
 def draw_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
@@ -121,7 +102,8 @@ def draw_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
     """
     if n < 2:
         raise ValueError("need n >= 2 to pick two distinct rows")
-    return tuple(_decode_pairs(rng.integers(0, n * (n - 1), size=1), n)[0].tolist())
+    i, j = _decode(rng.integers(0, n * (n - 1), size=1), n)
+    return int(i[0]), int(j[0])
 
 
 def _apply_moves(rows: list, i: np.ndarray, j: np.ndarray) -> None:
@@ -144,14 +126,6 @@ def _endpoint(n: int, moves: np.ndarray) -> BitMatrix:
     return BitMatrix(n, np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(n, w))
 
 
-def step(x: BitMatrix, rng: np.random.Generator) -> tuple[BitMatrix, Transvection]:
-    """One walk step from x; returns the new state and the move used."""
-    i, j = draw_pair(rng, x.n)
-    words = x.words.copy()
-    words[i] ^= words[j]
-    return BitMatrix(x.n, words), Transvection(i, j)
-
-
 def run(n: int, t: int, seed: int, lazy: bool = False) -> tuple[Trajectory, BitMatrix]:
     """Run the walk for t steps from the identity.
 
@@ -166,7 +140,7 @@ def run(n: int, t: int, seed: int, lazy: bool = False) -> tuple[Trajectory, BitM
         raise ValueError("need n >= 2 to pick two distinct rows")
     rng = derive_rng(seed, STREAM_WALK)
     if not lazy:
-        moves = _decode_pairs(rng.integers(0, n * (n - 1), size=t), n)
+        moves = np.stack(_decode(rng.integers(0, n * (n - 1), size=t), n), axis=1)
     else:  # a coin, then a pair draw when the coin says move
         steps, draws = [], []
         for s in range(t):
@@ -174,7 +148,7 @@ def run(n: int, t: int, seed: int, lazy: bool = False) -> tuple[Trajectory, BitM
                 steps.append(s)
                 draws.append(int(rng.integers(0, n * (n - 1))))
         moves = np.full((t, 2), _HOLD, dtype=np.int64)
-        moves[steps] = _decode_pairs(np.array(draws, dtype=np.int64), n)
+        moves[steps] = np.stack(_decode(np.array(draws, dtype=np.int64), n), axis=1)
     traj = Trajectory(n, seed, moves, lazy)
     return traj, _endpoint(n, traj.applied())
 
@@ -182,30 +156,6 @@ def run(n: int, t: int, seed: int, lazy: bool = False) -> tuple[Trajectory, BitM
 def replay(traj: Trajectory) -> BitMatrix:
     """Apply the recorded moves to the identity; held steps are skipped."""
     return _endpoint(traj.n, traj.applied())
-
-
-def projection_from_identity(n: int, k: int) -> ProjectionState:
-    """Projection of the identity start: row i carries bit i when i < k."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    w = (k + WORD_BITS - 1) // WORD_BITS
-    cols = np.zeros((n, w), dtype=np.uint64)
-    idx = np.arange(k)
-    cols[idx, idx // WORD_BITS] = np.uint64(1) << (idx % WORD_BITS).astype(np.uint64)
-    return ProjectionState(n, k, cols)
-
-
-def step_projection(s: ProjectionState, rng: np.random.Generator) -> ProjectionState:
-    """One walk step on the k-column slice: row_i <- row_i XOR row_j.
-
-    Identical in law to projecting a full-matrix step; with the same
-    generator it consumes the same single draw, so k = n reproduces step()
-    exactly.
-    """
-    i, j = draw_pair(rng, s.n)
-    cols = s.cols.copy()
-    cols[i] ^= cols[j]
-    return ProjectionState(s.n, s.k, cols)
 
 
 def save_trajectory(path, traj: Trajectory) -> None:

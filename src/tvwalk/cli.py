@@ -3,9 +3,10 @@
 Every subcommand takes its randomness from one ``--seed``; internal
 sub-streams are derived as (seed, stream-id, block-id) so results do not
 depend on ``--threads``.  Every CSV starts with a ``#``-prefixed echo of
-the full configuration, and re-running a command with the same
-configuration reproduces the file byte for byte.  Floats are written with
-``repr``, which round-trips exactly.
+the configuration that determines its contents (the thread count is not
+part of it), and re-running a command with the same configuration
+reproduces the file byte for byte at any thread count.  Floats are written
+with ``repr``, which round-trips exactly.
 
 Exit codes: 0 on success, 1 when protocol verification rejects, 2 on
 invalid configuration or input (with a one-line diagnostic on stderr).
@@ -61,7 +62,7 @@ def _out_path(args, filename: str) -> str:
 
 
 def _config_echo(args, **extra) -> dict:
-    base = {"command": args.command, "seed": args.seed, "threads": args.threads}
+    base = {"command": args.command, "seed": args.seed}
     if getattr(args, "action", None):
         base["command"] = f"{args.command}-{args.action}"
     base.update(extra)
@@ -102,11 +103,10 @@ def _parse_response_line(text: str, n: int) -> protocol.Response:
         raise ValueError(f"response line is missing fields: {', '.join(sorted(missing))}")
     if fields["role"] not in ("honest", "dishonest"):
         raise ValueError("role must be 'honest' or 'dishonest'")
-    return protocol.Response(
-        y=_vector_from_hex(fields["y"], n),
-        ops=gf2core.OpCount(int(fields["bit_ops"]), int(fields["word_ops"])),
-        role=fields["role"],
-    )
+    ops = gf2core.OpCount(int(fields["bit_ops"]), int(fields["word_ops"]))
+    if ops.bit_ops < 0 or ops.word_ops < 0:
+        raise ValueError("response op counts must be non-negative")
+    return protocol.Response(y=_vector_from_hex(fields["y"], n), ops=ops, role=fields["role"])
 
 
 def _response_line(r: protocol.Response) -> str:
@@ -389,10 +389,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common.add_argument(
-        "--threads",
-        type=int,
-        default=max(1, os.cpu_count() or 1),
-        help="worker threads; never changes results (default: available parallelism)",
+        "--threads", type=int, default=1, help="worker threads; never changes results (default 1)"
     )
     common.add_argument("--out", default=".", help="output directory for CSVs (default .)")
     common.add_argument("--config", default=None, help="flat key=value file with flag defaults")
@@ -569,6 +566,7 @@ def cli_dispatch(argv) -> int:
         return code if isinstance(code, int) else 0
 
     try:
+        _require_range("threads", args.threads, 1)
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

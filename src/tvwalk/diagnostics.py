@@ -8,11 +8,17 @@ histogram against exact stationary draws, and reports a plug-in TV estimate
 together with a noise floor obtained by splitting the stationary sample in
 half, which quantifies the estimator's inflation at a given trial count.
 
-The cutoff experiment runs the k = 1 projection chain (a vector walk) on a
-time grid around (3/2) n log n, where its weight statistic shows the
-characteristic fall from near 1 to near 0.  The stationary law of the
-nonzero-vector walk has weight Binomial(n, 1/2) conditioned to be at least
-1, so the reference sample is drawn directly rather than by long runs.
+The projection of the walk onto the first k columns of its state is itself
+a Markov chain: the same row operations restricted to an n x k slice.  The
+cutoff experiment runs it (for k = 1 a vector walk) on a time grid around
+(3/2) n log n, where its weight statistic shows the characteristic fall
+from near 1 to near 0.  The stationary law of the nonzero-vector walk has
+weight Binomial(n, 1/2) conditioned to be at least 1, so the reference
+sample is drawn directly rather than by long runs.
+
+Every simulated walk here, full matrices, column slices and the n <= 5
+integer rows behind the Monte-Carlo state frequencies, is advanced by one
+batched kernel that decodes pair draws with the chain's decoder.
 
 Trials are split into fixed-size blocks with per-block derived generator
 streams: merging is associative over block index, so results are identical
@@ -28,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chain import _decode
 from .exactgroup import GroupTable
 from .gf2core import WORD_BITS, derive_rng, rank_words_batch, sample_uniform_invertible_batch
 
@@ -129,34 +136,43 @@ def _block_sizes(trials: int) -> list[int]:
     return sizes
 
 
-def _identity_words(n: int, count: int) -> np.ndarray:
-    w = (n + WORD_BITS - 1) // WORD_BITS
+def _identity_words(n: int, count: int, k: int) -> np.ndarray:
+    """`count` copies of the first k columns of the n x n identity,
+    word-packed: row r holds bit r when r < k."""
+    w = (k + WORD_BITS - 1) // WORD_BITS
     state = np.zeros((count, n, w), dtype=np.uint64)
-    idx = np.arange(n)
+    idx = np.arange(k)
     state[:, idx, idx // WORD_BITS] = np.uint64(1) << (idx % WORD_BITS).astype(np.uint64)
     return state
 
 
-def _walk_full(n: int, t: int, count: int, rng: np.random.Generator, lazy: bool) -> np.ndarray:
-    """`count` independent walks of t steps from the identity, word-packed.
+def _walk_rows(state: np.ndarray, t: int, rng: np.random.Generator, lazy: bool) -> None:
+    """Advance `count` independent walks t steps, in place.
 
-    Per step the generator yields the pair draws first and then, when lazy,
-    the hold coins; a held walker XORs a zero row, keeping the update
-    branch-free.
+    ``state`` is a C-contiguous (count, n, ...) array: walk b's row r is
+    ``state[b, r]``, of any dtype that supports XOR.  Per step the generator
+    yields the pair draws first and then, when lazy, the hold coins; a held
+    walker XORs a zero row, keeping the update branch-free.
     """
-    state = _identity_words(n, count)
+    count, n = state.shape[:2]
+    # Walk-major view: walk b's row r is flat[b*n + r].  A 2-D state gets a
+    # 1-D view; indexing (count*n, 1) rows instead is about 20 % slower.
+    flat = state.reshape(count * n, *state.shape[2:])
+    base = np.arange(count) * n
     npairs = n * (n - 1)
-    rows = np.arange(count)
     for _ in range(t):
-        u = rng.integers(0, npairs, size=count)
-        i = u // (n - 1)
-        j = u % (n - 1)
-        j += j >= i
-        act = np.ones(count, dtype=np.uint64)
+        i, j = _decode(rng.integers(0, npairs, size=count), n)
+        src = flat[base + j]
         if lazy:
-            act = rng.integers(0, 2, size=count).astype(np.uint64)
-        delta = state[rows, j] * act[:, None]
-        state[rows, i] ^= delta
+            coins = rng.integers(0, 2, size=count).astype(state.dtype)
+            src *= coins.reshape(count, *[1] * (state.ndim - 2))
+        flat[base + i] ^= src
+
+
+def _walk_full(n: int, t: int, count: int, rng: np.random.Generator, lazy: bool) -> np.ndarray:
+    """`count` independent walks of t steps from the identity, word-packed."""
+    state = _identity_words(n, count, n)
+    _walk_rows(state, t, rng, lazy)
     return state
 
 
@@ -316,11 +332,12 @@ def cutoff_experiment(
         raise ValueError("need 1 <= k <= n")
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a usable histogram")
+    if not grid or not all(math.isfinite(s) and s >= 0.0 for s in grid):
+        raise ValueError("the time grid needs finite non-negative values")
     nlogn = n * math.log(n)
     t_grid = sorted({int(round(s * nlogn)) for s in grid})
     sizes = _block_sizes(trials)
     bins = n * k + 1
-    npairs = n * (n - 1)
 
     def block(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         count = sizes[b]
@@ -338,20 +355,11 @@ def cutoff_experiment(
             state = np.zeros((count, n), dtype=np.uint8)
             state[:, 0] = 1
         else:
-            wk = (k + WORD_BITS - 1) // WORD_BITS
-            state = np.zeros((count, n, wk), dtype=np.uint64)
-            idx = np.arange(k)
-            state[:, idx, idx // WORD_BITS] = np.uint64(1) << (idx % WORD_BITS).astype(np.uint64)
-        rows = np.arange(count)
+            state = _identity_words(n, count, k)
         hists = np.zeros((len(t_grid), bins), dtype=np.int64)
         t_now = 0
         for gi, t_target in enumerate(t_grid):
-            for _ in range(t_target - t_now):
-                u = walk_rng.integers(0, npairs, size=count)
-                i = u // (n - 1)
-                j = u % (n - 1)
-                j += j >= i
-                state[rows, i] ^= state[rows, j]
+            _walk_rows(state, t_target - t_now, walk_rng, False)
             t_now = t_target
             if k == 1:
                 w = state.sum(axis=1).astype(np.int64)
@@ -423,8 +431,9 @@ def mc_state_frequencies(
 ) -> np.ndarray:
     """Monte-Carlo counts of final states over the enumerated group.
 
-    Runs `trials` chains to time t from the identity (packed integer keys,
-    so n <= 5) and bins final states by group index.  This is the sampling
+    Runs `trials` chains to time t from the identity, each row an n-bit
+    integer, and bins final states by group index through their packed
+    row-major keys (sum of row r << r*n, so n <= 5).  This is the sampling
     route whose frequencies must match the exact distribution within
     binomial tolerance; it shares no code path with the exact iteration.
     """
@@ -433,24 +442,14 @@ def mc_state_frequencies(
     if n > 5:
         raise ValueError("state keys require n <= 5")
     sizes = _block_sizes(trials)
-    npairs = n * (n - 1)
-    row_mask = np.uint64((1 << n) - 1)
-    identity_key = np.uint64(sum(1 << (i * n + i) for i in range(n)))
+    shifts = np.arange(n, dtype=np.uint64) * np.uint64(n)
 
     def block(b: int) -> np.ndarray:
         rng = derive_rng(seed, _STREAM_MC, b)
-        count = sizes[b]
-        keys = np.full(count, identity_key, dtype=np.uint64)
-        for _ in range(t):
-            u = rng.integers(0, npairs, size=count)
-            i = u // (n - 1)
-            j = u % (n - 1)
-            j += j >= i
-            act = np.ones(count, dtype=np.uint64)
-            if lazy:
-                act = rng.integers(0, 2, size=count).astype(np.uint64)
-            row = (keys >> (j * n).astype(np.uint64)) & row_mask
-            keys ^= (row << (i * n).astype(np.uint64)) * act
+        # Row r of each walk as an n-bit integer; the identity's is 1 << r.
+        rows = np.tile(np.uint64(1) << np.arange(n, dtype=np.uint64), (sizes[b], 1))
+        _walk_rows(rows, t, rng, lazy)
+        keys = (rows << shifts).sum(axis=1, dtype=np.uint64)
         return np.bincount(gt.index_of(keys), minlength=gt.size)
 
     counts = _map_blocks(len(sizes), block, threads)

@@ -16,6 +16,7 @@ eigenvalue.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -280,24 +281,27 @@ def build_transition(gt: GroupTable) -> TransitionStructure:
     )
 
 
-def _kernel_step(ts: TransitionStructure, p: np.ndarray, lazy: bool) -> np.ndarray:
-    # Symmetric kernel: next(y) = mean of p over the neighbors of y.
-    nxt = p[ts.adjacency].sum(axis=1) / ts.degree
-    if lazy:
-        nxt = 0.5 * p + 0.5 * nxt
-    return nxt
+def _laws(ts: TransitionStructure, lazy: bool):
+    """The laws p_0, p_1, ... of the walk started from the identity (index 0).
+
+    Each yielded array is fresh and never modified afterwards.
+    """
+    p = np.zeros(ts.size)
+    p[0] = 1.0
+    for t in itertools.count(1):
+        yield p
+        # Symmetric kernel: next(y) = mean of p over the neighbors of y.
+        nxt = p[ts.adjacency].sum(axis=1) / ts.degree
+        p = 0.5 * p + 0.5 * nxt if lazy else nxt
+        if t % _RENORM_EVERY == 0:
+            p /= p.sum()
 
 
 def distribution_at(ts: TransitionStructure, t: int, lazy: bool = False) -> DistVector:
     """Law of the walk at time t started from the identity (index 0)."""
     if t < 0:
         raise ValueError("time must be non-negative")
-    p = np.zeros(ts.size)
-    p[0] = 1.0
-    for s in range(t):
-        p = _kernel_step(ts, p, lazy)
-        if (s + 1) % _RENORM_EVERY == 0:
-            p /= p.sum()
+    p = next(itertools.islice(_laws(ts, lazy), t, None))
     return DistVector(probs=p, t=t, lazy=lazy)
 
 
@@ -322,15 +326,9 @@ def mixing_curve(
 ) -> list[tuple[int, float, float]]:
     """Exact (t, tv, l2) rows for t = 0..tmax from the identity start."""
     rows = []
-    p = np.zeros(ts.size)
-    p[0] = 1.0
-    for t in range(tmax + 1):
+    for t, p in zip(range(tmax + 1), _laws(ts, lazy)):
         d = DistVector(p, t, lazy)
         rows.append((t, tv_distance(d, gt), l2_distance(d, gt)))
-        if t < tmax:
-            p = _kernel_step(ts, p, lazy)
-            if (t + 1) % _RENORM_EVERY == 0:
-                p /= p.sum()
     return rows
 
 
@@ -372,9 +370,7 @@ def mixing_times(
     t_tv: int | None = None
     t_l2: int | None = None
     cap = max(1000, 200 * ts.n * ts.n * max(1, int(math.log(gt.size))))
-    p = np.zeros(ts.size)
-    p[0] = 1.0
-    for t in range(cap + 1):
+    for t, p in zip(range(cap + 1), _laws(ts, lazy)):
         d = DistVector(p, t, lazy)
         if t_tv is None and tv_distance(d, gt) <= eps:
             t_tv = t
@@ -382,18 +378,15 @@ def mixing_times(
             t_l2 = t
         if t_tv is not None and t_l2 is not None:
             return t_tv, t_l2
-        p = _kernel_step(ts, p, lazy)
-        if (t + 1) % _RENORM_EVERY == 0:
-            p /= p.sum()
     raise NonConvergentError(f"no convergence within {cap} steps")
 
 
-def _dense_spectrum(ts: TransitionStructure) -> np.ndarray:
+def _dense_kernel(ts: TransitionStructure) -> np.ndarray:
+    """The non-lazy transition matrix as a dense (size, size) array."""
     mat = np.zeros((ts.size, ts.size))
     rows = np.repeat(np.arange(ts.size), ts.degree)
     np.add.at(mat, (rows, ts.adjacency.reshape(-1)), ts.step_probability)
-    vals = np.linalg.eigvalsh(mat)
-    return vals[::-1]
+    return mat
 
 
 def _extremal_spectrum(ts: TransitionStructure) -> tuple[float, float]:
@@ -430,7 +423,7 @@ def spectral_report(ts: TransitionStructure) -> SpectralReport:
     bottom of the spectrum (-1 iff bipartite).
     """
     if ts.size <= DENSE_SPECTRUM_LIMIT:
-        vals = _dense_spectrum(ts)
+        vals = np.linalg.eigvalsh(_dense_kernel(ts))[::-1]
         full = True
     else:
         lam2, lam_min = _extremal_spectrum(ts)

@@ -29,7 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exactgroup import GroupTable, SpectralReport, TransitionStructure, analyze, spectral_report
+from .exactgroup import (
+    DENSE_SPECTRUM_LIMIT,
+    GroupTable,
+    SpectralReport,
+    TransitionStructure,
+    _dense_kernel,
+    analyze,
+    spectral_report,
+)
 from .gf2core import derive_rng
 
 __all__ = [
@@ -396,14 +404,8 @@ def _adversarial_group_functions(ts: TransitionStructure, gt: GroupTable) -> np.
     signed = np.full(gt.size, -1.0)
     signed[0] = 1.0
     rows = [indicator, signed]
-    if gt.size <= 5000:
-        mat = np.zeros((gt.size, gt.size))
-        np.add.at(
-            mat,
-            (np.repeat(np.arange(gt.size), ts.degree), ts.adjacency.reshape(-1)),
-            ts.step_probability,
-        )
-        _, vecs = np.linalg.eigh(mat)
+    if gt.size <= DENSE_SPECTRUM_LIMIT:
+        _, vecs = np.linalg.eigh(_dense_kernel(ts))
         rows.append(vecs[:, -2].copy())
     return np.stack(rows)
 
@@ -504,33 +506,33 @@ def run_suite(
 # ---------------------------------------------------------------------------
 
 
-def _ent_energy(values: np.ndarray, adjacency: np.ndarray) -> tuple[float, float]:
-    """(ent(f^2), E(f,f)) under the uniform law; E as <f, (I-P)f>."""
+def _ent_energy(
+    values: np.ndarray, adjacency: np.ndarray
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(ent(f^2), E(f,f), log(f^2/m2), f - Pf) under the uniform law.
+
+    E is <f, (I-P)f> and m2 = E[f^2]; the last two terms are what the
+    gradients of ent and E are made of (0 stands in for log 0).
+    """
     sq = values * values
     m2 = sq.mean()
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(sq > 0.0, np.log(sq), 0.0)
-    ent = float((sq * logs).mean() - (m2 * math.log(m2) if m2 > 0.0 else 0.0))
-    pf = values[adjacency].mean(axis=1)
-    energy = float(((values - pf) * values).mean())
-    return ent, energy
+    log_m2 = math.log(m2) if m2 > 0.0 else 0.0
+    ent = float((sq * logs).mean() - m2 * log_m2)
+    resid = values - values[adjacency].mean(axis=1)
+    energy = float((resid * values).mean())
+    return ent, energy, logs - log_m2, resid
 
 
 def _ratio_gradient(values: np.ndarray, adjacency: np.ndarray) -> tuple[float, np.ndarray]:
-    size = values.size
-    sq = values * values
-    m2 = sq.mean()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(sq > 0.0, np.log(sq), 0.0)
-    ent = float((sq * logs).mean() - (m2 * math.log(m2) if m2 > 0.0 else 0.0))
-    pf = values[adjacency].mean(axis=1)
-    energy = float(((values - pf) * values).mean())
+    ent, energy, log_ratio, resid = _ent_energy(values, adjacency)
     if energy <= 0.0:
         return -math.inf, np.zeros_like(values)
     # d ent/d f = (2/N) f log(f^2/m2); d E/d f = (2/N) (f - Pf).
-    log_m2 = math.log(m2) if m2 > 0.0 else 0.0
-    grad_ent = 2.0 * values * (logs - log_m2) / size
-    grad_energy = 2.0 * (values - pf) / size
+    size = values.size
+    grad_ent = 2.0 * values * log_ratio / size
+    grad_energy = 2.0 * resid / size
     ratio = ent / energy
     grad = (grad_ent * energy - ent * grad_energy) / (energy * energy)
     return ratio, grad
@@ -551,7 +553,7 @@ def _ascend(values: np.ndarray, adjacency: np.ndarray, iters: int) -> tuple[floa
         for _ in range(40):
             cand = f + step * grad
             cand /= np.linalg.norm(cand)
-            cand_ent, cand_energy = _ent_energy(cand, adjacency)
+            cand_ent, cand_energy, _, _ = _ent_energy(cand, adjacency)
             if cand_energy > 0.0 and cand_ent / cand_energy > ratio + 1e-14:
                 f = cand
                 improved = True
@@ -559,7 +561,7 @@ def _ascend(values: np.ndarray, adjacency: np.ndarray, iters: int) -> tuple[floa
             step *= 0.5
         if not improved:
             break
-    ent, energy = _ent_energy(f, adjacency)
+    ent, energy, _, _ = _ent_energy(f, adjacency)
     final = ent / energy if energy > 0.0 else -math.inf
     return final, f
 

@@ -14,7 +14,6 @@ format for matrices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "Transvection",
     "OpCount",
     "apply_transvection",
-    "apply_transvection_vec",
     "rank",
     "rank_naive",
     "rank_words_batch",
@@ -37,12 +35,10 @@ __all__ = [
     "matvec_cost",
     "encode_key",
     "decode_key",
-    "mat_mul",
     "random_bit_words",
     "derive_rng",
     "save_matrix",
     "load_matrix",
-    "invertible_fraction",
 ]
 
 WORD_BITS = 64
@@ -299,19 +295,6 @@ def apply_transvection(x: BitMatrix, t: Transvection) -> BitMatrix:
     return BitMatrix(x.n, words)
 
 
-def apply_transvection_vec(v: BitVector, t: Transvection) -> BitVector:
-    """Coordinate update v_i <- v_i XOR v_j; a single bit operation.
-
-    This is how a holder of the move sequence answers challenges: each
-    recorded move costs one bit operation on the running vector.
-    """
-    _check_move(v.n, t)
-    words = v.words.copy()
-    bit_j = (words[t.j // WORD_BITS] >> np.uint64(t.j % WORD_BITS)) & _ONE
-    words[t.i // WORD_BITS] ^= bit_j << np.uint64(t.i % WORD_BITS)
-    return BitVector(v.n, words)
-
-
 def rank(x: BitMatrix) -> int:
     """Row rank over Z_2: rank_words_batch on a batch of one."""
     return int(rank_words_batch(x.words[None], x.n)[0])
@@ -443,16 +426,6 @@ def matvec_cost(n: int, word_bits: int = WORD_BITS) -> OpCount:
     return OpCount(bit_ops=n * n, word_ops=n * ((n + word_bits - 1) // word_bits))
 
 
-def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Product a @ b over Z_2 (row i of the result: parity combination)."""
-    if a.n != b.n:
-        raise ValueError("dimension mismatch")
-    a_bits = a.to_bits().astype(np.uint8)
-    b_bits = b.to_bits().astype(np.uint8)
-    prod = (a_bits.astype(np.int64) @ b_bits.astype(np.int64)) & 1
-    return BitMatrix.from_bits(prod.astype(np.uint8))
-
-
 def encode_key(x: BitMatrix) -> int:
     """Canonical integer key: bit (i*n + j) of the key is entry (i, j).
 
@@ -473,17 +446,6 @@ def decode_key(key: int, n: int) -> BitMatrix:
     return BitMatrix.from_bits(bits.reshape(n, n))
 
 
-def invertible_fraction(n: int) -> float:
-    """Fraction of invertible matrices among all 2^(n^2): prod(1 - 2^-k).
-
-    Decreases toward 0.288788... as n grows.
-    """
-    out = 1.0
-    for k in range(1, n + 1):
-        out *= 1.0 - 0.5**k
-    return out
-
-
 def save_matrix(path, x: BitMatrix) -> None:
     """Write a matrix in the binary format GF2M v1.
 
@@ -497,7 +459,11 @@ def save_matrix(path, x: BitMatrix) -> None:
 
 
 def load_matrix(path) -> BitMatrix:
-    """Read a matrix written by save_matrix; validates magic and version."""
+    """Read a matrix written by save_matrix.
+
+    Validates magic, version, length and that every padding bit past column
+    n of each row is zero, so a corrupted file never loads as a matrix.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _MATRIX_MAGIC:
@@ -514,5 +480,7 @@ def load_matrix(path) -> BitMatrix:
     if len(body) != n * row_bytes:
         raise ValueError("GF2M payload length mismatch")
     rows = np.frombuffer(body, dtype=np.uint8).reshape(n, row_bytes)
-    bits = np.unpackbits(rows, axis=1, bitorder="little")[:, :n]
-    return BitMatrix.from_bits(bits)
+    bits = np.unpackbits(rows, axis=1, bitorder="little")
+    if bits[:, n:].any():
+        raise ValueError("GF2M padding bits past column n must be zero")
+    return BitMatrix.from_bits(bits[:, :n])

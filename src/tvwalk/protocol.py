@@ -123,8 +123,12 @@ def separation_report(ns, t: int, word_bits: int = 64) -> list[dict]:
     """
     if isinstance(ns, int):
         ns = [ns]
+    if word_bits < 1:
+        raise ValueError(f"word size must be >= 1 bit (got {word_bits})")
     rows = []
     for n in ns:
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1 (got {n})")
         cost = matvec_cost(n, word_bits)
         rows.append(
             {

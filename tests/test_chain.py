@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tvwalk import chain as c
 from tvwalk import cli
+from tvwalk import diagnostics as dg
 from tvwalk import gf2core as g
 
 def sha256(path) -> str:
@@ -60,12 +61,8 @@ class TestRun:
         assert c.replay(traj) == final
 
     def test_step_draws_every_move(self):
-        rng = g.derive_rng(3)
-        x = g.BitMatrix.identity(3)
-        seen = set()
-        for _ in range(600):
-            x, mv = c.step(x, rng)
-            seen.add((mv.i, mv.j))
+        traj, _ = c.run(3, 600, seed=3)
+        seen = {tuple(mv) for mv in traj.moves.tolist()}
         assert seen == {(i, j) for i in range(3) for j in range(3) if i != j}
 
     def test_move_distribution_is_uniform(self):
@@ -165,36 +162,44 @@ class TestKeyStream:
 
 
 class TestProjection:
+    """The k-column projection, advanced by the diagnostics' batched kernel."""
+
+    @staticmethod
+    def columns(words: np.ndarray, k: int) -> list:
+        """First k bit columns of one packed state."""
+        return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :k].tolist()
+
     def test_identity_projection(self):
-        s = c.projection_from_identity(6, 2)
-        bits = s.to_bits()
-        assert bits.shape == (6, 2)
-        assert bits[:2, :].tolist() == [[1, 0], [0, 1]]
-        assert not bits[2:, :].any()
+        s = dg._identity_words(6, 3, 2)
+        assert s.shape == (3, 6, 1)
+        for b in range(3):
+            assert self.columns(s[b], 2) == [[1, 0], [0, 1]] + [[0, 0]] * 4
 
     def test_full_projection_tracks_walk(self):
-        """With k = n the projected dynamics equals the full walk."""
-        rng_a = g.derive_rng(77, c.STREAM_WALK)
-        rng_b = g.derive_rng(77, c.STREAM_WALK)
-        x = g.BitMatrix.identity(5)
-        s = c.projection_from_identity(5, 5)
-        for _ in range(60):
-            x, _ = c.step(x, rng_a)
-            s = c.step_projection(s, rng_b)
-        assert s.to_bits().tolist() == x.to_bits().tolist()
+        """The k-column start walked by the kernel is the first k columns of
+        the full walk under the same generator, for every walker."""
+        for n, k in [(5, 1), (5, 3), (5, 5), (70, 65)]:
+            full = dg._walk_full(n, 60, 4, g.derive_rng(77), False)
+            s = dg._identity_words(n, 4, k)
+            dg._walk_rows(s, 60, g.derive_rng(77), False)
+            # the cutoff experiment's k = 1 form: one unpacked uint8 bit per row
+            vec = np.zeros((4, n), dtype=np.uint8)
+            vec[:, 0] = 1
+            dg._walk_rows(vec, 60, g.derive_rng(77), False)
+            for b in range(4):
+                assert self.columns(s[b], k) == self.columns(full[b], k)
+                assert vec[b, :, None].tolist() == self.columns(full[b], 1)
 
     def test_projection_keeps_full_rank_start_columns(self):
-        rng = g.derive_rng(5)
-        s = c.projection_from_identity(8, 3)
-        for _ in range(200):
-            s = c.step_projection(s, rng)
-        assert g.rank_words_batch(s.cols[None, :, :], 3)[0] == 3
+        s = dg._identity_words(8, 50, 3)
+        dg._walk_rows(s, 200, g.derive_rng(5), False)
+        assert (g.rank_words_batch(s, 3) == 3).all()
 
-    def test_validates_k(self):
-        with pytest.raises(ValueError):
-            c.projection_from_identity(4, 0)
-        with pytest.raises(ValueError):
-            c.projection_from_identity(4, 5)
+    @pytest.mark.parametrize("n", [2, 3, 5, 64, 130])
+    def test_kernel_matches_chain_run(self, n):
+        """The batched kernel and chain.run consume one stream identically."""
+        walked = dg._walk_full(n, 300, 1, g.derive_rng(6, c.STREAM_WALK), False)[0]
+        assert np.array_equal(walked, c.run(n, 300, seed=6)[1].words)
 
 
 class TestTrajectoryFile:

@@ -234,12 +234,15 @@ class TestReproducibility:
         assert run(capsys, *argv, "--seed", "5", "--threads", "2", "--out", str(dir_b))[0] == 0
         assert (dir_a / filename).read_bytes() == (dir_b / filename).read_bytes()
 
-    def test_thread_count_changes_nothing_but_echo(self, capsys, tmp_path):
-        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        argv = ("cutoff", "--n", "16", "--trials", "2000", "--grid", "1.0,2.0", "--seed", "9")
-        assert run(capsys, *argv, "--threads", "1", "--out", str(dir_a))[0] == 0
-        assert run(capsys, *argv, "--threads", "4", "--out", str(dir_b))[0] == 0
-        assert csv_body(dir_a / "cutoff.csv") == csv_body(dir_b / "cutoff.csv")
+    def test_thread_count_changes_no_byte(self, capsys, tmp_path):
+        dirs = [tmp_path / "default", tmp_path / "t1", tmp_path / "t4"]
+        argv = ("cutoff", "--n", "16", "--trials", "5000", "--grid", "1.0,2.0", "--seed", "9")
+        assert run(capsys, *argv, "--out", str(dirs[0]))[0] == 0
+        assert run(capsys, *argv, "--threads", "1", "--out", str(dirs[1]))[0] == 0
+        assert run(capsys, *argv, "--threads", "4", "--out", str(dirs[2]))[0] == 0
+        files = [(d / "cutoff.csv").read_bytes() for d in dirs]
+        assert files[0] == files[1] == files[2]
+        assert b"threads" not in files[0]
 
     def test_seed_changes_sampled_output(self, capsys, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
@@ -414,6 +417,19 @@ class TestProtocolFlow:
         )
         assert code == 2 and "truncated TVWK header" in err
 
+    def test_key_with_set_padding_bits_exits_2(self, capsys, tmp_path):
+        run(capsys, "protocol", "keygen", "--n", "11", "--t", "0", "--out", str(tmp_path))
+        key = tmp_path / "key.gf2m"
+        data = bytearray(key.read_bytes())
+        data[9 + 1] |= 0x80  # column 15 of row 0
+        key.write_bytes(bytes(data))
+        code, _, err = run(
+            capsys,
+            "protocol", "verify", "--key", str(key), "--challenge", "0100",
+            "--response", "y=0100 bit_ops=0 word_ops=0 role=honest", "--deadline", "10",
+        )
+        assert code == 2 and "padding" in err
+
     def test_prove_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, _ = run(capsys, "protocol", "prove", "--challenge", "01")
         assert code == 2
@@ -424,6 +440,39 @@ class TestProtocolFlow:
         lines = [ln for ln in out.splitlines() if ln.startswith("n=")]
         assert len(lines) == 2
         assert "n=1024" in lines[1] and "dishonest_bit_ops=1048576" in lines[1]
+
+
+class TestMalformedInput:
+    """Malformed input is a usage error: exit 2 with a one-line diagnostic,
+    never exit 1 (a protocol rejection) or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("protocol", "report", "--n", "64", "--t", "10", "--word-bits", "0"),
+            ("protocol", "report", "--n", "64", "--t", "10", "--word-bits", "-1"),
+            ("protocol", "report", "--n", "0", "--t", "10"),
+            ("protocol", "report", "--n", "64,-3", "--t", "10"),
+            ("cutoff", "--n", "16", "--trials", "1000", "--grid", "inf"),
+            ("cutoff", "--n", "16", "--trials", "1000", "--grid", "1.0,nan"),
+            ("cutoff", "--n", "16", "--trials", "1000", "--grid", "-1.5"),
+            ("order", "--n", "3", "--threads", "0"),
+            ("cutoff", "--n", "16", "--trials", "1000", "--threads", "-3"),
+            ("protocol", "verify", "--key", "{key}", "--challenge", "a5",
+             "--response", "{correct} bit_ops=-1 word_ops=0 role=dishonest", "--deadline", "99"),
+            ("protocol", "verify", "--key", "{key}", "--challenge", "a5",
+             "--response", "{correct} bit_ops=3 word_ops=-2 role=honest", "--deadline", "99"),
+        ],
+    )
+    def test_exits_2_with_one_line(self, capsys, tmp_path, argv):
+        run(capsys, "protocol", "keygen", "--n", "8", "--t", "20", "--out", str(tmp_path))
+        key = str(tmp_path / "key.gf2m")
+        _, out, _ = run(capsys, "protocol", "prove", "--key", key, "--challenge", "a5")
+        correct = out.split()[0]
+        argv = [a.format(key=key, correct=correct) for a in argv]
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestUsage:

@@ -1,10 +1,16 @@
 """Sampling diagnostics: statistic TV estimates, cutoff curves, MC counts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from tvwalk import diagnostics as dg
-from tvwalk.exactgroup import analyze, distribution_at, tv_distance
+from tvwalk.exactgroup import analyze, distribution_at, enumerate_group, tv_distance
+
+
+def counts_sha256(values) -> str:
+    return hashlib.sha256(np.asarray(values, "<i8").tobytes()).hexdigest()
 
 
 def weight_pushforward_tv(probs, keys, bins):
@@ -52,6 +58,12 @@ class TestStatisticTv:
         assert a.estimate == b.estimate
         assert a.noise_floor == b.noise_floor
         assert (a.chain_sample.histogram == b.chain_sample.histogram).all()
+
+    def test_golden_chain_histogram(self):
+        r = dg.statistic_tv(16, 40, "corner_rank", 5000, 5, lazy=True)
+        assert counts_sha256(r.chain_sample.histogram) == (
+            "ae960ee62e3e7897864ed88414939eb71485b173a74cc4c3f336adb993226324"
+        )
 
     def test_histograms_account_for_all_trials(self):
         r = dg.statistic_tv(8, 10, "corner_rank", 3000, seed=2)
@@ -111,6 +123,9 @@ class TestCutoffExperiment:
         assert a[0].tv_estimate > a[-1].tv_estimate
 
     def test_validation(self):
+        for grid in ((), (1.0, float("inf")), (float("nan"),), (-0.5, 1.0)):
+            with pytest.raises(ValueError, match="time grid"):
+                dg.cutoff_experiment(16, 2000, seed=0, grid=grid)
         with pytest.raises(ValueError):
             dg.cutoff_experiment(15, 2000, seed=0)
         with pytest.raises(ValueError):
@@ -169,6 +184,19 @@ class TestMcStateFrequencies:
         a = dg.mc_state_frequencies(2, 3, 20_000, seed=7, gt=gt, lazy=True)
         b = dg.mc_state_frequencies(2, 3, 20_000, seed=7, gt=gt, lazy=True, threads=4)
         assert (a == b).all()
+
+    @pytest.mark.parametrize(
+        "t,trials,seed,lazy,digest",
+        [
+            (50, 100_000, 7, True,
+             "8f98f844e859878adba7a7aaf5624ead0f48a57bc940cd3a37ffd395c7d1c6c6"),
+            (20, 30_000, 8, False,
+             "05c27d2155b62c17adff38771c9571ea77d09ddb48fd1cfc5a9ba0830392c4e8"),
+        ],
+    )
+    def test_golden_counts(self, t, trials, seed, lazy, digest):
+        counts = dg.mc_state_frequencies(3, t, trials, seed, enumerate_group(3), lazy=lazy)
+        assert counts_sha256(counts) == digest
 
     def test_dimension_mismatch_rejected(self):
         gt, _, _ = analyze(2)

@@ -55,6 +55,15 @@ class TestEnumeration:
                 eg.group_order(n) / 2 ** (n * n), rel=1e-15
             )
 
+    def test_order_ratio_values(self):
+        assert eg.order_ratio(1) == 0.5
+        assert eg.order_ratio(2) == pytest.approx(0.375, abs=1e-15)
+        # decreasing in n (strictly until the factors reach float resolution)
+        vals = [eg.order_ratio(n) for n in range(1, 80)]
+        assert all(a >= b for a, b in zip(vals, vals[1:]))
+        assert all(a > b for a, b in zip(vals[:30], vals[1:31]))
+        assert vals[-1] == pytest.approx(0.2887880950866024, abs=1e-12)
+
     def test_enumeration_cap(self):
         with pytest.raises(ValueError):
             eg.enumerate_group(eg.ENUMERATION_CAP + 1)

@@ -1,10 +1,12 @@
-"""Hostile bytes for the two file loaders: a valid object or ValueError."""
+"""Hostile input for the file loaders, the hex challenge parser and the
+config-file reader: each returns a valid value or raises ValueError."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvwalk import chain as c
+from tvwalk import cli
 from tvwalk import gf2core as g
 
 
@@ -72,3 +74,30 @@ def test_unedited_files_load(tmp_path):
     assert _check_load(g.load_matrix, tmp_path, matrix) is not None
     back = _check_load(c.load_trajectory, tmp_path, traj)
     assert back.lazy and np.array_equal(back.moves, c.run(11, 40, seed=3, lazy=True)[0].moves)
+
+
+@given(
+    st.one_of(st.text(max_size=40), st.text("0123456789abcdefABCDEF \t", max_size=40)),
+    st.integers(1, 140),
+)
+@settings(max_examples=300, deadline=None)
+def test_vector_from_hex(text, n):
+    try:
+        v = cli._vector_from_hex(text, n)
+    except ValueError:
+        return
+    assert v.n == n
+    g.BitVector(n, v.words)  # canonical padding
+    assert cli._vector_to_hex(v) == bytes.fromhex(text).hex()
+
+
+@given(st.one_of(st.binary(max_size=200), st.text(max_size=200).map(str.encode)))
+@settings(max_examples=300, deadline=None)
+def test_read_config_file(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_bytes(data)
+    try:
+        pairs = cli._read_config_file(str(path))
+    except ValueError:
+        return
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in pairs.items())

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvwalk import gf2core as g
+from tvwalk.chain import _apply_moves
+from tvwalk.exactgroup import order_ratio
 
 
 def random_matrix(n: int, seed: int) -> g.BitMatrix:
@@ -56,22 +58,24 @@ class TestTransvection:
 
     @given(pair_strategy())
     def test_commutes_with_matvec(self, tns):
-        """(T x) v == T (x v): row updates on the vector replay the product."""
+        """(T x) v == T (x v): the move kernel on the vector's bits replays
+        the product, which is what the honest protocol responder relies on."""
         n, i, j, seed = tns
         rng = np.random.default_rng(seed)
         x = g.BitMatrix.random(n, rng)
         v = g.BitVector.random(n, rng)
-        t = g.Transvection(i, j)
-        left = g.matvec(g.apply_transvection(x, t), v)
-        right = g.apply_transvection_vec(g.matvec(x, v), t)
-        assert left == right
+        left = g.matvec(g.apply_transvection(x, g.Transvection(i, j)), v)
+        bits = g.matvec(x, v).to_bits().tolist()
+        _apply_moves(bits, np.array([i]), np.array([j]))
+        assert left == g.BitVector.from_bits(bits)
 
     @given(pair_strategy())
     def test_vector_update_is_involution(self, tns):
         n, i, j, seed = tns
-        v = g.BitVector.random(n, np.random.default_rng(seed))
-        t = g.Transvection(i, j)
-        assert g.apply_transvection_vec(g.apply_transvection_vec(v, t), t) == v
+        bits = g.BitVector.random(n, np.random.default_rng(seed)).to_bits().tolist()
+        before = list(bits)
+        _apply_moves(bits, np.array([i, i]), np.array([j, j]))
+        assert bits == before
 
 
 class TestRank:
@@ -140,7 +144,7 @@ class TestSampling:
         rng = g.derive_rng(123)
         words = g.random_bit_words(rng, (100_000, 8), 8)
         rate = float((g.rank_words_batch(words, 8) == 8).mean())
-        assert abs(rate - g.invertible_fraction(8)) <= 0.005
+        assert abs(rate - order_ratio(8)) <= 0.005
 
     def test_batch_sampler_matches_scalar_law(self):
         rng = g.derive_rng(43)
@@ -152,15 +156,6 @@ class TestSampling:
         assert hit.size == 6
         sigma = math.sqrt(60_000 * (1 / 6) * (5 / 6))
         assert np.abs(hit - 10_000).max() <= 3 * sigma
-
-    def test_invertible_fraction_values(self):
-        assert g.invertible_fraction(1) == 0.5
-        assert g.invertible_fraction(2) == pytest.approx(0.375, abs=1e-15)
-        # decreasing in n (strictly until the factors reach float resolution)
-        vals = [g.invertible_fraction(n) for n in range(1, 80)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-        assert all(a > b for a, b in zip(vals[:30], vals[1:31]))
-        assert vals[-1] == pytest.approx(0.2887880950866024, abs=1e-12)
 
 
 class TestMatvecAndMul:
@@ -191,21 +186,6 @@ class TestMatvecAndMul:
         assert c == g.OpCount(bit_ops=1024 * 1024, word_ops=1024 * 16)
         assert g.matvec_cost(8).word_ops == 8
         assert g.matvec_cost(1024, word_bits=32).word_ops == 1024 * 32
-
-    @given(st.integers(2, 16), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40)
-    def test_mat_mul_agrees_with_matvec(self, n, seed):
-        rng = np.random.default_rng(seed)
-        a = g.BitMatrix.random(n, rng)
-        b = g.BitMatrix.random(n, rng)
-        v = g.BitVector.random(n, rng)
-        assert g.matvec(g.mat_mul(a, b), v) == g.matvec(a, g.matvec(b, v))
-
-    def test_mat_mul_identity(self):
-        x = random_matrix(12, 3)
-        eye = g.BitMatrix.identity(12)
-        assert g.mat_mul(eye, x) == x
-        assert g.mat_mul(x, eye) == x
 
 
 class TestEncoding:
@@ -286,6 +266,16 @@ class TestMatrixFile:
         g.save_matrix(path, g.BitMatrix.identity(9))
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(ValueError):
+            g.load_matrix(path)
+
+    def test_rejects_set_padding_bits(self, tmp_path):
+        # bit 7 of the first row's second byte is column 15 of an 11 x 11 matrix
+        path = tmp_path / "pad.gf2m"
+        g.save_matrix(path, g.BitMatrix.identity(11))
+        data = bytearray(path.read_bytes())
+        data[9 + 1] |= 0x80
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="padding"):
             g.load_matrix(path)
 
 
