@@ -1,5 +1,7 @@
 """Command-line surface: outputs, CSV reproducibility, config files, exits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,28 @@ class TestCutoff:
     def test_small_n_rejected(self, capsys):
         code, _, err = run(capsys, "cutoff", "--n", "8", "--trials", "1000")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            # k = 2: single-word slices, reference slices ranked by rejection.
+            (
+                ("--k", "2", "--trials", "5000"),
+                "195e426136b8ab5398eebb4419659bee9b84251ac41f5a724bf95a8d2f079c21",
+            ),
+            # k = 65: two-word slices.
+            (
+                ("--k", "65", "--trials", "2500", "--grid", "1.0,1.5,2.0"),
+                "951291149f83f173d13714423f7d8aa4554ac09452139c9f0d76a01d60c72e0d",
+            ),
+        ],
+    )
+    def test_golden_slice_curve(self, capsys, tmp_path, argv, digest):
+        code, _, _ = run(
+            capsys, "cutoff", "--n", "128", "--seed", "5", *argv, "--out", str(tmp_path)
+        )
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "cutoff.csv").read_bytes()).hexdigest() == digest
 
 
 class TestBounds:
