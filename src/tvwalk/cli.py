@@ -259,7 +259,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cutoff(args) -> int:
-    grid = tuple(args.grid) if args.grid else diagnostics.DEFAULT_CUTOFF_GRID
+    grid = diagnostics.DEFAULT_CUTOFF_GRID if args.grid is None else tuple(args.grid)
     points = diagnostics.cutoff_experiment(
         args.n, args.trials, args.seed, k=args.k, grid=grid, threads=args.threads
     )

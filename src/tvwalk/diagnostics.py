@@ -139,8 +139,7 @@ def _block_sizes(trials: int) -> list[int]:
 def _identity_words(n: int, count: int, k: int) -> np.ndarray:
     """`count` copies of the first k columns of the n x n identity,
     word-packed: row r holds bit r when r < k."""
-    w = (k + WORD_BITS - 1) // WORD_BITS
-    state = np.zeros((count, n, w), dtype=np.uint64)
+    state = np.zeros((count, n, (k + WORD_BITS - 1) // WORD_BITS), dtype=np.uint64)
     idx = np.arange(k)
     state[:, idx, idx // WORD_BITS] = np.uint64(1) << (idx % WORD_BITS).astype(np.uint64)
     return state
@@ -177,26 +176,19 @@ def _walk_full(n: int, t: int, count: int, rng: np.random.Generator, lazy: bool)
 
 
 def _weight_full(state: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(state).sum(axis=(1, 2)).astype(np.int64)
+    """Set bits per walk of a (count, n, ...) state, packed or 0/1 bytes."""
+    return np.bitwise_count(state).reshape(len(state), -1).sum(axis=1, dtype=np.int64)
 
 
 def _trace_full(state: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(state.shape[0], dtype=np.int64)
-    for d in range(n):
-        out += ((state[:, d, d // WORD_BITS] >> np.uint64(d % WORD_BITS)) & np.uint64(1)).astype(
-            np.int64
-        )
-    return out
+    d = np.arange(n)
+    diag = state[:, d, d // WORD_BITS] >> (d % WORD_BITS).astype(np.uint64)
+    return (diag & np.uint64(1)).sum(axis=1, dtype=np.int64)
 
 
 def _corner_rank_full(state: np.ndarray, n: int) -> np.ndarray:
     m = (n + 1) // 2
-    wm = (m + WORD_BITS - 1) // WORD_BITS
-    corner = state[:, :m, :wm].copy()
-    rem = m % WORD_BITS
-    if rem:
-        corner[:, :, -1] &= np.uint64((1 << rem) - 1)
-    return rank_words_batch(corner.reshape(-1, m, wm), m)
+    return rank_words_batch(state[:, :m], m)
 
 
 def _statistic_values(name: str, state: np.ndarray, n: int) -> np.ndarray:
@@ -294,23 +286,6 @@ def _stationary_weights_k1(n: int, count: int, rng: np.random.Generator) -> np.n
         w[zero] = rng.binomial(n, 0.5, size=int(zero.sum()))
 
 
-def _stationary_slice_weights(n: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Weights of uniform rank-k n x k slices, drawn by rejection."""
-    wk = (k + WORD_BITS - 1) // WORD_BITS
-    out = np.empty(count, dtype=np.int64)
-    filled = 0
-    mask = np.uint64((1 << (k % WORD_BITS)) - 1) if k % WORD_BITS else np.uint64(2**64 - 1)
-    while filled < count:
-        batch = max(1024, 2 * (count - filled))
-        cand = rng.integers(0, 2**64, size=(batch, n, wk), dtype=np.uint64)
-        cand[:, :, -1] &= mask
-        good = rank_words_batch(cand, k) == k
-        take = cand[good][: count - filled]
-        out[filled : filled + take.shape[0]] = np.bitwise_count(take).sum(axis=(1, 2))
-        filled += take.shape[0]
-    return out
-
-
 def cutoff_experiment(
     n: int,
     trials: int,
@@ -345,7 +320,7 @@ def cutoff_experiment(
         if k == 1:
             ref_w = _stationary_weights_k1(n, count, ref_rng)
         else:
-            ref_w = _stationary_slice_weights(n, k, count, ref_rng)
+            ref_w = _weight_full(sample_uniform_invertible_batch(n, count, ref_rng, k))
         mid = count // 2
         ref_half_a = np.bincount(ref_w[:mid], minlength=bins)
         ref_half_b = np.bincount(ref_w[mid:], minlength=bins)
@@ -361,11 +336,7 @@ def cutoff_experiment(
         for gi, t_target in enumerate(t_grid):
             _walk_rows(state, t_target - t_now, walk_rng, False)
             t_now = t_target
-            if k == 1:
-                w = state.sum(axis=1).astype(np.int64)
-            else:
-                w = np.bitwise_count(state).sum(axis=(1, 2)).astype(np.int64)
-            hists[gi] = np.bincount(w, minlength=bins)
+            hists[gi] = np.bincount(_weight_full(state), minlength=bins)
         return hists, ref_half_a, ref_half_b
 
     results = _map_blocks(len(sizes), block, threads)

@@ -328,7 +328,7 @@ def rank_words_batch(rows: np.ndarray, ncols: int) -> np.ndarray:
     ----------
     rows : np.ndarray
         uint64 array of shape (B, m, W) or (B, m) for single-word rows;
-        sample b is an m x ncols matrix.
+        sample b is an m x ncols matrix.  Bits at or above ncols are ignored.
     ncols : int
         Number of valid bit columns per row.
 
@@ -339,29 +339,56 @@ def rank_words_batch(rows: np.ndarray, ncols: int) -> np.ndarray:
 
     Notes
     -----
-    Column-wise elimination with per-sample pivot selection via argmax on a
-    boolean mask; every pass is O(B * m) so the whole computation is
-    O(ncols * B * m) word operations regardless of pivot patterns.
+    Row-order elimination without pivot search: step k takes row k's lowest
+    set bit as its pivot column and XORs row k into every later row of the
+    same sample that has this bit, so row k is nonzero at its step exactly
+    when it is independent of rows 0..k-1.  A batch-minor (m, W, B) copy
+    makes each step a few whole-array passes over the rows below k, about
+    m^2 W B / 2 word operations for a square batch.  A tall batch is
+    eliminated over its first min(m, ncols) + 16 rows, which nearly always
+    reach the full rank, and over all m rows for the samples that fall short.
     """
     if rows.ndim == 2:
         rows = rows[:, :, None]
-    work = rows.astype(np.uint64, copy=True)
-    nb, m, _ = work.shape
-    used = np.zeros((nb, m), dtype=bool)
+    rows = rows[:, :, : _n_words(ncols)]
+    target = min(rows.shape[1], ncols)
+    head = target + 16
+    ranks = _eliminate(rows[:, :head], ncols, target)
+    if head < rows.shape[1]:
+        short = np.flatnonzero(ranks < target)
+        ranks[short] = _eliminate(rows[short], ncols, target)
+    return ranks
+
+
+def _eliminate(rows: np.ndarray, ncols: int, target: int) -> np.ndarray:
+    """rank_words_batch's elimination of (B, m, W) rows; stops once every
+    sample's rank is `target`."""
+    nb, m, nw = rows.shape
+    a = rows.transpose(1, 2, 0).astype(np.uint64, order="C", copy=True)
+    a[:, -1] &= _pad_mask(ncols)
+    flat = a.reshape(m, nw * nb)  # word w of sample b's row k: flat[k, w*nb + b]
+    buf = np.empty((m, nb), dtype=np.uint64)
     ranks = np.zeros(nb, dtype=np.int64)
-    sample = np.arange(nb)
-    for col in range(ncols):
-        word, bit = col // WORD_BITS, np.uint64(col % WORD_BITS)
-        has = ((work[:, :, word] >> bit) & _ONE).astype(bool) & ~used
-        any_pivot = has.any(axis=1)
-        pivot = np.argmax(has, axis=1)  # first candidate row, garbage when none
-        ranks += any_pivot
-        used[sample[any_pivot], pivot[any_pivot]] = True
-        elim = has
-        elim[sample, pivot] = False
-        elim &= any_pivot[:, None]
-        pivot_rows = work[sample, pivot]  # (B, W)
-        work ^= pivot_rows[:, None, :] * elim[:, :, None].astype(np.uint64)
+    for k in range(m):
+        hit = buf[k + 1 :]
+        if nw == 1:
+            p, rest = flat[k], flat[k + 1 :]
+            low = p & (~p + _ONE)
+            # rest & low is 0 or 2^c, and 2^c * (p >> c) == p.
+            np.bitwise_and(rest, low, out=hit)
+            hit *= p >> np.bitwise_count(low - _ONE)
+            rest ^= hit
+        else:
+            pick = (a[k] != 0).argmax(axis=0) * nb + np.arange(nb)  # pivot words
+            low = flat[k, pick]
+            low &= ~low + _ONE
+            np.take(flat[k + 1 :], pick, axis=1, out=hit)
+            hit &= low
+            hit >>= np.bitwise_count(low - _ONE)  # 0/1 per row
+            a[k + 1 :] ^= a[k] * hit[:, None, :]
+        ranks += low != 0
+        if (ranks == target).all():
+            break
     return ranks
 
 
@@ -387,21 +414,23 @@ def sample_uniform_invertible(n: int, rng: np.random.Generator) -> BitMatrix:
 
 
 def sample_uniform_invertible_batch(
-    n: int, count: int, rng: np.random.Generator
+    n: int, count: int, rng: np.random.Generator, k: int | None = None
 ) -> np.ndarray:
     """`count` exact uniform invertible matrices as packed words.
 
-    Returns a uint64 array of shape (count, n, ceil(n/64)).  Same rejection
+    Returns a uint64 array of shape (count, n, ceil(k/64)).  Same rejection
     law as sample_uniform_invertible, vectorized over candidates; the output
-    is a deterministic function of the generator state.
+    is a deterministic function of the generator state.  With k < n the
+    samples are uniform rank-k n x k matrices, the first k columns of
+    uniform invertible ones.
     """
-    w = _n_words(n)
-    out = np.empty((count, n, w), dtype=np.uint64)
+    k = n if k is None else k
+    out = np.empty((count, n, _n_words(k)), dtype=np.uint64)
     filled = 0
     while filled < count:
         batch = max(1024, 2 * (count - filled))
-        cand = random_bit_words(rng, (batch, n), n)
-        good = rank_words_batch(cand, n) == n
+        cand = random_bit_words(rng, (batch, n), k)
+        good = rank_words_batch(cand, k) == k
         take = cand[good][: count - filled]
         out[filled : filled + take.shape[0]] = take
         filled += take.shape[0]

@@ -480,6 +480,7 @@ class TestMalformedInput:
             ("cutoff", "--n", "16", "--trials", "1000", "--grid", "inf"),
             ("cutoff", "--n", "16", "--trials", "1000", "--grid", "1.0,nan"),
             ("cutoff", "--n", "16", "--trials", "1000", "--grid", "-1.5"),
+            ("cutoff", "--n", "16", "--trials", "1000", "--grid", ","),
             ("order", "--n", "3", "--threads", "0"),
             ("cutoff", "--n", "16", "--trials", "1000", "--threads", "-3"),
             ("protocol", "verify", "--key", "{key}", "--challenge", "a5",

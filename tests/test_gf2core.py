@@ -28,6 +28,17 @@ def pair_strategy(max_n: int = 24):
     )
 
 
+def padded_square_bits(rows: np.ndarray, ncols: int) -> np.ndarray:
+    """The first ncols bit columns of each (m, W) sample, zero-padded to a
+    square 0/1 matrix of side max(m, ncols); bits past ncols are dropped."""
+    batch, m, _ = rows.shape
+    bits = np.unpackbits(rows.view(np.uint8), axis=-1, bitorder="little")[:, :, :ncols]
+    side = max(m, ncols)
+    out = np.zeros((batch, side, side), dtype=np.uint8)
+    out[:, :m, :ncols] = bits
+    return out
+
+
 class TestTransvection:
     def test_requires_distinct_rows(self):
         with pytest.raises(ValueError):
@@ -112,6 +123,51 @@ class TestRank:
         got = g.rank_words_batch(rows, n)
         for b in range(batch):
             assert got[b] == g.rank_naive(g.BitMatrix(n, rows[b].copy()))
+
+    @given(
+        st.integers(1, 140),
+        st.integers(1, 140),
+        st.integers(1, 4),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_agrees_with_oracle(self, m, ncols, batch, low_rank, garbage, seed):
+        # Square, rectangular and tall batches, single- and multi-word rows,
+        # against rank_naive on the zero-padded square.
+        rng = np.random.default_rng(seed)
+        rows = g.random_bit_words(rng, (batch, m), ncols)
+        if low_rank:
+            # Overwrite some rows with the sum of two rows (a duplicate when
+            # the two coincide with each other or with the row itself).
+            for b in range(batch):
+                for i in rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False):
+                    j, k = rng.integers(0, m, size=2)
+                    rows[b, i] = rows[b, j] ^ rows[b, k]
+        if garbage:
+            # Set bits at and above ncols: in the last word and in an extra one.
+            noise = rng.integers(0, 2**64, size=(batch, m, 2), dtype=np.uint64)
+            rows[:, :, -1] |= noise[:, :, 0] & ~g._pad_mask(ncols)
+            rows = np.concatenate([rows, noise[:, :, 1:]], axis=2)
+        expected = [g.rank_naive(g.BitMatrix.from_bits(a)) for a in padded_square_bits(rows, ncols)]
+        before = rows.copy()
+        assert g.rank_words_batch(rows, ncols).tolist() == expected
+        assert np.array_equal(rows, before)
+        if rows.shape[2] == 1:
+            assert g.rank_words_batch(rows[:, :, 0], ncols).tolist() == expected
+
+    def test_rank_reached_past_the_head_rows(self):
+        # Tall samples whose rank is set by rows far below min(m, ncols):
+        # the first 40 rows repeat e_0 or carry only bits past ncols.
+        m, ncols = 64, 3
+        rows = np.zeros((3, m, 1), dtype=np.uint64)
+        rows[:, :40, 0] = 1
+        rows[1, :40, 0] = 1 << 5
+        rows[:, 50, 0] = 2
+        rows[:, 63, 0] = 4 | 1 << 9
+        rows[2, 63, 0] = 3
+        assert g.rank_words_batch(rows, ncols).tolist() == [3, 2, 2]
 
     def test_batch_rectangular_slices(self):
         # n x k slices: rank of the identity's first k columns is k.
