@@ -139,7 +139,8 @@ def _block_sizes(trials: int) -> list[int]:
 def _identity_words(n: int, count: int, k: int) -> np.ndarray:
     """`count` copies of the first k columns of the n x n identity,
     word-packed: row r holds bit r when r < k."""
-    state = np.zeros((count, n, (k + WORD_BITS - 1) // WORD_BITS), dtype=np.uint64)
+    w = (k + WORD_BITS - 1) // WORD_BITS
+    state = np.zeros((count, n, w), dtype=np.uint64)
     idx = np.arange(k)
     state[:, idx, idx // WORD_BITS] = np.uint64(1) << (idx % WORD_BITS).astype(np.uint64)
     return state

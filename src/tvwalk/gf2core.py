@@ -361,8 +361,7 @@ def rank_words_batch(rows: np.ndarray, ncols: int) -> np.ndarray:
 
 
 def _eliminate(rows: np.ndarray, ncols: int, target: int) -> np.ndarray:
-    """rank_words_batch's elimination of (B, m, W) rows; stops once every
-    sample's rank is `target`."""
+    """Row-order elimination of (B, m, W) rows, stopping once all ranks are `target`."""
     nb, m, nw = rows.shape
     a = rows.transpose(1, 2, 0).astype(np.uint64, order="C", copy=True)
     a[:, -1] &= _pad_mask(ncols)
