@@ -216,16 +216,6 @@ def _cmd_lsi(args) -> int:
     return 0
 
 
-def _suite_supports(name: str, n: int) -> bool:
-    if name == "hypercube":
-        return True
-    if name == "extension":
-        return 2 <= n <= 3
-    if name == "rowdecomp":
-        return n == 2
-    return 2 <= n <= _MAX_EXACT_N  # key, kassabov
-
-
 def _cmd_check(args) -> int:
     names = funineq.SUITE_NAMES if args.suite == "all" else (args.suite,)
     _require_range("trials", args.trials, 1)
@@ -234,7 +224,8 @@ def _cmd_check(args) -> int:
         _require_range("n", args.n, 2, _MAX_EXACT_N)
     rows = []
     for name in names:
-        if not _suite_supports(name, args.n):
+        dims = funineq.SUITE_DIMENSIONS[name]
+        if dims is not None and args.n not in dims:
             if args.suite == "all":
                 print(f"{name}: skipped (not defined at n={args.n})")
                 continue

@@ -235,6 +235,8 @@ def statistic_tv(
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a usable histogram")
+    if t < 0:
+        raise ValueError("time must be non-negative")
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
     sizes = _block_sizes(trials)
@@ -413,6 +415,10 @@ def mc_state_frequencies(
         raise ValueError("group table dimension mismatch")
     if n > 5:
         raise ValueError("state keys require n <= 5")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if t < 0:
+        raise ValueError("time must be non-negative")
     sizes = _block_sizes(trials)
     shifts = np.arange(n, dtype=np.uint64) * np.uint64(n)
 

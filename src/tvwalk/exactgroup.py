@@ -23,13 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .gf2core import BitMatrix, decode_key, encode_key
-
 __all__ = [
     "GroupTable",
     "TransitionStructure",
     "SpectralReport",
-    "DistVector",
     "NonConvergentError",
     "group_order",
     "order_ratio",
@@ -104,17 +101,9 @@ class GroupTable:
             raise KeyError("key does not belong to the enumerated group")
         return self._sort_perm[pos]
 
-    def element(self, idx: int) -> BitMatrix:
-        return decode_key(int(self.keys[idx]), self.n)
-
     @property
     def pi(self) -> float:
         """Stationary probability of any single state (uniform law)."""
-        return 1.0 / self.size
-
-    @property
-    def pi_star(self) -> float:
-        """Smallest stationary probability; equals pi for the uniform law."""
         return 1.0 / self.size
 
 
@@ -166,15 +155,6 @@ class SpectralReport:
     @property
     def lambda_min(self) -> float:
         return float(self.eigenvalues[-1])
-
-
-@dataclass(frozen=True)
-class DistVector:
-    """Distribution over group indices at a given time."""
-
-    probs: np.ndarray
-    t: int
-    lazy: bool
 
 
 def _move_list(n: int) -> tuple[tuple[int, int], ...]:
@@ -297,27 +277,27 @@ def _laws(ts: TransitionStructure, lazy: bool):
             p /= p.sum()
 
 
-def distribution_at(ts: TransitionStructure, t: int, lazy: bool = False) -> DistVector:
-    """Law of the walk at time t started from the identity (index 0)."""
+def distribution_at(ts: TransitionStructure, t: int, lazy: bool = False) -> np.ndarray:
+    """Law of the walk at time t started from the identity (index 0), as
+    probabilities over group indices."""
     if t < 0:
         raise ValueError("time must be non-negative")
-    p = next(itertools.islice(_laws(ts, lazy), t, None))
-    return DistVector(probs=p, t=t, lazy=lazy)
+    return next(itertools.islice(_laws(ts, lazy), t, None))
 
 
-def tv_distance(d: DistVector, gt: GroupTable) -> float:
+def tv_distance(p: np.ndarray, gt: GroupTable) -> float:
     """Total-variation distance to uniform: half the l1 distance."""
-    return 0.5 * float(np.abs(d.probs - gt.pi).sum())
+    return 0.5 * float(np.abs(p - gt.pi).sum())
 
 
-def l2_distance(d: DistVector, gt: GroupTable) -> float:
+def l2_distance(p: np.ndarray, gt: GroupTable) -> float:
     """pi-weighted l2 norm of the density minus one.
 
     With uniform pi this is sqrt(sum (p_x N - 1)^2 / N); it dominates twice
     the total-variation distance, which yields the standard relation
     t_mix(eps) <= t2_mix(2 eps) between the two mixing times.
     """
-    dens = d.probs * gt.size - 1.0
+    dens = p * gt.size - 1.0
     return float(math.sqrt(np.square(dens).sum() / gt.size))
 
 
@@ -327,8 +307,7 @@ def mixing_curve(
     """Exact (t, tv, l2) rows for t = 0..tmax from the identity start."""
     rows = []
     for t, p in zip(range(tmax + 1), _laws(ts, lazy)):
-        d = DistVector(p, t, lazy)
-        rows.append((t, tv_distance(d, gt), l2_distance(d, gt)))
+        rows.append((t, tv_distance(p, gt), l2_distance(p, gt)))
     return rows
 
 
@@ -371,10 +350,9 @@ def mixing_times(
     t_l2: int | None = None
     cap = max(1000, 200 * ts.n * ts.n * max(1, int(math.log(gt.size))))
     for t, p in zip(range(cap + 1), _laws(ts, lazy)):
-        d = DistVector(p, t, lazy)
-        if t_tv is None and tv_distance(d, gt) <= eps:
+        if t_tv is None and tv_distance(p, gt) <= eps:
             t_tv = t
-        if t_l2 is None and l2_distance(d, gt) <= eps:
+        if t_l2 is None and l2_distance(p, gt) <= eps:
             t_l2 = t
         if t_tv is not None and t_l2 is not None:
             return t_tv, t_l2

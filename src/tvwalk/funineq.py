@@ -62,6 +62,7 @@ __all__ = [
     "mixing_bound",
     "counting_lower_bound",
     "run_suite",
+    "SUITE_DIMENSIONS",
     "SUITE_NAMES",
 ]
 
@@ -76,7 +77,16 @@ _SUITE_CHUNK_ELEMS = 1 << 19
 _STREAM_SUITE = 4
 _STREAM_LSI = 5
 
-SUITE_NAMES = ("key", "extension", "rowdecomp", "hypercube", "kassabov")
+# The dimensions n at which each suite is defined, in suite stream order.
+# The hypercube suite runs on {0,1}^d and is defined at every n.
+SUITE_DIMENSIONS = {
+    "key": range(2, 5),
+    "extension": range(2, 4),
+    "rowdecomp": range(2, 3),
+    "hypercube": None,
+    "kassabov": range(2, 5),
+}
+SUITE_NAMES = tuple(SUITE_DIMENSIONS)
 
 
 @dataclass(frozen=True)
@@ -230,8 +240,6 @@ def _rowdecomp_terms(
     values: np.ndarray, ts: TransitionStructure, gt: GroupTable
 ) -> tuple[float, float, float]:
     """(ent_mu(g^2), sub-additivity sum, consolidated rhs) for n = 2."""
-    if gt.n != 2:
-        raise ValueError("row decomposition is enumerable only for n = 2")
     g = _extension_values(values, gt)
     ent_mu = _entropy_uniform(g)
     # Ambient key = row0 + 4 * row1, so a (row1, row0) view is a reshape.
@@ -263,6 +271,8 @@ def check_row_decomposition(
     most half the sum of squared row-swap differences over the group plus
     the per-row variance terms.  Both are reported separately.
     """
+    if gt.n not in SUITE_DIMENSIONS["rowdecomp"]:
+        raise ValueError("row decomposition is enumerable only for n = 2")
     values = _as_values(f, gt.size)
     ent_mu, subadd, consolidated = _rowdecomp_terms(values, ts, gt)
     return RowDecompositionReport(
@@ -425,8 +435,6 @@ def run_suite(
     seed: int,
     n: int | None = None,
     d: int = 8,
-    ts: TransitionStructure | None = None,
-    gt: GroupTable | None = None,
 ) -> SuiteResult:
     """Randomized zero-violation suite for one inequality checker.
 
@@ -434,6 +442,8 @@ def run_suite(
     of adversarial functions (indicators, signed indicators, the second
     eigenvector) and counts violations at relative tolerance 1e-9.  The
     checked inequalities are theorem-backed, so any violation is a defect.
+    Group suites run on ``analyze(n)`` for the n that SUITE_DIMENSIONS
+    lists; the hypercube suite runs on {0,1}^d.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}")
@@ -459,14 +469,12 @@ def run_suite(
             min_slack = min(min_slack, s)
         return SuiteResult("hypercube", d, trials, violations, min_slack)
 
-    if gt is None or ts is None:
-        if n is None:
-            raise ValueError("group suites need n")
-        gt, ts, _ = analyze(n)
-    if name == "extension" and gt.n > 3:
-        raise ValueError("extension suite supports n <= 3")
-    if name == "rowdecomp" and gt.n != 2:
-        raise ValueError("rowdecomp suite supports n = 2 only")
+    if n is None:
+        raise ValueError("group suites need n")
+    dims = SUITE_DIMENSIONS[name]
+    if n not in dims:
+        raise ValueError(f"suite {name!r} is defined for n in {dims[0]}..{dims[-1]}")
+    gt, ts, _ = analyze(n)
 
     extra = _adversarial_group_functions(ts, gt)
     violations, min_slack = 0, math.inf

@@ -5,11 +5,11 @@ row lives in word b // 64 at position b % 64.  All values are canonical,
 meaning bits at positions >= n in the last word are always zero, so equality
 and hashing can work directly on the packed words.
 
-The module provides row operations (transvections), Gaussian-elimination
-rank, invertibility tests, exact uniform sampling from the invertible group
-by rejection, matrix-vector products with an explicit operation-cost model,
-canonical integer encodings for exhaustive enumeration, and a binary file
-format for matrices.
+The module provides Gaussian-elimination rank, invertibility tests, exact
+uniform sampling from the invertible group by rejection, matrix-vector
+products with an explicit operation-cost model, canonical integer
+encodings for exhaustive enumeration, and a binary file format for
+matrices.
 """
 
 from __future__ import annotations
@@ -22,14 +22,11 @@ __all__ = [
     "WORD_BITS",
     "BitVector",
     "BitMatrix",
-    "Transvection",
     "OpCount",
-    "apply_transvection",
     "rank",
     "rank_naive",
     "rank_words_batch",
     "is_invertible",
-    "sample_uniform_invertible",
     "sample_uniform_invertible_batch",
     "matvec",
     "matvec_cost",
@@ -49,9 +46,10 @@ _MATRIX_MAGIC = b"GF2M"
 _MATRIX_VERSION = 1
 _MATRIX_HEADER = 9  # magic, version, n (u32)
 
-# Rejection sampling accepts with probability > 0.288 for every n, so this
-# cap is astronomically unlikely to be reached; it bounds the loop anyway.
-_MAX_REJECTION_ATTEMPTS = 10**6
+# Rejection sampling accepts a candidate with probability > 0.288 for every
+# n, so a round of at least 1024 candidates accepts none with probability
+# below 0.712^1024; this cap on consecutive empty rounds bounds the loop.
+_MAX_EMPTY_ROUNDS = 4
 
 
 def _n_words(n: int) -> int:
@@ -100,24 +98,6 @@ def random_bit_words(rng: np.random.Generator, shape: tuple[int, ...], n: int) -
 
 
 @dataclass(frozen=True)
-class Transvection:
-    """Ordered row pair (i, j), i != j: left multiplication by I + E_{i,j}.
-
-    The action adds row j to row i modulo 2.  Over Z_2 the map is its own
-    inverse because 2 E_{i,j} = 0.
-    """
-
-    i: int
-    j: int
-
-    def __post_init__(self) -> None:
-        if self.i == self.j:
-            raise ValueError("transvection requires i != j")
-        if self.i < 0 or self.j < 0:
-            raise ValueError("row indices must be non-negative")
-
-
-@dataclass(frozen=True)
 class OpCount:
     """Operation-cost record: bit-level and word-level counts."""
 
@@ -147,10 +127,6 @@ class BitVector:
         self.words = words
 
     @classmethod
-    def zeros(cls, n: int) -> "BitVector":
-        return cls(n, np.zeros(_n_words(n), dtype=np.uint64))
-
-    @classmethod
     def from_bits(cls, bits) -> "BitVector":
         bits = np.asarray(bits, dtype=np.uint8)
         n = bits.shape[0]
@@ -159,15 +135,6 @@ class BitVector:
         words_view = words.view(np.uint8)
         words_view[: packed.size] = packed
         return cls(n, words)
-
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "BitVector":
-        return cls(n, random_bit_words(rng, (), n).reshape(-1))
-
-    def bit(self, b: int) -> int:
-        if not 0 <= b < self.n:
-            raise IndexError("bit index out of range")
-        return int((self.words[b // WORD_BITS] >> np.uint64(b % WORD_BITS)) & _ONE)
 
     def to_bits(self) -> np.ndarray:
         raw = np.unpackbits(self.words.view(np.uint8), bitorder="little")
@@ -225,10 +192,6 @@ class BitMatrix:
         return cls(n, words)
 
     @classmethod
-    def zeros(cls, n: int) -> "BitMatrix":
-        return cls(n, np.zeros((n, _n_words(n)), dtype=np.uint64))
-
-    @classmethod
     def from_bits(cls, bits) -> "BitMatrix":
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
@@ -239,22 +202,6 @@ class BitMatrix:
         view = words.view(np.uint8)[:, : packed.shape[1]]
         view[:] = packed
         return cls(n, words)
-
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "BitMatrix":
-        return cls(n, random_bit_words(rng, (n,), n))
-
-    @property
-    def rows(self) -> tuple[BitVector, ...]:
-        return tuple(BitVector(self.n, self.words[i].copy()) for i in range(self.n))
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.n, self.words[i].copy())
-
-    def bit(self, i: int, j: int) -> int:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError("entry index out of range")
-        return int((self.words[i, j // WORD_BITS] >> np.uint64(j % WORD_BITS)) & _ONE)
 
     def to_bits(self) -> np.ndarray:
         raw = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
@@ -276,23 +223,6 @@ class BitMatrix:
     def __repr__(self) -> str:
         lines = ["".join(str(b) for b in r) for r in self.to_bits()]
         return "BitMatrix([" + ", ".join(lines) + "])"
-
-
-def _check_move(n: int, t: Transvection) -> None:
-    if t.i >= n or t.j >= n:
-        raise ValueError("transvection indices exceed dimension")
-
-
-def apply_transvection(x: BitMatrix, t: Transvection) -> BitMatrix:
-    """Left-multiply x by I + E_{i,j}: row i becomes row i XOR row j.
-
-    The input is unmodified; a fresh matrix is returned.  Applying the same
-    move twice returns to the start because the update is an involution.
-    """
-    _check_move(x.n, t)
-    words = x.words.copy()
-    words[t.i] ^= words[t.j]
-    return BitMatrix(x.n, words)
 
 
 def rank(x: BitMatrix) -> int:
@@ -396,36 +326,24 @@ def is_invertible(x: BitMatrix) -> bool:
     return rank(x) == x.n
 
 
-def sample_uniform_invertible(n: int, rng: np.random.Generator) -> BitMatrix:
-    """Exact uniform sample from the group of invertible matrices.
-
-    Draws all n^2 bits uniformly and rejects until invertible.  Acceptance
-    probability is prod_{k=1..n}(1 - 2^-k) > 0.288 for every n, so the
-    expected number of draws is below 3.5 at any size.
-    """
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    for _ in range(_MAX_REJECTION_ATTEMPTS):
-        m = BitMatrix(n, random_bit_words(rng, (n,), n))
-        if rank(m) == n:
-            return m
-    raise RuntimeError("rejection sampling failed to terminate")
-
-
 def sample_uniform_invertible_batch(
     n: int, count: int, rng: np.random.Generator, k: int | None = None
 ) -> np.ndarray:
     """`count` exact uniform invertible matrices as packed words.
 
-    Returns a uint64 array of shape (count, n, ceil(k/64)).  Same rejection
-    law as sample_uniform_invertible, vectorized over candidates; the output
-    is a deterministic function of the generator state.  With k < n the
-    samples are uniform rank-k n x k matrices, the first k columns of
-    uniform invertible ones.
+    Returns a uint64 array of shape (count, n, ceil(k/64)).  Each round draws
+    at least 1024 candidates with all bits uniform and keeps those of full
+    rank k; acceptance is prod_{i=n-k+1..n}(1 - 2^-i) > 0.288, so fewer
+    than 3.5 candidates are ranked per sample on average.  The output is a
+    deterministic function of the generator state.  With k < n the samples
+    are uniform rank-k n x k matrices, the first k columns of uniform
+    invertible ones.
     """
     k = n if k is None else k
+    if n < 1 or not 1 <= k <= n or count < 0:
+        raise ValueError(f"need n >= 1, 1 <= k <= n and count >= 0 (got {n}, {k}, {count})")
     out = np.empty((count, n, _n_words(k)), dtype=np.uint64)
-    filled = 0
+    filled = empty_rounds = 0
     while filled < count:
         batch = max(1024, 2 * (count - filled))
         cand = random_bit_words(rng, (batch, n), k)
@@ -433,6 +351,9 @@ def sample_uniform_invertible_batch(
         take = cand[good][: count - filled]
         out[filled : filled + take.shape[0]] = take
         filled += take.shape[0]
+        empty_rounds = 0 if take.shape[0] else empty_rounds + 1
+        if empty_rounds == _MAX_EMPTY_ROUNDS:
+            raise RuntimeError("rejection sampling accepted no candidate")
     return out
 
 

@@ -43,7 +43,6 @@ class KeyPair:
 
     public: BitMatrix
     secret: Trajectory
-    t: int
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ def keygen(n: int, t: int, seed: int, lazy: bool = False) -> KeyPair:
     identity reproduces the public key bit for bit.
     """
     secret, public = run(n, t, seed, lazy)
-    return KeyPair(public=public, secret=secret, t=t)
+    return KeyPair(public=public, secret=secret)
 
 
 def respond_honest(secret: Trajectory, c: Challenge) -> Response:

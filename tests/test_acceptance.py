@@ -92,7 +92,7 @@ def test_criterion_4_monte_carlo_oracle():
     counts = dg.mc_state_frequencies(
         3, 50, trials, seed=20260815, gt=gt, lazy=True, threads=4
     )
-    p = eg.distribution_at(ts, 50, lazy=True).probs
+    p = eg.distribution_at(ts, 50, lazy=True)
     z = (counts - trials * p) / np.sqrt(trials * p * (1.0 - p))
     worst = float(np.abs(z).max())
     ok = counts.sum() == trials and worst <= 4.0

@@ -83,16 +83,15 @@ class TestPushforwardFoundation:
         state law's TV, at any time, for the lazy walk."""
         gt, ts, _ = analyze(3)
         for t in range(30):
-            d = distribution_at(ts, t, lazy=True)
-            stat = weight_pushforward_tv(d.probs, gt.keys, 10)
-            assert stat <= tv_distance(d, gt) + 1e-12
+            p = distribution_at(ts, t, lazy=True)
+            stat = weight_pushforward_tv(p, gt.keys, 10)
+            assert stat <= tv_distance(p, gt) + 1e-12
 
     def test_sampled_estimate_matches_population_value(self):
         """At n = 3, t = 3 the plug-in estimate sits within sampling error
         of the exactly computable population TV of the weight statistic."""
         gt, ts, _ = analyze(3)
-        d = distribution_at(ts, 3)
-        population = weight_pushforward_tv(d.probs, gt.keys, 10)
+        population = weight_pushforward_tv(distribution_at(ts, 3), gt.keys, 10)
         assert population == pytest.approx(0.14682539682539703, abs=1e-12)
         est = dg.statistic_tv(3, 3, "weight", 200_000, seed=21).estimate
         assert abs(est - population) <= 0.01
@@ -175,7 +174,7 @@ class TestMcStateFrequencies:
         trials = 20_000
         counts = dg.mc_state_frequencies(2, 3, trials, seed=7, gt=gt, lazy=True)
         assert counts.sum() == trials and len(counts) == gt.size
-        p = distribution_at(ts, 3, lazy=True).probs
+        p = distribution_at(ts, 3, lazy=True)
         z = (counts - trials * p) / np.sqrt(trials * p * (1 - p))
         assert np.abs(z).max() <= 4.0
 
@@ -209,3 +208,18 @@ class TestMcStateFrequencies:
 
         with pytest.raises(ValueError):
             dg.mc_state_frequencies(6, 1, 1000, seed=0, gt=WideTable())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda gt: dg.mc_state_frequencies(2, 5, 0, 0, gt),
+        lambda gt: dg.mc_state_frequencies(2, 5, -5, 0, gt),
+        lambda gt: dg.mc_state_frequencies(2, -1, 1000, 0, gt),
+        lambda gt: dg.statistic_tv(8, -3, "weight", 1000, 0),
+    ],
+    ids=["mc-zero-trials", "mc-negative-trials", "mc-negative-t", "statistic-negative-t"],
+)
+def test_rejects_bad_trials_and_time(call):
+    with pytest.raises(ValueError):
+        call(analyze(2)[0])

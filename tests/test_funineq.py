@@ -225,6 +225,9 @@ class TestSuites:
             fi.run_suite("rowdecomp", 10, seed=0, n=3)
         with pytest.raises(ValueError):
             fi.run_suite("extension", 10, seed=0, n=4)
+        for name in ("key", "kassabov"):
+            with pytest.raises(ValueError):
+                fi.run_suite(name, 10, seed=0, n=5)
 
 
 class TestCalculators:

@@ -9,12 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvwalk import gf2core as g
-from tvwalk.chain import _apply_moves
+from tvwalk.chain import Trajectory, _apply_moves, replay
 from tvwalk.exactgroup import order_ratio
 
 
 def random_matrix(n: int, seed: int) -> g.BitMatrix:
-    return g.BitMatrix.random(n, np.random.default_rng(seed))
+    return draw_matrix(n, np.random.default_rng(seed))
+
+
+def draw_matrix(n: int, rng: np.random.Generator) -> g.BitMatrix:
+    return g.BitMatrix(n, g.random_bit_words(rng, (n,), n))
+
+
+def draw_vector(n: int, rng: np.random.Generator) -> g.BitVector:
+    return g.BitVector(n, g.random_bit_words(rng, (), n).reshape(-1))
+
+
+def one_move(n: int, i: int, j: int) -> g.BitMatrix:
+    """I + E_{i,j}: the identity with row j added to row i, by replay."""
+    return replay(Trajectory(n, 0, [[i, j]]))
 
 
 def pair_strategy(max_n: int = 24):
@@ -39,52 +52,29 @@ def padded_square_bits(rows: np.ndarray, ncols: int) -> np.ndarray:
     return out
 
 
-class TestTransvection:
-    def test_requires_distinct_rows(self):
-        with pytest.raises(ValueError):
-            g.Transvection(3, 3)
-
-    def test_requires_nonnegative_rows(self):
-        with pytest.raises(ValueError):
-            g.Transvection(-1, 0)
-
-    @given(pair_strategy())
-    def test_involution(self, tns):
-        n, i, j, seed = tns
-        x = random_matrix(n, seed)
-        t = g.Transvection(i, j)
-        assert g.apply_transvection(g.apply_transvection(x, t), t) == x
+class TestMove:
+    """The walk's one move, row i ^= row j, as the chain applies it."""
 
     def test_identity_example(self):
-        x = g.apply_transvection(g.BitMatrix.identity(3), g.Transvection(0, 2))
+        x = one_move(3, 0, 2)
         assert x.to_bits().tolist() == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
-
-    def test_input_unmodified(self):
-        x = g.BitMatrix.identity(4)
-        g.apply_transvection(x, g.Transvection(1, 0))
-        assert x == g.BitMatrix.identity(4)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            g.apply_transvection(g.BitMatrix.identity(2), g.Transvection(0, 5))
 
     @given(pair_strategy())
     def test_commutes_with_matvec(self, tns):
-        """(T x) v == T (x v): the move kernel on the vector's bits replays
-        the product, which is what the honest protocol responder relies on."""
+        """(T x) v == T (x v): the move kernel on the bits of x v gives the
+        product with the replayed move T, which is what the honest protocol
+        responder relies on."""
         n, i, j, seed = tns
         rng = np.random.default_rng(seed)
-        x = g.BitMatrix.random(n, rng)
-        v = g.BitVector.random(n, rng)
-        left = g.matvec(g.apply_transvection(x, g.Transvection(i, j)), v)
-        bits = g.matvec(x, v).to_bits().tolist()
+        xv = g.matvec(draw_matrix(n, rng), draw_vector(n, rng))
+        bits = xv.to_bits().tolist()
         _apply_moves(bits, np.array([i]), np.array([j]))
-        assert left == g.BitVector.from_bits(bits)
+        assert g.matvec(one_move(n, i, j), xv) == g.BitVector.from_bits(bits)
 
     @given(pair_strategy())
     def test_vector_update_is_involution(self, tns):
         n, i, j, seed = tns
-        bits = g.BitVector.random(n, np.random.default_rng(seed)).to_bits().tolist()
+        bits = draw_vector(n, np.random.default_rng(seed)).to_bits().tolist()
         before = list(bits)
         _apply_moves(bits, np.array([i, i]), np.array([j, j]))
         assert bits == before
@@ -96,7 +86,7 @@ class TestRank:
             assert g.rank(g.BitMatrix.identity(n)) == n
 
     def test_zero_rank(self):
-        assert g.rank(g.BitMatrix.zeros(5)) == 0
+        assert g.rank(g.BitMatrix.from_bits(np.zeros((5, 5)))) == 0
 
     def test_duplicate_rows_drop_rank(self):
         x = g.BitMatrix.from_bits([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
@@ -113,7 +103,9 @@ class TestRank:
     def test_invariant_under_row_operations(self, tns):
         n, i, j, seed = tns
         x = random_matrix(n, seed)
-        assert g.rank(g.apply_transvection(x, g.Transvection(i, j))) == g.rank(x)
+        words = x.words.copy()
+        words[i] ^= words[j]
+        assert g.rank(g.BitMatrix(n, words)) == g.rank(x)
 
     @given(st.integers(1, 20), st.integers(1, 30), st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
@@ -182,19 +174,8 @@ class TestSampling:
     def test_samples_are_invertible(self):
         rng = g.derive_rng(1)
         for n in (2, 3, 8, 33):
-            assert g.is_invertible(g.sample_uniform_invertible(n, rng))
-
-    def test_uniform_over_smallest_group(self):
-        """All 6 invertible 2x2 matrices within 3 sigma of 1/6 at 60k draws."""
-        rng = g.derive_rng(42)
-        counts: dict[int, int] = {}
-        for _ in range(60_000):
-            key = g.encode_key(g.sample_uniform_invertible(2, rng))
-            counts[key] = counts.get(key, 0) + 1
-        assert len(counts) == 6
-        sigma = math.sqrt(60_000 * (1 / 6) * (5 / 6))
-        for key, c in counts.items():
-            assert abs(c - 10_000) <= 3 * sigma, (key, c)
+            for words in g.sample_uniform_invertible_batch(n, 3, rng):
+                assert g.is_invertible(g.BitMatrix(n, words))
 
     def test_rejection_acceptance_rate(self):
         """Fraction of uniform 8x8 matrices that are invertible, 1e5 proposals."""
@@ -203,7 +184,8 @@ class TestSampling:
         rate = float((g.rank_words_batch(words, 8) == 8).mean())
         assert abs(rate - order_ratio(8)) <= 0.005
 
-    def test_batch_sampler_matches_scalar_law(self):
+    def test_batch_sampler_uniform_over_smallest_group(self):
+        """All 6 invertible 2x2 matrices within 3 sigma of 1/6 at 60k draws."""
         rng = g.derive_rng(43)
         words = g.sample_uniform_invertible_batch(2, 60_000, rng)
         assert (g.rank_words_batch(words, 2) == 2).all()
@@ -223,12 +205,23 @@ class TestSampling:
             "6b82d82a4ee9ee8db855bb890d91f294bfa50285c6679f797d8a88aa65519480"
         )
 
+    @pytest.mark.parametrize("n,count,k", [(4, 10, 5), (0, 1, None), (3, 1, 0), (3, -1, None)])
+    def test_rejects_undrawable_requests(self, n, count, k):
+        # k = n + 1 has no rank-k sample and used to loop forever.
+        with pytest.raises(ValueError):
+            g.sample_uniform_invertible_batch(n, count, g.derive_rng(0), k=k)
+
+    def test_bounded_when_nothing_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(g, "rank_words_batch", lambda rows, ncols: np.zeros(len(rows)))
+        with pytest.raises(RuntimeError):
+            g.sample_uniform_invertible_batch(4, 10, g.derive_rng(0))
+
 
 class TestMatvecAndMul:
     def test_identity_matvec(self):
         rng = np.random.default_rng(0)
         for n in (3, 64, 70):
-            v = g.BitVector.random(n, rng)
+            v = draw_vector(n, rng)
             assert g.matvec(g.BitMatrix.identity(n), v) == v
 
     def test_basis_vector_selects_column(self):
@@ -242,9 +235,9 @@ class TestMatvecAndMul:
     @settings(max_examples=40)
     def test_linearity(self, n, seed):
         rng = np.random.default_rng(seed)
-        x = g.BitMatrix.random(n, rng)
-        u = g.BitVector.random(n, rng)
-        v = g.BitVector.random(n, rng)
+        x = draw_matrix(n, rng)
+        u = draw_vector(n, rng)
+        v = draw_vector(n, rng)
         assert g.matvec(x, u ^ v) == g.matvec(x, u) ^ g.matvec(x, v)
 
     def test_matvec_cost_model(self):

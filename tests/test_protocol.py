@@ -16,7 +16,7 @@ class TestKeygen:
     def test_zero_steps_gives_identity_key(self):
         kp = pr.keygen(5, 0, seed=1)
         assert kp.public == g.BitMatrix.identity(5)
-        assert kp.t == 0 and kp.secret.steps == 0
+        assert kp.secret.steps == 0
 
     def test_deterministic(self):
         a = pr.keygen(16, 200, seed=9)
