@@ -16,9 +16,11 @@ from near 1 to near 0.  The stationary law of the nonzero-vector walk has
 weight Binomial(n, 1/2) conditioned to be at least 1, so the reference
 sample is drawn directly rather than by long runs.
 
-Every simulated walk here, full matrices, column slices and the n <= 5
-integer rows behind the Monte-Carlo state frequencies, is advanced by one
-batched kernel that decodes pair draws with the chain's decoder.
+Two batched kernels, with the same generator calls per step and pair tables
+from the chain's decoder, advance the walks.  `_walk_rows` takes a
+(count, n, ...) array of rows: packed full matrices and column slices, or
+unpacked k = 1 vectors.  `_walk_keys` takes one uint64 key per walk, its
+whole n x n matrix with row r at bits r*n, for the Monte-Carlo frequencies.
 
 Trials are split into fixed-size blocks with per-block derived generator
 streams: merging is associative over block index, so results are identical
@@ -45,6 +47,7 @@ __all__ = [
     "CutoffPoint",
     "NoBracketError",
     "DEFAULT_CUTOFF_GRID",
+    "CUTOFF_GRID_MAX",
     "statistic_tv",
     "cutoff_experiment",
     "crossover_locator",
@@ -69,6 +72,10 @@ _STREAM_CUTOFF_REF = 10
 DEFAULT_CUTOFF_GRID = (
     0.75, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 2.0, 2.25, 2.5, 3.0, 3.75, 4.5,
 )
+
+# Step budget of the cutoff experiment: the largest grid value, in units of
+# n log n.  It is over 60 times the transition time.
+CUTOFF_GRID_MAX = 100.0
 
 
 class NoBracketError(RuntimeError):
@@ -146,6 +153,11 @@ def _identity_words(n: int, count: int, k: int) -> np.ndarray:
     return state
 
 
+def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row tables (i, j) of every pair draw u in [0, n(n-1)), decoded once."""
+    return _decode(np.arange(n * (n - 1)), n)
+
+
 def _walk_rows(state: np.ndarray, t: int, rng: np.random.Generator, lazy: bool) -> None:
     """Advance `count` independent walks t steps, in place.
 
@@ -159,14 +171,36 @@ def _walk_rows(state: np.ndarray, t: int, rng: np.random.Generator, lazy: bool) 
     # 1-D view; indexing (count*n, 1) rows instead is about 20 % slower.
     flat = state.reshape(count * n, *state.shape[2:])
     base = np.arange(count) * n
+    ti, tj = _pair_tables(n)
     npairs = n * (n - 1)
     for _ in range(t):
-        i, j = _decode(rng.integers(0, npairs, size=count), n)
-        src = flat[base + j]
+        u = rng.integers(0, npairs, size=count)
+        src = flat[tj[u] + base]
         if lazy:
             coins = rng.integers(0, 2, size=count).astype(state.dtype)
             src *= coins.reshape(count, *[1] * (state.ndim - 2))
-        flat[base + i] ^= src
+        flat[ti[u] + base] ^= src
+
+
+def _walk_keys(keys: np.ndarray, n: int, t: int, rng: np.random.Generator, lazy: bool) -> None:
+    """Advance walks held as one uint64 key each, t steps, in place.
+
+    Walk b's n x n matrix is ``keys[b]`` with row r at bits r*n (so n <= 8).
+    Each step makes the same generator calls, in the same order, as
+    `_walk_rows`, so both kernels give the same walks from the same state.
+    """
+    si, sj = ((tab * n).astype(np.uint64) for tab in _pair_tables(n))
+    mask = np.uint64((1 << n) - 1)
+    count, npairs = len(keys), n * (n - 1)
+    rj = np.empty_like(keys)
+    for _ in range(t):
+        u = rng.integers(0, npairs, size=count)
+        np.right_shift(keys, sj[u], out=rj)
+        rj &= mask
+        if lazy:
+            rj *= rng.integers(0, 2, size=count).astype(np.uint64)
+        rj <<= si[u]
+        keys ^= rj
 
 
 def _walk_full(n: int, t: int, count: int, rng: np.random.Generator, lazy: bool) -> np.ndarray:
@@ -310,8 +344,8 @@ def cutoff_experiment(
         raise ValueError("need 1 <= k <= n")
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a usable histogram")
-    if not grid or not all(math.isfinite(s) and s >= 0.0 for s in grid):
-        raise ValueError("the time grid needs finite non-negative values")
+    if not grid or not all(0.0 <= s <= CUTOFF_GRID_MAX for s in grid):
+        raise ValueError(f"the time grid needs values in [0, {CUTOFF_GRID_MAX:g}] n log n")
     nlogn = n * math.log(n)
     t_grid = sorted({int(round(s * nlogn)) for s in grid})
     sizes = _block_sizes(trials)
@@ -405,9 +439,9 @@ def mc_state_frequencies(
 ) -> np.ndarray:
     """Monte-Carlo counts of final states over the enumerated group.
 
-    Runs `trials` chains to time t from the identity, each row an n-bit
-    integer, and bins final states by group index through their packed
-    row-major keys (sum of row r << r*n, so n <= 5).  This is the sampling
+    Runs `trials` chains to time t from the identity, each held as its
+    packed row-major key (row r at bits r*n), and bins final states by group
+    index through those keys.  This is the sampling
     route whose frequencies must match the exact distribution within
     binomial tolerance; it shares no code path with the exact iteration.
     """
@@ -420,14 +454,11 @@ def mc_state_frequencies(
     if t < 0:
         raise ValueError("time must be non-negative")
     sizes = _block_sizes(trials)
-    shifts = np.arange(n, dtype=np.uint64) * np.uint64(n)
 
     def block(b: int) -> np.ndarray:
         rng = derive_rng(seed, _STREAM_MC, b)
-        # Row r of each walk as an n-bit integer; the identity's is 1 << r.
-        rows = np.tile(np.uint64(1) << np.arange(n, dtype=np.uint64), (sizes[b], 1))
-        _walk_rows(rows, t, rng, lazy)
-        keys = (rows << shifts).sum(axis=1, dtype=np.uint64)
+        keys = np.full(sizes[b], gt.keys[0])  # the identity sits at index 0
+        _walk_keys(keys, n, t, rng, lazy)
         return np.bincount(gt.index_of(keys), minlength=gt.size)
 
     counts = _map_blocks(len(sizes), block, threads)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 __all__ = [
     "GroupTable",
@@ -373,7 +372,10 @@ def _extremal_spectrum(ts: TransitionStructure) -> tuple[float, float]:
     The top eigenvector of the kernel is the constant vector, so the
     operator x -> Px - mean(x) zeroes that component and its largest
     eigenvalue is lambda_2.  A fixed start vector keeps runs reproducible.
+    SciPy is imported here, its only use, so other commands skip its import.
     """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     size, deg = ts.size, ts.degree
 
     def pmv(x: np.ndarray) -> np.ndarray:

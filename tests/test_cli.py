@@ -1,10 +1,15 @@
 """Command-line surface: outputs, CSV reproducibility, config files, exits."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tvwalk
 from tvwalk import gf2core as g
 from tvwalk.chain import load_trajectory, replay
 from tvwalk.cli import cli_dispatch
@@ -481,6 +486,7 @@ class TestMalformedInput:
             ("cutoff", "--n", "16", "--trials", "1000", "--grid", "1.0,nan"),
             ("cutoff", "--n", "16", "--trials", "1000", "--grid", "-1.5"),
             ("cutoff", "--n", "16", "--trials", "1000", "--grid", ","),
+            ("cutoff", "--n", "16", "--trials", "1000", "--grid", "1e12"),
             ("order", "--n", "3", "--threads", "0"),
             ("cutoff", "--n", "16", "--trials", "1000", "--threads", "-3"),
             ("protocol", "verify", "--key", "{key}", "--challenge", "a5",
@@ -509,3 +515,13 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only the Lanczos spectrum needs SciPy; other commands skip its import."""
+    code = "import sys, tvwalk.cli; print('scipy' in sys.modules)"
+    src = str(Path(tvwalk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

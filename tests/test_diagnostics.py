@@ -28,7 +28,7 @@ class TestStatisticTv:
         assert r.statistic == "weight" and r.t == 0 and r.trials == 2000
 
     def test_long_time_reaches_noise_floor(self):
-        r = dg.statistic_tv(8, 100_000, "weight", 1000, seed=5)
+        r = dg.statistic_tv(8, 5000, "weight", 1000, seed=5)
         assert r.estimate <= r.noise_floor + 0.02
 
     @pytest.mark.parametrize("stat", dg.STATISTICS)
@@ -122,7 +122,8 @@ class TestCutoffExperiment:
         assert a[0].tv_estimate > a[-1].tv_estimate
 
     def test_validation(self):
-        for grid in ((), (1.0, float("inf")), (float("nan"),), (-0.5, 1.0)):
+        too_long = (1.0, dg.CUTOFF_GRID_MAX * 1.01)
+        for grid in ((), (1.0, float("inf")), (float("nan"),), (-0.5, 1.0), too_long):
             with pytest.raises(ValueError, match="time grid"):
                 dg.cutoff_experiment(16, 2000, seed=0, grid=grid)
         with pytest.raises(ValueError):
@@ -133,6 +134,12 @@ class TestCutoffExperiment:
             dg.cutoff_experiment(16, 2000, seed=0, k=0)
         with pytest.raises(ValueError):
             dg.cutoff_experiment(16, 2000, seed=0, k=17)
+
+
+    def test_step_budget_admits_default_grid_and_its_own_bound(self):
+        assert max(dg.DEFAULT_CUTOFF_GRID) <= dg.CUTOFF_GRID_MAX
+        pts = dg.cutoff_experiment(16, 1000, seed=0, grid=(dg.CUTOFF_GRID_MAX,))
+        assert pts[0].t_over_nlogn == pytest.approx(dg.CUTOFF_GRID_MAX, rel=1e-3)
 
 
 class TestCrossover:
@@ -166,6 +173,24 @@ class TestCrossover:
             dg.crossover_locator([(0.5, 1.0), (1.0, 0.8)])
         with pytest.raises(dg.NoBracketError):
             dg.crossover_locator([(0.5, 1.0)])
+
+
+class TestWalkKernels:
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_key_kernel_matches_row_kernel(self, n, lazy):
+        """From the same rows and generator, the one-word kernel walks as the
+        row kernel does; keys hold row r at bits r*n."""
+        shifts = np.arange(n, dtype=np.uint64) * np.uint64(n)
+
+        def pack(rows):
+            return (rows << shifts).sum(axis=1, dtype=np.uint64)
+
+        rows = np.random.default_rng(n).integers(0, 1 << n, size=(3000, n), dtype=np.uint64)
+        keys = pack(rows)
+        dg._walk_rows(rows, 40, np.random.default_rng(99), lazy)
+        dg._walk_keys(keys, n, 40, np.random.default_rng(99), lazy)
+        assert (keys == pack(rows)).all()
 
 
 class TestMcStateFrequencies:
