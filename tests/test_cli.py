@@ -135,6 +135,17 @@ class TestLsi:
         code, _, err = run(capsys, "lsi", "--n", "4")
         assert code == 2 and "--n" in err
 
+    def test_golden_n3_csv(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys,
+            "lsi", "--n", "3", "--restarts", "8", "--iters", "600", "--seed", "0",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "lsi.csv").read_bytes()).hexdigest() == (
+            "08c139891efa33371c6bbcdcb922bcfa21655f963f638ed7339d47869e18efc2"
+        )
+
 
 class TestCheck:
     def test_all_suites_zero_violations_n2(self, capsys, tmp_path):
@@ -167,6 +178,41 @@ class TestCheck:
     def test_unknown_suite_usage_error(self, capsys):
         code, _, _ = run(capsys, "check", "--suite", "bogus", "--trials", "10")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--suite", "key", "--n", "5"), "error: --n must be in 2..4 (got 5)\n"),
+            (("--suite", "all", "--n", "1"), "error: --n must be in 2..4 (got 1)\n"),
+        ],
+    )
+    def test_group_suite_n_range(self, capsys, argv, message):
+        code, _, err = run(capsys, "check", *argv, "--trials", "10")
+        assert code == 2 and err == message
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ("--suite", "all", "--n", "3", "--trials", "10000"),
+                "ec0914cfe76b6e54dbec9725c7976a7424efbf981a75b1f0b12e473a853271e0",
+            ),
+            (
+                ("--suite", "key", "--n", "4", "--trials", "200"),
+                "5cd80fbad5eb33d32e805ff567fa96d3409cbd406bc4fbc842167a1ba05a27fe",
+            ),
+            (
+                ("--suite", "all", "--n", "2", "--trials", "2000", "--d", "5"),
+                "b3f8b6811fabac4b45b2867e959b3802b2eb3065b35f2d426bc8ceaf76ca3b64",
+            ),
+        ],
+    )
+    def test_golden_suite_csv(self, capsys, tmp_path, argv, digest):
+        code, _, _ = run(capsys, "check", *argv, "--seed", "1", "--out", str(tmp_path))
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "inequality_suite.csv").read_bytes()).hexdigest() == (
+            digest
+        )
 
 
 class TestCutoff:

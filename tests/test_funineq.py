@@ -1,5 +1,6 @@
 """Entropy, Dirichlet forms, inequality checkers, suites, bound calculators."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -292,6 +293,27 @@ class TestLsiEstimate:
         assert est.estimate == est.best_ratio
         assert est.spectral_floor == pytest.approx(7.567223249782492, abs=1e-12)
         assert est.estimate >= est.spectral_floor
+
+    @pytest.mark.parametrize(
+        "n,best_ratio,spectral_floor,digest",
+        [
+            (
+                2, 3.996082627024324, 4.000000000000001,
+                "021945e4fd12d64c808ae4a2cc4df7a91bba9adf96cf96268aeaf44cb907d595",
+            ),
+            (
+                3, 8.611879299994747, 7.567223249782492,
+                "b874986c35d10927bd637fe975970d033b6dfaf95442f5f50a90859a66752c2b",
+            ),
+        ],
+    )
+    def test_golden_witness(self, n, best_ratio, spectral_floor, digest):
+        # restarts=8, iters=600, seed=0: both components and the witness, bit for bit
+        gt, ts, _ = analyze(n)
+        est = fi.estimate_lsi_constant(ts, gt, restarts=8, iters=600, seed=0)
+        assert est.best_ratio == best_ratio
+        assert est.spectral_floor == spectral_floor
+        assert hashlib.sha256(est.argmax.astype("<f8").tobytes()).hexdigest() == digest
 
     def test_deterministic(self, g3):
         gt, ts, _ = g3
