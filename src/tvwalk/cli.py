@@ -221,7 +221,8 @@ def _cmd_check(args) -> int:
     _require_range("trials", args.trials, 1)
     _require_range("d", args.d, 1, 12)
     if any(name != "hypercube" for name in names):
-        _require_range("n", args.n, 2, _MAX_EXACT_N)
+        group = [dims for dims in funineq.SUITE_DIMENSIONS.values() if dims is not None]
+        _require_range("n", args.n, min(d[0] for d in group), max(d[-1] for d in group))
     rows = []
     for name in names:
         dims = funineq.SUITE_DIMENSIONS[name]

@@ -77,6 +77,10 @@ _SUITE_CHUNK_ELEMS = 1 << 19
 _STREAM_SUITE = 4
 _STREAM_LSI = 5
 
+# The LSI witness's ratio under the compensated oracles must agree with the
+# ascent's own ratio to this relative tolerance.
+_WITNESS_RTOL = 1e-12
+
 # The dimensions n at which each suite is defined, in suite stream order.
 # The hypercube suite runs on {0,1}^d and is defined at every n.
 SUITE_DIMENSIONS = {
@@ -383,16 +387,30 @@ def _ent_rows(batch: np.ndarray) -> np.ndarray:
     m2 = sq.mean(axis=1)
     logs = np.zeros_like(sq)
     np.log(sq, out=logs, where=sq > 0.0)
-    s = (sq * logs).mean(axis=1)
+    logs *= sq
+    s = logs.mean(axis=1)
     out = np.zeros_like(m2)
     pos = m2 > 0.0
     out[pos] = s[pos] - m2[pos] * np.log(m2[pos])
     return out
 
 
+def _edge_sums(batch: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
+    """Per row: the sum of (f(x) - f(y))^2 over states x and neighbours y.
+
+    One (rows, states, degree) buffer holds the gather, the differences and
+    their squares.  It is C-ordered whatever the layout of ``adjacency``,
+    which fixes the order of the final sum.
+    """
+    diffs = np.empty((*batch.shape, adjacency.shape[1]))
+    np.take(batch, adjacency, axis=1, out=diffs)
+    np.subtract(batch[:, :, None], diffs, out=diffs)
+    np.square(diffs, out=diffs)
+    return diffs.sum(axis=(1, 2))
+
+
 def _dirichlet_rows(batch: np.ndarray, adjacency: np.ndarray, degree: int) -> np.ndarray:
-    diffs = batch[:, :, None] - batch[:, adjacency]
-    return np.square(diffs).sum(axis=(1, 2)) / (2.0 * batch.shape[1] * degree)
+    return _edge_sums(batch, adjacency) / (2.0 * batch.shape[1] * degree)
 
 
 def _var_rows(batch: np.ndarray) -> np.ndarray:
@@ -462,8 +480,7 @@ def run_suite(
         violations, min_slack = 0, math.inf
         for batch in [*_suite_batches(trials, size, rng), extra]:
             lhs = _ent_rows(batch)
-            diffs = batch[:, :, None] - batch[:, nbrs]
-            rhs = np.square(diffs).sum(axis=(1, 2)) / (2.0 * size)
+            rhs = _edge_sums(batch, nbrs) / (2.0 * size)
             v, s = _slack_stats(lhs, rhs)
             violations += v
             min_slack = min(min_slack, s)
@@ -515,63 +532,72 @@ def run_suite(
 
 
 def _ent_energy(
-    values: np.ndarray, adjacency: np.ndarray
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """(ent(f^2), E(f,f), log(f^2/m2), f - Pf) under the uniform law.
+    rows: np.ndarray, adjacency: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: (ent(f^2), E(f,f), log(f^2/m2), f - Pf) under the uniform law.
 
     E is <f, (I-P)f> and m2 = E[f^2]; the last two terms are what the
-    gradients of ent and E are made of (0 stands in for log 0).
+    gradients of ent and E are made of (0 stands in for log 0).  The means
+    are sums over the row divided by its length and log m2 is math.log, so
+    a row's values do not depend on the other rows of the batch.
     """
-    sq = values * values
-    m2 = sq.mean()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(sq > 0.0, np.log(sq), 0.0)
-    log_m2 = math.log(m2) if m2 > 0.0 else 0.0
-    ent = float((sq * logs).mean() - m2 * log_m2)
-    resid = values - values[adjacency].mean(axis=1)
-    energy = float((resid * values).mean())
-    return ent, energy, logs - log_m2, resid
+    size = rows.shape[1]
+    sq = rows * rows
+    m2 = sq.sum(axis=1) / size
+    logs = np.zeros_like(sq)
+    np.log(sq, out=logs, where=sq > 0.0)
+    log_m2 = np.array([math.log(m) if m > 0.0 else 0.0 for m in m2.tolist()])
+    ent = (sq * logs).sum(axis=1) / size - m2 * log_m2
+    # Neighbour-major gather: one (rows, degree, states) block.
+    resid = rows - rows[:, adjacency.T].sum(axis=1) / adjacency.shape[1]
+    energy = (resid * rows).sum(axis=1) / size
+    logs -= log_m2[:, None]
+    return ent, energy, logs, resid
 
 
-def _ratio_gradient(values: np.ndarray, adjacency: np.ndarray) -> tuple[float, np.ndarray]:
-    ent, energy, log_ratio, resid = _ent_energy(values, adjacency)
-    if energy <= 0.0:
-        return -math.inf, np.zeros_like(values)
-    # d ent/d f = (2/N) f log(f^2/m2); d E/d f = (2/N) (f - Pf).
-    size = values.size
-    grad_ent = 2.0 * values * log_ratio / size
-    grad_energy = 2.0 * resid / size
-    ratio = ent / energy
-    grad = (grad_ent * energy - ent * grad_energy) / (energy * energy)
-    return ratio, grad
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    # sqrt(row . row) is the BLAS dot that np.linalg.norm takes.
+    return rows / np.array([[math.sqrt(row.dot(row))] for row in rows])
+
+
+# The line search halves the step from 1 down to 2^-39.  Each block of eight
+# halvings is scored as one batch, and the first step that raises the ratio
+# wins, so the iterates are those of halving one step at a time.
+_BACKTRACK_BLOCKS = np.array([0.5**k for k in range(40)]).reshape(5, 8, 1)
 
 
 def _ascend(values: np.ndarray, adjacency: np.ndarray, iters: int) -> tuple[float, np.ndarray]:
-    f = values / np.linalg.norm(values)
-    ratio = -math.inf
+    # The iterate is row k of `rows`, whose terms come from the same batch.
+    rows = _unit_rows(values[None, :])
+    ents, energies, log_ratios, resids = _ent_energy(rows, adjacency)
+    k = 0
     for _ in range(iters):
-        ratio, grad = _ratio_gradient(f, adjacency)
+        f, ent, energy = rows[k], ents[k], energies[k]
+        ratio = float(ent / energy) if energy > 0.0 else -math.inf
         if not math.isfinite(ratio):
             break
+        # d ent/d f = (2/N) f log(f^2/m2); d E/d f = (2/N) (f - Pf).
+        grad_ent = 2.0 * f * log_ratios[k] / f.size
+        grad_energy = 2.0 * resids[k] / f.size
+        grad = (grad_ent * energy - ent * grad_energy) / (energy * energy)
         grad = grad - np.dot(grad, f) * f  # tangent to the unit sphere
-        if np.linalg.norm(grad) < 1e-14:
+        if math.sqrt(grad.dot(grad)) < 1e-14:
             break
-        step = 1.0
-        improved = False
-        for _ in range(40):
-            cand = f + step * grad
-            cand /= np.linalg.norm(cand)
-            cand_ent, cand_energy, _, _ = _ent_energy(cand, adjacency)
-            if cand_energy > 0.0 and cand_ent / cand_energy > ratio + 1e-14:
-                f = cand
-                improved = True
+        for steps in _BACKTRACK_BLOCKS:
+            cands = _unit_rows(f + steps * grad)
+            terms = _ent_energy(cands, adjacency)
+            ratios = np.divide(
+                terms[0], terms[1], out=np.full(len(cands), -math.inf), where=terms[1] > 0.0
+            )
+            better = ratios > ratio + 1e-14
+            if better.any():
+                rows, (ents, energies, log_ratios, resids) = cands, terms
+                k = int(better.argmax())
                 break
-            step *= 0.5
-        if not improved:
+        else:
             break
-    ent, energy, _, _ = _ent_energy(f, adjacency)
-    final = ent / energy if energy > 0.0 else -math.inf
-    return final, f
+    energy = energies[k]
+    return (float(ents[k] / energy) if energy > 0.0 else -math.inf), rows[k].copy()
 
 
 def estimate_lsi_constant(
@@ -589,7 +615,9 @@ def estimate_lsi_constant(
     The result is the best ratio found, floored by the universal spectral
     bound 2/gap; each component is a true lower bound, hence so is the
     maximum.  Deterministic in (restarts, iters, seed): restarts run in
-    index order and ties keep the earliest winner.
+    index order and ties keep the earliest winner.  Raises RuntimeError if
+    the winning witness, re-scored by the compensated ``entropy_sq`` and
+    ``dirichlet_form``, misses the best ratio by more than a relative 1e-12.
     """
     if gt.n not in (2, 3):
         raise ValueError("estimation is supported for n in {2, 3}")
@@ -608,6 +636,12 @@ def estimate_lsi_constant(
         ratio, f = _ascend(cand, adjacency, iters)
         if ratio > best_ratio:
             best_ratio, best_f = ratio, f
+    witness = entropy_sq(best_f, gt) / dirichlet_form(best_f, ts, gt)
+    if not math.isclose(witness, best_ratio, rel_tol=_WITNESS_RTOL):
+        raise RuntimeError(
+            f"LSI witness scores {witness!r} under the compensated oracles, "
+            f"not the ascent's {best_ratio!r}"
+        )
     floor = 2.0 / spectral_report(ts).gap
     return LsiEstimate(
         n=gt.n,

@@ -275,6 +275,66 @@ class TestCalculators:
             fi.counting_lower_bound(3, 1.0)
 
 
+def scalar_ent_energy(values, adjacency):
+    """The ascent's one-function formulas as they stood before batching."""
+    sq = values * values
+    m2 = sq.mean()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(sq > 0.0, np.log(sq), 0.0)
+    log_m2 = math.log(m2) if m2 > 0.0 else 0.0
+    ent = float((sq * logs).mean() - m2 * log_m2)
+    resid = values - values[adjacency].mean(axis=1)
+    energy = float((resid * values).mean())
+    return ent, energy, logs - log_m2, resid
+
+
+def evaluator_rows(size, seed):
+    """Gaussian rows, rows with exact zeros and the identity indicator."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((9, size)) * rng.uniform(0.01, 100.0, (9, 1))
+    rows[3:6][rng.random((3, size)) < 0.4] = 0.0
+    rows[6] = identity_indicator(size)
+    rows[7] = -rows[6]
+    rows[8, : size // 2] = 0.0
+    return rows
+
+
+class TestBatchedEvaluators:
+    """The batched formulas reproduce the straightforward ones bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ent_energy_matches_scalar_formulas(self, n):
+        gt, ts, _ = analyze(n)
+        rows = evaluator_rows(gt.size, seed=n)
+        batched = fi._ent_energy(rows, ts.adjacency)
+        for r, row in enumerate(rows):
+            single = fi._ent_energy(row[None, :], ts.adjacency)
+            for want, one, many in zip(scalar_ent_energy(row, ts.adjacency), single, batched):
+                assert np.array_equal(one[0], want)
+                assert np.array_equal(many[r], want)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_dirichlet_rows_match_broadcast_formula(self, n):
+        gt, ts, _ = analyze(n)
+        rows = evaluator_rows(gt.size, seed=n)
+        adj = ts.adjacency
+        sums = np.square(rows[:, :, None] - rows[:, adj]).sum(axis=(1, 2))
+        assert np.array_equal(fi._edge_sums(rows, adj), sums)
+        assert np.array_equal(
+            fi._dirichlet_rows(rows, adj, ts.degree), sums / (2.0 * gt.size * ts.degree)
+        )
+
+    def test_ent_rows_match_broadcast_formula(self, g3):
+        gt, _, _ = g3
+        rows = evaluator_rows(gt.size, seed=5)
+        sq = rows * rows
+        logs = np.zeros_like(sq)
+        np.log(sq, out=logs, where=sq > 0.0)
+        m2 = sq.mean(axis=1)
+        want = (sq * logs).mean(axis=1) - m2 * np.log(m2)
+        assert np.array_equal(fi._ent_rows(rows), want)
+
+
 class TestLsiEstimate:
     def test_n2_floor_dominates(self, g2):
         gt, ts, _ = g2
@@ -327,6 +387,21 @@ class TestLsiEstimate:
         est = fi.estimate_lsi_constant(ts, gt, restarts=2, iters=400, seed=0)
         ratio = fi.entropy_sq(est.argmax, gt) / fi.dirichlet_form(est.argmax, ts, gt)
         assert ratio == pytest.approx(est.best_ratio, abs=1e-9)
+
+    @pytest.mark.parametrize("corrupt", ["ratio", "witness"])
+    def test_mismatched_witness_raises(self, g2, monkeypatch, corrupt):
+        gt, ts, _ = g2
+        ascend = fi._ascend
+
+        def corrupted(values, adjacency, iters):
+            ratio, f = ascend(values, adjacency, iters)
+            if corrupt == "ratio":
+                return ratio * (1.0 + 1e-9), f
+            return ratio, f + 1e-6 * values
+
+        monkeypatch.setattr(fi, "_ascend", corrupted)
+        with pytest.raises(RuntimeError, match="witness"):
+            fi.estimate_lsi_constant(ts, gt, restarts=1, iters=20)
 
     def test_indicator_start_ratio(self, g2):
         """Before any ascent the identity indicator gives ent/E = log 6."""
