@@ -73,6 +73,8 @@ RELATIVE_TOL = 1e-9
 # row chunk is a fixed function of the state count, so the Gaussian draws
 # and the reported slacks never depend on scheduling.
 _SUITE_CHUNK_ELEMS = 1 << 19
+# Values per edge-difference buffer (512 KiB): small enough to stay in cache.
+_EDGE_BLOCK_ELEMS = 1 << 16
 
 _STREAM_SUITE = 4
 _STREAM_LSI = 5
@@ -398,15 +400,24 @@ def _ent_rows(batch: np.ndarray) -> np.ndarray:
 def _edge_sums(batch: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
     """Per row: the sum of (f(x) - f(y))^2 over states x and neighbours y.
 
-    One (rows, states, degree) buffer holds the gather, the differences and
-    their squares.  It is C-ordered whatever the layout of ``adjacency``,
-    which fixes the order of the final sum.
+    One C-ordered (rows, states, degree) buffer of about _EDGE_BLOCK_ELEMS
+    values holds the gather, the differences and their squares for a block
+    of rows, so the work stays in cache.  Each row is summed over its own
+    contiguous block, in the same order whatever the layout of
+    ``adjacency`` and however many rows share the buffer.
     """
-    diffs = np.empty((*batch.shape, adjacency.shape[1]))
-    np.take(batch, adjacency, axis=1, out=diffs)
-    np.subtract(batch[:, :, None], diffs, out=diffs)
-    np.square(diffs, out=diffs)
-    return diffs.sum(axis=(1, 2))
+    size, degree = batch.shape[1], adjacency.shape[1]
+    block = max(1, _EDGE_BLOCK_ELEMS // (size * degree))
+    diffs = np.empty((min(block, len(batch)), size, degree))
+    sums = np.empty(len(batch))
+    for lo in range(0, len(batch), block):
+        rows = batch[lo : lo + block]
+        buf = diffs[: len(rows)]
+        np.take(rows, adjacency, axis=1, out=buf)
+        np.subtract(rows[:, :, None], buf, out=buf)
+        np.square(buf, out=buf)
+        buf.sum(axis=(1, 2), out=sums[lo : lo + block])
+    return sums
 
 
 def _dirichlet_rows(batch: np.ndarray, adjacency: np.ndarray, degree: int) -> np.ndarray:

@@ -313,10 +313,11 @@ class TestBatchedEvaluators:
                 assert np.array_equal(one[0], want)
                 assert np.array_equal(many[r], want)
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_dirichlet_rows_match_broadcast_formula(self, n):
+    @pytest.mark.parametrize("n,copies", [(3, 17), (4, 1)])
+    def test_dirichlet_rows_match_broadcast_formula(self, n, copies):
+        # n = 3 spans three row blocks of the edge buffer, n = 4 nine
         gt, ts, _ = analyze(n)
-        rows = evaluator_rows(gt.size, seed=n)
+        rows = np.concatenate([evaluator_rows(gt.size, seed) for seed in range(copies)])
         adj = ts.adjacency
         sums = np.square(rows[:, :, None] - rows[:, adj]).sum(axis=(1, 2))
         assert np.array_equal(fi._edge_sums(rows, adj), sums)
