@@ -27,6 +27,10 @@ def csv_body(path):
     return [ln for ln in lines if not ln.startswith("# ")]
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class TestOrder:
     def test_n4(self, capsys):
         code, out, _ = run(capsys, "order", "--n", "4")
@@ -94,6 +98,30 @@ class TestExact:
         code, _, err = run(capsys, "exact", "--n", "5")
         assert code == 2 and "--n" in err
 
+    @pytest.mark.parametrize(
+        "n,csv_digest,stdout_digest",
+        [
+            # n = 2 takes the periodic-note path onto the lazy kernel
+            (
+                "2",
+                "43b748d715f75e99d963586fabf69f1edb8a31df37ee16228d769212557c7994",
+                "5cf7dd202bd86c7a097bfd93dc51cac79caa69b32243d1f3e4afa7969d7e2b12",
+            ),
+            (
+                "4",
+                "9b13db3aee4dbbe99946944e25e8dfa0e6413d5619e07ea1152d4191388fa7be",
+                "1ea45ad93b927be2a0cf28fc4988c8f435a6fd826015fca8bd307193417f3c14",
+            ),
+        ],
+    )
+    def test_golden_outputs(self, capsys, tmp_path, monkeypatch, n, csv_digest, stdout_digest):
+        # run in the output directory so stdout names the same curve path every time
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "exact", "--n", n)
+        assert code == 0
+        assert sha256((tmp_path / "exact_curve.csv").read_bytes()) == csv_digest
+        assert sha256(out.encode()) == stdout_digest
+
 
 class TestSpectrum:
     def test_n2_six_rows(self, capsys, tmp_path):
@@ -112,6 +140,18 @@ class TestSpectrum:
         assert code == 0
         assert "states=20160" in out and "full_spectrum=false" in out
         assert len(csv_body(tmp_path / "spectrum.csv")) == 4  # header + 3 extremes
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            ("3", "3f433fd3e02b42efb96c7c4b183d87699e9d26900190b8f1057663ffa38b0855"),
+            ("4", "b7ae2f46a3b6f406ab1f53979c56b3555250c7e487f89ab6205e457c470bb659"),
+        ],
+    )
+    def test_golden_csv(self, capsys, tmp_path, n, digest):
+        code, _, _ = run(capsys, "spectrum", "--n", n, "--out", str(tmp_path))
+        assert code == 0
+        assert sha256((tmp_path / "spectrum.csv").read_bytes()) == digest
 
 
 class TestLsi:
@@ -133,7 +173,7 @@ class TestLsi:
 
     def test_n4_rejected(self, capsys):
         code, _, err = run(capsys, "lsi", "--n", "4")
-        assert code == 2 and "--n" in err
+        assert code == 2 and err == "error: --n must be in 2..3 (got 4)\n"
 
     def test_golden_n3_csv(self, capsys, tmp_path):
         code, _, _ = run(
@@ -287,6 +327,27 @@ class TestBounds:
         assert code == 0
         assert "counting_lower_bound=" in out
         assert "l2_mixing_upper_bound" not in out
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            ("2", "f778816daaaefd31e3466c3481aad34746f0db8cdc32c1bac6118e87ad0e7851"),
+            ("3", "d3d428bd5cd4e42447fdfdf8b61fcb1940e5a9c3676de0272eed535511f655db"),
+        ],
+    )
+    def test_golden_stdout(self, capsys, n, digest):
+        # default restarts=8, iters=600, seed 0
+        code, out, _ = run(capsys, "bounds", "--n", n)
+        assert code == 0
+        assert sha256(out.encode()) == digest
+
+    def test_n4_notes_the_lsi_range(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--n", "4")
+        assert code == 0
+        assert out == (
+            "n=4 eps=0.25 counting_lower_bound=4\n"
+            "note: the sharp-bound pipeline needs the exact constants, available for n <= 3\n"
+        )
 
 
 class TestReproducibility:

@@ -356,22 +356,26 @@ class TestLsiEstimate:
         assert est.estimate >= est.spectral_floor
 
     @pytest.mark.parametrize(
-        "n,best_ratio,spectral_floor,digest",
+        "n,best_ratio,spectral_floor,digest,restarts,iters,seed",
         [
             (
                 2, 3.996082627024324, 4.000000000000001,
-                "021945e4fd12d64c808ae4a2cc4df7a91bba9adf96cf96268aeaf44cb907d595",
+                "021945e4fd12d64c808ae4a2cc4df7a91bba9adf96cf96268aeaf44cb907d595", 8, 600, 0,
             ),
             (
                 3, 8.611879299994747, 7.567223249782492,
-                "b874986c35d10927bd637fe975970d033b6dfaf95442f5f50a90859a66752c2b",
+                "b874986c35d10927bd637fe975970d033b6dfaf95442f5f50a90859a66752c2b", 8, 600, 0,
+            ),
+            (
+                3, 8.611804869431479, 7.567223249782492,
+                "e8b2f263898cbf64eb1bd62372227699be12093a9e69a8f3dbafc91bd9e654c9", 3, 1500, 11,
             ),
         ],
     )
-    def test_golden_witness(self, n, best_ratio, spectral_floor, digest):
-        # restarts=8, iters=600, seed=0: both components and the witness, bit for bit
+    def test_golden_witness(self, n, best_ratio, spectral_floor, digest, restarts, iters, seed):
+        # both components and the witness, bit for bit
         gt, ts, _ = analyze(n)
-        est = fi.estimate_lsi_constant(ts, gt, restarts=8, iters=600, seed=0)
+        est = fi.estimate_lsi_constant(ts, gt, restarts=restarts, iters=iters, seed=seed)
         assert est.best_ratio == best_ratio
         assert est.spectral_floor == spectral_floor
         assert hashlib.sha256(est.argmax.astype("<f8").tobytes()).hexdigest() == digest
