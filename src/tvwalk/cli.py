@@ -155,9 +155,9 @@ def _cmd_walk(args) -> int:
 
 def _cmd_exact(args) -> int:
     _require_range("n", args.n, 2, _MAX_EXACT_N)
-    gt, ts, report = exactgroup.analyze(args.n)
+    gt, ts = exactgroup.analyze(args.n)
     lazy = args.lazy
-    if not lazy and report.period == 2:
+    if not lazy and ts.period == 2:
         lazy = True
         print("note: the walk is periodic at this dimension; using the lazy kernel")
     t_tv, t_l2 = exactgroup.mixing_times(ts, gt, args.eps, lazy)
@@ -178,7 +178,8 @@ def _cmd_exact(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     _require_range("n", args.n, 2, _MAX_EXACT_N)
-    _, _, report = exactgroup.analyze(args.n)
+    _, ts = exactgroup.analyze(args.n)
+    report = exactgroup.spectral_report(ts)
     path = _out_path(args, "spectrum.csv")
     _emit_csv(
         path,
@@ -196,8 +197,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_lsi(args) -> int:
-    _require_range("n", args.n, 2, 3)
-    gt, ts, _ = exactgroup.analyze(args.n)
+    dims = funineq.LSI_DIMENSIONS
+    _require_range("n", args.n, dims[0], dims[-1])
+    gt, ts = exactgroup.analyze(args.n)
     est = funineq.estimate_lsi_constant(
         ts, gt, restarts=args.restarts, iters=args.iters, seed=args.seed
     )
@@ -282,10 +284,14 @@ def _cmd_bounds(args) -> int:
     _require_range("n", args.n, 2)
     counting = funineq.counting_lower_bound(args.n, args.eps)
     print(f"n={args.n} eps={args.eps!r} counting_lower_bound={counting}")
-    if args.n > 3:
-        print("note: the sharp-bound pipeline needs the exact constants, available for n <= 3")
+    if args.n not in funineq.LSI_DIMENSIONS:
+        print(
+            "note: the sharp-bound pipeline needs the exact constants, "
+            f"available for n <= {funineq.LSI_DIMENSIONS[-1]}"
+        )
         return 0
-    gt, ts, report = exactgroup.analyze(args.n)
+    gt, ts = exactgroup.analyze(args.n)
+    report = exactgroup.spectral_report(ts)
     est = funineq.estimate_lsi_constant(
         ts, gt, restarts=args.restarts, iters=args.iters, seed=args.seed
     )

@@ -7,10 +7,10 @@ every table, curve and regression constant is reproducible bit for bit.
 
 On the enumerated group the module builds the exact transition structure of
 the walk, iterates distributions, computes total-variation and chi-square
-(pi-weighted l2) distances and mixing times, extracts the spectrum (dense
-below 5000 states, extremal eigenvalues by Lanczos iteration above), and
-detects the period by two-coloring cross-checked against the bottom
-eigenvalue.
+(pi-weighted l2) distances and mixing times, detects the period by
+two-coloring, and on request extracts the spectrum (dense below 5000 states,
+extremal eigenvalues by Lanczos iteration above), cross-checking the period
+against the bottom eigenvalue.
 """
 
 from __future__ import annotations
@@ -48,8 +48,10 @@ DENSE_SPECTRUM_LIMIT = 5000
 # roughly chunk * n(n-1) packed keys.
 _BFS_CHUNK = 1 << 18
 
-# Distributions are renormalized this often to damp floating-point drift.
+# Distributions are renormalized this often to damp floating-point drift;
+# a total mass further than _DRIFT_TOL from 1 there means a broken kernel.
 _RENORM_EVERY = 64
+_DRIFT_TOL = 1e-12
 
 
 class NonConvergentError(RuntimeError):
@@ -112,15 +114,18 @@ class TransitionStructure:
 
     ``move_perms[m, x]`` is the state reached from x by the m-th move in
     lexicographic (i, j) order; ``adjacency[x]`` is the sorted list of the
-    n(n-1) neighbors of x.  The kernel is symmetric with step probability
-    1/(n(n-1)).
+    n(n-1) neighbors of x, held neighbour-major (Fortran order) as intp so
+    gathers index with it directly.  The kernel is symmetric with step
+    probability 1/(n(n-1)).  ``period`` is 1 or 2: 2 exactly when the walk
+    graph is bipartite.
     """
 
     n: int
     size: int
     moves: tuple[tuple[int, int], ...]
     move_perms: np.ndarray = field(repr=False)  # (M, size) int32
-    adjacency: np.ndarray = field(repr=False)  # (size, M) int32, rows sorted
+    adjacency: np.ndarray = field(repr=False)  # (size, M) intp, rows sorted
+    period: int
 
     @property
     def degree(self) -> int:
@@ -245,7 +250,7 @@ def _table_from_keys(n: int, keys: np.ndarray) -> GroupTable:
 
 
 def build_transition(gt: GroupTable) -> TransitionStructure:
-    """Per-move permutations and sorted adjacency lists for the walk graph."""
+    """Per-move permutations, sorted adjacency lists and period of the walk graph."""
     n = gt.n
     if n < 2:
         raise ValueError("the walk needs n >= 2")
@@ -254,9 +259,16 @@ def build_transition(gt: GroupTable) -> TransitionStructure:
     move_perms = np.empty((len(moves), size), dtype=np.int32)
     for m, (i, j) in enumerate(moves):
         move_perms[m] = gt.index_of(_apply_move_keys(gt.keys, i, j, n))
-    adjacency = np.sort(move_perms.T, axis=1).astype(np.int32)
+    # Sorting the transposed view keeps its Fortran order, so each row sum
+    # over neighbours adds whole neighbour columns in a fixed order.
+    adjacency = np.sort(move_perms.T, axis=1).astype(np.intp)
     return TransitionStructure(
-        n=n, size=size, moves=moves, move_perms=move_perms, adjacency=adjacency
+        n=n,
+        size=size,
+        moves=moves,
+        move_perms=move_perms,
+        adjacency=adjacency,
+        period=2 if _bipartite_classes(adjacency) is not None else 1,
     )
 
 
@@ -273,7 +285,10 @@ def _laws(ts: TransitionStructure, lazy: bool):
         nxt = p[ts.adjacency].sum(axis=1) / ts.degree
         p = 0.5 * p + 0.5 * nxt if lazy else nxt
         if t % _RENORM_EVERY == 0:
-            p /= p.sum()
+            total = p.sum()
+            if abs(total - 1.0) > _DRIFT_TOL:
+                raise RuntimeError(f"distribution mass drifted to {float(total)!r} by t={t}")
+            p /= total
 
 
 def distribution_at(ts: TransitionStructure, t: int, lazy: bool = False) -> np.ndarray:
@@ -310,14 +325,15 @@ def mixing_curve(
     return rows
 
 
-def _bipartite_classes(ts: TransitionStructure) -> np.ndarray | None:
+def _bipartite_classes(adjacency: np.ndarray) -> np.ndarray | None:
     """Two-coloring by BFS; None when an odd cycle makes it impossible."""
-    color = np.full(ts.size, -1, dtype=np.int8)
+    size, degree = adjacency.shape
+    color = np.full(size, -1, dtype=np.int8)
     color[0] = 0
     frontier = np.array([0], dtype=np.int64)
     while frontier.size:
-        nbrs = ts.adjacency[frontier].reshape(-1)
-        src_color = np.repeat(color[frontier], ts.degree)
+        nbrs = adjacency[frontier].reshape(-1)
+        src_color = np.repeat(color[frontier], degree)
         clash = color[nbrs] == src_color
         if clash.any():
             return None
@@ -341,7 +357,7 @@ def mixing_times(
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if not lazy and _bipartite_classes(ts) is not None:
+    if not lazy and ts.period == 2:
         raise NonConvergentError(
             "periodic (bipartite) walk does not converge; use the lazy kernel"
         )
@@ -399,8 +415,8 @@ def spectral_report(ts: TransitionStructure) -> SpectralReport:
     Dense symmetric eigensolve up to 5000 states (a 20160^2 dense matrix
     would need gigabytes); above that only the extremal eigenvalues are
     computed, which is all the gap and the absolute gap require.  The
-    period comes from an independent two-coloring and must agree with the
-    bottom of the spectrum (-1 iff bipartite).
+    period is the transition structure's two-coloring and must agree with
+    the bottom of the spectrum (-1 iff bipartite).
     """
     if ts.size <= DENSE_SPECTRUM_LIMIT:
         vals = np.linalg.eigvalsh(_dense_kernel(ts))[::-1]
@@ -412,25 +428,24 @@ def spectral_report(ts: TransitionStructure) -> SpectralReport:
     if abs(vals[0] - 1.0) > 1e-9:
         raise RuntimeError("top eigenvalue is not 1; kernel is broken")
     lam2, lam_min = float(vals[1]), float(vals[-1])
-    period = 2 if _bipartite_classes(ts) is not None else 1
-    if (period == 2) != (abs(lam_min + 1.0) < 1e-9):
+    if (ts.period == 2) != (abs(lam_min + 1.0) < 1e-9):
         raise RuntimeError("two-coloring disagrees with the bottom eigenvalue")
     # A period-2 walk has -1 in its spectrum exactly; the solver's rounding
     # must not leave a spurious positive absolute gap.
-    absolute_gap = 0.0 if period == 2 else 1.0 - max(abs(lam2), abs(lam_min))
+    absolute_gap = 0.0 if ts.period == 2 else 1.0 - max(abs(lam2), abs(lam_min))
     return SpectralReport(
         eigenvalues=vals,
         gap=1.0 - lam2,
         absolute_gap=absolute_gap,
-        period=period,
+        period=ts.period,
         full_spectrum=full,
         n_states=ts.size,
     )
 
 
 @functools.lru_cache(maxsize=4)
-def analyze(n: int) -> tuple[GroupTable, TransitionStructure, SpectralReport]:
-    """Memoized (table, transition, spectrum) bundle for small n."""
+def analyze(n: int) -> tuple[GroupTable, TransitionStructure]:
+    """Memoized (table, transition) pair for small n; the spectrum is
+    ``spectral_report(ts)``, computed only by the callers that read it."""
     gt = enumerate_group(n)
-    ts = build_transition(gt)
-    return gt, ts, spectral_report(ts)
+    return gt, build_transition(gt)

@@ -42,7 +42,8 @@ def test_criterion_2_graph_structure():
     checks = []
     periods = {}
     for n in (2, 3, 4):
-        gt, ts, rep = eg.analyze(n)
+        gt, ts = eg.analyze(n)
+        rep = eg.spectral_report(ts)
         rows = np.repeat(np.arange(ts.size), ts.degree)
         mat = sp.coo_matrix(
             (np.full(rows.size, ts.step_probability), (rows, ts.adjacency.reshape(-1))),
@@ -54,7 +55,7 @@ def test_criterion_2_graph_structure():
         ncomp, _ = sp.csgraph.connected_components(mat, directed=False)
         checks.append(regular and symmetric and ncomp == 1)
         periods[n] = rep.period
-    _, _, rep2 = eg.analyze(2)
+    rep2 = eg.spectral_report(eg.analyze(2)[1])
     six_cycle = bool(
         np.allclose(
             np.sort(rep2.eigenvalues),
@@ -79,7 +80,9 @@ def test_criterion_3_inequality_suites():
         fi.run_suite("hypercube", 10_000, seed=2026, d=8),
         fi.run_suite("kassabov", 10_000, seed=2026, n=3),
     ]
-    spectral = [fi.kassabov_spectral_check(n, eg.analyze(n)[2]) for n in (2, 3, 4)]
+    spectral = [
+        fi.kassabov_spectral_check(n, eg.spectral_report(eg.analyze(n)[1])) for n in (2, 3, 4)
+    ]
     violations = sum(r.violations for r in runs)
     ok = violations == 0 and all(s.satisfied for s in spectral)
     detail = ", ".join(f"{r.check_name}:{r.violations}" for r in runs)
@@ -87,7 +90,7 @@ def test_criterion_3_inequality_suites():
 
 
 def test_criterion_4_monte_carlo_oracle():
-    gt, ts, _ = eg.analyze(3)
+    gt, ts = eg.analyze(3)
     trials = 1_000_000
     counts = dg.mc_state_frequencies(
         3, 50, trials, seed=20260815, gt=gt, lazy=True, threads=4
@@ -100,8 +103,9 @@ def test_criterion_4_monte_carlo_oracle():
 
 
 def test_criterion_5_lsi_estimator():
-    gt2, ts2, _ = eg.analyze(2)
-    gt3, ts3, rep3 = eg.analyze(3)
+    gt2, ts2 = eg.analyze(2)
+    gt3, ts3 = eg.analyze(3)
+    rep3 = eg.spectral_report(ts3)
     e2a = fi.estimate_lsi_constant(ts2, gt2, restarts=8, iters=600, seed=0)
     e2b = fi.estimate_lsi_constant(ts2, gt2, restarts=8, iters=600, seed=0)
     e3a = fi.estimate_lsi_constant(ts3, gt3, restarts=8, iters=600, seed=0)
@@ -126,7 +130,8 @@ def test_criterion_5_lsi_estimator():
 
 
 def test_criterion_6_bound_pipeline():
-    gt, ts, rep = eg.analyze(3)
+    gt, ts = eg.analyze(3)
+    rep = eg.spectral_report(ts)
     t_mix, t2_mix = eg.mixing_times(ts, gt, 0.25)
     est = fi.estimate_lsi_constant(ts, gt, restarts=8, iters=600, seed=0)
     upper = fi.mixing_bound(3, 0.25, est.estimate, 1.0 / rep.absolute_gap)

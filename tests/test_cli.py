@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tvwalk
+from tvwalk import exactgroup
 from tvwalk import gf2core as g
 from tvwalk.chain import load_trajectory, replay
 from tvwalk.cli import cli_dispatch
@@ -121,6 +122,29 @@ class TestExact:
         assert code == 0
         assert sha256((tmp_path / "exact_curve.csv").read_bytes()) == csv_digest
         assert sha256(out.encode()) == stdout_digest
+
+    def test_n4_commands_never_solve_the_spectrum(self, capsys, tmp_path, monkeypatch):
+        # `exact` and the key suite read the period and the transition
+        # structure only; a fresh analysis must not reach the Lanczos solve.
+        def refuse(ts):
+            raise AssertionError("the n = 4 spectrum was solved")
+
+        monkeypatch.setattr(exactgroup, "_extremal_spectrum", refuse)
+        exactgroup.analyze.cache_clear()
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "exact", "--n", "4")
+        assert code == 0
+        assert sha256((tmp_path / "exact_curve.csv").read_bytes()) == (
+            "9b13db3aee4dbbe99946944e25e8dfa0e6413d5619e07ea1152d4191388fa7be"
+        )
+        assert sha256(out.encode()) == (
+            "1ea45ad93b927be2a0cf28fc4988c8f435a6fd826015fca8bd307193417f3c14"
+        )
+        argv = ("check", "--suite", "key", "--n", "4", "--trials", "200", "--seed", "1")
+        assert run(capsys, *argv)[0] == 0
+        assert sha256((tmp_path / "inequality_suite.csv").read_bytes()) == (
+            "5cd80fbad5eb33d32e805ff567fa96d3409cbd406bc4fbc842167a1ba05a27fe"
+        )
 
 
 class TestSpectrum:

@@ -81,7 +81,7 @@ class TestPushforwardFoundation:
     def test_statistic_tv_lower_bounds_full_tv(self):
         """Exact check at n = 3: the weight law's TV never exceeds the
         state law's TV, at any time, for the lazy walk."""
-        gt, ts, _ = analyze(3)
+        gt, ts = analyze(3)
         for t in range(30):
             p = distribution_at(ts, t, lazy=True)
             stat = weight_pushforward_tv(p, gt.keys, 10)
@@ -90,7 +90,7 @@ class TestPushforwardFoundation:
     def test_sampled_estimate_matches_population_value(self):
         """At n = 3, t = 3 the plug-in estimate sits within sampling error
         of the exactly computable population TV of the weight statistic."""
-        gt, ts, _ = analyze(3)
+        gt, ts = analyze(3)
         population = weight_pushforward_tv(distribution_at(ts, 3), gt.keys, 10)
         assert population == pytest.approx(0.14682539682539703, abs=1e-12)
         est = dg.statistic_tv(3, 3, "weight", 200_000, seed=21).estimate
@@ -195,7 +195,7 @@ class TestWalkKernels:
 
 class TestMcStateFrequencies:
     def test_counts_match_exact_law(self):
-        gt, ts, _ = analyze(2)
+        gt, ts = analyze(2)
         trials = 20_000
         counts = dg.mc_state_frequencies(2, 3, trials, seed=7, gt=gt, lazy=True)
         assert counts.sum() == trials and len(counts) == gt.size
@@ -204,7 +204,7 @@ class TestMcStateFrequencies:
         assert np.abs(z).max() <= 4.0
 
     def test_thread_count_does_not_change_counts(self):
-        gt, _, _ = analyze(2)
+        gt, _ = analyze(2)
         a = dg.mc_state_frequencies(2, 3, 20_000, seed=7, gt=gt, lazy=True)
         b = dg.mc_state_frequencies(2, 3, 20_000, seed=7, gt=gt, lazy=True, threads=4)
         assert (a == b).all()
@@ -223,7 +223,7 @@ class TestMcStateFrequencies:
         assert counts_sha256(counts) == digest
 
     def test_dimension_mismatch_rejected(self):
-        gt, _, _ = analyze(2)
+        gt, _ = analyze(2)
         with pytest.raises(ValueError):
             dg.mc_state_frequencies(3, 1, 1000, seed=0, gt=gt)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tvwalk import funineq as fi
-from tvwalk.exactgroup import analyze
+from tvwalk.exactgroup import analyze, spectral_report
 
 
 @pytest.fixture(scope="module")
@@ -28,21 +28,21 @@ def identity_indicator(size):
 
 class TestFunctionals:
     def test_indicator_oracles_n2(self, g2):
-        gt, ts, _ = g2
+        gt, ts = g2
         f = identity_indicator(6)
         assert fi.entropy_sq(f, gt) == pytest.approx(math.log(6) / 6, abs=1e-15)
         assert fi.dirichlet_form(f, ts, gt) == pytest.approx(1 / 6, abs=1e-15)
         assert fi.variance(f, gt) == pytest.approx(5 / 36, abs=1e-15)
 
     def test_constant_function_vanishes(self, g3):
-        gt, ts, _ = g3
+        gt, ts = g3
         f = np.full(gt.size, 2.5)
         assert fi.entropy_sq(f, gt) == 0.0
         assert fi.dirichlet_form(f, ts, gt) == pytest.approx(0.0, abs=1e-15)
         assert fi.variance(f, gt) == pytest.approx(0.0, abs=1e-15)
 
     def test_entropy_nonnegative_and_scale_covariant(self, g3):
-        gt, _, _ = g3
+        gt, _ = g3
         rng = np.random.default_rng(7)
         for _ in range(20):
             f = rng.standard_normal(gt.size)
@@ -53,7 +53,7 @@ class TestFunctionals:
 
     def test_dirichlet_matches_quadratic_form(self, g3):
         """Half-sum route equals <f, (I-P)f> under the uniform law."""
-        gt, ts, _ = g3
+        gt, ts = g3
         rng = np.random.default_rng(8)
         for _ in range(10):
             f = rng.standard_normal(gt.size)
@@ -62,7 +62,7 @@ class TestFunctionals:
             assert fi.dirichlet_form(f, ts, gt) == pytest.approx(quad, abs=1e-12)
 
     def test_shape_and_finiteness_validation(self, g2):
-        gt, ts, _ = g2
+        gt, ts = g2
         with pytest.raises(ValueError):
             fi.entropy_sq(np.zeros(5), gt)
         with pytest.raises(ValueError):
@@ -73,14 +73,14 @@ class TestFunctionals:
 
 class TestKeyInequality:
     def test_indicator_frozen(self, g2):
-        gt, ts, _ = g2
+        gt, ts = g2
         rep = fi.check_key_inequality(identity_indicator(6), ts, gt)
         assert rep.lhs == pytest.approx(math.log(6) / 6, abs=1e-15)
         assert rep.rhs == pytest.approx(11 / 18, abs=1e-15)
         assert rep.satisfied and rep.slack > 0
 
     def test_random_functions_satisfied(self, g3):
-        gt, ts, _ = g3
+        gt, ts = g3
         rng = np.random.default_rng(11)
         for _ in range(25):
             rep = fi.check_key_inequality(rng.standard_normal(gt.size), ts, gt)
@@ -89,14 +89,14 @@ class TestKeyInequality:
 
 class TestExtensionInequality:
     def test_indicator_frozen(self, g2):
-        gt, _, _ = g2
+        gt, _ = g2
         rep = fi.check_extension_inequality(identity_indicator(6), gt)
         assert rep.lhs == pytest.approx(math.log(6) / 6, abs=1e-15)
         assert rep.rhs == pytest.approx(0.37235304985625706, abs=1e-12)
         assert rep.satisfied
 
     def test_n4_needs_extended_flag(self):
-        gt, _, _ = analyze(4)
+        gt, _ = analyze(4)
         f = identity_indicator(gt.size)
         with pytest.raises(ValueError):
             fi.check_extension_inequality(f, gt)
@@ -112,7 +112,7 @@ class TestExtensionInequality:
 
 class TestRowDecomposition:
     def test_indicator_frozen(self, g2):
-        gt, ts, _ = g2
+        gt, ts = g2
         rep = fi.check_row_decomposition(identity_indicator(6), ts, gt)
         assert rep.subadditivity.lhs == pytest.approx(0.1396323936960964, abs=1e-12)
         assert rep.subadditivity.rhs == pytest.approx(0.1605214658319893, abs=1e-12)
@@ -121,14 +121,14 @@ class TestRowDecomposition:
         assert rep.satisfied
 
     def test_random_functions_satisfied(self, g2):
-        gt, ts, _ = g2
+        gt, ts = g2
         rng = np.random.default_rng(13)
         for _ in range(25):
             rep = fi.check_row_decomposition(rng.standard_normal(6), ts, gt)
             assert rep.satisfied
 
     def test_only_n2(self, g3):
-        gt, ts, _ = g3
+        gt, ts = g3
         with pytest.raises(ValueError):
             fi.check_row_decomposition(np.zeros(gt.size), ts, gt)
 
@@ -179,14 +179,14 @@ class TestKassabov:
         assert all(a > b for a, b in zip(floors, floors[1:]))
 
     def test_variance_form(self, g3):
-        gt, ts, _ = g3
+        gt, ts = g3
         rng = np.random.default_rng(19)
         for _ in range(25):
             assert fi.kassabov_check(rng.standard_normal(gt.size), ts, gt).satisfied
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_spectral_form(self, n):
-        _, _, rep = analyze(n)
+        rep = spectral_report(analyze(n)[1])
         out = fi.kassabov_spectral_check(n, rep)
         assert out.satisfied
         assert out.lhs == fi.kassabov_gap_floor(n)
@@ -304,7 +304,7 @@ class TestBatchedEvaluators:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_ent_energy_matches_scalar_formulas(self, n):
-        gt, ts, _ = analyze(n)
+        gt, ts = analyze(n)
         rows = evaluator_rows(gt.size, seed=n)
         batched = fi._ent_energy(rows, ts.adjacency)
         for r, row in enumerate(rows):
@@ -316,7 +316,7 @@ class TestBatchedEvaluators:
     @pytest.mark.parametrize("n,copies", [(3, 17), (4, 1)])
     def test_dirichlet_rows_match_broadcast_formula(self, n, copies):
         # n = 3 spans three row blocks of the edge buffer, n = 4 nine
-        gt, ts, _ = analyze(n)
+        gt, ts = analyze(n)
         rows = np.concatenate([evaluator_rows(gt.size, seed) for seed in range(copies)])
         adj = ts.adjacency
         sums = np.square(rows[:, :, None] - rows[:, adj]).sum(axis=(1, 2))
@@ -326,7 +326,7 @@ class TestBatchedEvaluators:
         )
 
     def test_ent_rows_match_broadcast_formula(self, g3):
-        gt, _, _ = g3
+        gt, _ = g3
         rows = evaluator_rows(gt.size, seed=5)
         sq = rows * rows
         logs = np.zeros_like(sq)
@@ -338,7 +338,7 @@ class TestBatchedEvaluators:
 
 class TestLsiEstimate:
     def test_n2_floor_dominates(self, g2):
-        gt, ts, _ = g2
+        gt, ts = g2
         est = fi.estimate_lsi_constant(ts, gt, restarts=8, iters=600, seed=0)
         # the 6-cycle's log-Sobolev constant is 4; the spectral floor 2/gap
         # reaches it while gradient ascent stalls just below
@@ -348,7 +348,7 @@ class TestLsiEstimate:
         assert est.estimate >= max(math.log(6), 4.0)
 
     def test_n3_witness_beats_floor(self, g3):
-        gt, ts, _ = g3
+        gt, ts = g3
         est = fi.estimate_lsi_constant(ts, gt, restarts=8, iters=600, seed=0)
         assert est.best_ratio == pytest.approx(8.611879299994747, abs=1e-9)
         assert est.estimate == est.best_ratio
@@ -374,28 +374,28 @@ class TestLsiEstimate:
     )
     def test_golden_witness(self, n, best_ratio, spectral_floor, digest, restarts, iters, seed):
         # both components and the witness, bit for bit
-        gt, ts, _ = analyze(n)
+        gt, ts = analyze(n)
         est = fi.estimate_lsi_constant(ts, gt, restarts=restarts, iters=iters, seed=seed)
         assert est.best_ratio == best_ratio
         assert est.spectral_floor == spectral_floor
         assert hashlib.sha256(est.argmax.astype("<f8").tobytes()).hexdigest() == digest
 
     def test_deterministic(self, g3):
-        gt, ts, _ = g3
+        gt, ts = g3
         a = fi.estimate_lsi_constant(ts, gt, restarts=2, iters=200, seed=3)
         b = fi.estimate_lsi_constant(ts, gt, restarts=2, iters=200, seed=3)
         assert a.estimate == b.estimate
         assert (a.argmax == b.argmax).all()
 
     def test_argmax_reproduces_ratio(self, g3):
-        gt, ts, _ = g3
+        gt, ts = g3
         est = fi.estimate_lsi_constant(ts, gt, restarts=2, iters=400, seed=0)
         ratio = fi.entropy_sq(est.argmax, gt) / fi.dirichlet_form(est.argmax, ts, gt)
         assert ratio == pytest.approx(est.best_ratio, abs=1e-9)
 
     @pytest.mark.parametrize("corrupt", ["ratio", "witness"])
     def test_mismatched_witness_raises(self, g2, monkeypatch, corrupt):
-        gt, ts, _ = g2
+        gt, ts = g2
         ascend = fi._ascend
 
         def corrupted(values, adjacency, iters):
@@ -408,20 +408,35 @@ class TestLsiEstimate:
         with pytest.raises(RuntimeError, match="witness"):
             fi.estimate_lsi_constant(ts, gt, restarts=1, iters=20)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("iters", [1, 30])
+    def test_stacked_ascent_equals_one_row_ascents(self, n, iters):
+        gt, ts = analyze(n)
+        rng = np.random.default_rng(n)
+        starts = np.vstack(
+            [identity_indicator(gt.size), rng.standard_normal((4, gt.size)), np.ones(gt.size)]
+        )
+        ratios, rows = fi._ascend(starts, ts.adjacency, iters)
+        assert ratios[-1] == -math.inf  # the constant row has no energy and stops at once
+        for start, ratio, row in zip(starts, ratios, rows):
+            one_ratio, one_row = fi._ascend(start[None, :], ts.adjacency, iters)
+            assert one_ratio[0] == ratio
+            assert np.array_equal(one_row[0], row)
+
     def test_indicator_start_ratio(self, g2):
         """Before any ascent the identity indicator gives ent/E = log 6."""
-        gt, ts, _ = g2
+        gt, ts = g2
         f = identity_indicator(6)
         ratio = fi.entropy_sq(f, gt) / fi.dirichlet_form(f, ts, gt)
         assert ratio == pytest.approx(math.log(6), abs=1e-12)
 
     def test_rejects_n4(self):
-        gt, ts, _ = analyze(4)
-        with pytest.raises(ValueError):
+        gt, ts = analyze(4)
+        with pytest.raises(ValueError, match=r"n in \{2, 3\}"):
             fi.estimate_lsi_constant(ts, gt, restarts=0, iters=1)
 
     def test_parameter_validation(self, g2):
-        gt, ts, _ = g2
+        gt, ts = g2
         with pytest.raises(ValueError):
             fi.estimate_lsi_constant(ts, gt, restarts=-1)
         with pytest.raises(ValueError):
