@@ -259,16 +259,13 @@ def build_transition(gt: GroupTable) -> TransitionStructure:
     move_perms = np.empty((len(moves), size), dtype=np.int32)
     for m, (i, j) in enumerate(moves):
         move_perms[m] = gt.index_of(_apply_move_keys(gt.keys, i, j, n))
-    # Sorting the transposed view keeps its Fortran order, so each row sum
-    # over neighbours adds whole neighbour columns in a fixed order.
+    # Sorting the transposed view keeps its Fortran order: a row sum over
+    # neighbours then adds whole neighbour columns one after another, which
+    # fixes the bits of every law (a C-ordered copy would sum pairwise).
     adjacency = np.sort(move_perms.T, axis=1).astype(np.intp)
     return TransitionStructure(
-        n=n,
-        size=size,
-        moves=moves,
-        move_perms=move_perms,
-        adjacency=adjacency,
-        period=2 if _bipartite_classes(adjacency) is not None else 1,
+        n=n, size=size, moves=moves, move_perms=move_perms, adjacency=adjacency,
+        period=_period(adjacency),
     )
 
 
@@ -325,8 +322,8 @@ def mixing_curve(
     return rows
 
 
-def _bipartite_classes(adjacency: np.ndarray) -> np.ndarray | None:
-    """Two-coloring by BFS; None when an odd cycle makes it impossible."""
+def _period(adjacency: np.ndarray) -> int:
+    """2 if a BFS two-coloring succeeds (bipartite graph), 1 at its first odd cycle."""
     size, degree = adjacency.shape
     color = np.full(size, -1, dtype=np.int8)
     color[0] = 0
@@ -336,14 +333,14 @@ def _bipartite_classes(adjacency: np.ndarray) -> np.ndarray | None:
         src_color = np.repeat(color[frontier], degree)
         clash = color[nbrs] == src_color
         if clash.any():
-            return None
+            return 1
         fresh_mask = color[nbrs] == -1
         fresh = nbrs[fresh_mask]
         color[fresh] = 1 - src_color[fresh_mask]
         frontier = np.unique(fresh)
     if (color == -1).any():
         raise RuntimeError("walk graph is not connected")
-    return color
+    return 2
 
 
 def mixing_times(
