@@ -45,19 +45,12 @@ from .exactgroup import (
 )
 from .funineq import (
     SUITE_NAMES,
-    BoundReport,
     LsiEstimate,
     SuiteResult,
-    check_extension_inequality,
-    check_key_inequality,
-    check_row_decomposition,
     counting_lower_bound,
     dirichlet_form,
     entropy_sq,
     estimate_lsi_constant,
-    hypercube_lsi_check,
-    kassabov_check,
-    kassabov_spectral_check,
     mixing_bound,
     run_suite,
     variance,
@@ -129,19 +122,12 @@ __all__ = [
     "tv_distance",
     # funineq
     "SUITE_NAMES",
-    "BoundReport",
     "LsiEstimate",
     "SuiteResult",
-    "check_extension_inequality",
-    "check_key_inequality",
-    "check_row_decomposition",
     "counting_lower_bound",
     "dirichlet_form",
     "entropy_sq",
     "estimate_lsi_constant",
-    "hypercube_lsi_check",
-    "kassabov_check",
-    "kassabov_spectral_check",
     "mixing_bound",
     "run_suite",
     "variance",

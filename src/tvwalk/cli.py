@@ -221,7 +221,8 @@ def _cmd_lsi(args) -> int:
 def _cmd_check(args) -> int:
     names = funineq.SUITE_NAMES if args.suite == "all" else (args.suite,)
     _require_range("trials", args.trials, 1)
-    _require_range("d", args.d, 1, 12)
+    cube = funineq.HYPERCUBE_DIMENSIONS
+    _require_range("d", args.d, cube[0], cube[-1])
     if any(name != "hypercube" for name in names):
         group = [dims for dims in funineq.SUITE_DIMENSIONS.values() if dims is not None]
         _require_range("n", args.n, min(d[0] for d in group), max(d[-1] for d in group))

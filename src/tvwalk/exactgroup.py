@@ -43,6 +43,9 @@ __all__ = [
 
 ENUMERATION_CAP = 5
 DENSE_SPECTRUM_LIMIT = 5000
+# Largest accepted ||Pv - lambda_2 v|| for the unit Lanczos eigenvector
+# (a healthy n = 4 solve leaves about 4e-16).
+_LANCZOS_RESIDUAL_TOL = 1e-10
 
 # Frontier chunk for the vectorized BFS; bounds peak candidate memory at
 # roughly chunk * n(n-1) packed keys.
@@ -385,7 +388,10 @@ def _extremal_spectrum(ts: TransitionStructure) -> tuple[float, float]:
     The top eigenvector of the kernel is the constant vector, so the
     operator x -> Px - mean(x) zeroes that component and its largest
     eigenvalue is lambda_2.  A fixed start vector keeps runs reproducible.
-    SciPy is imported here, its only use, so other commands skip its import.
+    Raises RuntimeError when lambda_2's eigenvector misses its eigen-equation
+    by more than _LANCZOS_RESIDUAL_TOL.  lambda_min is solved without
+    vectors: asking ARPACK for them moves it in its last digits.  SciPy is
+    imported here, its only use, so other commands skip its import.
     """
     from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -400,7 +406,11 @@ def _extremal_spectrum(ts: TransitionStructure) -> tuple[float, float]:
 
     v0 = np.random.default_rng(0x5EED).standard_normal(size)
     op = LinearOperator((size, size), matvec=deflated, dtype=np.float64)
-    lam2 = eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
+    vals, vecs = eigsh(op, k=1, which="LA", v0=v0)
+    lam2, vec = vals[0], vecs[:, 0]
+    residual = float(np.linalg.norm(deflated(vec) - lam2 * vec))
+    if residual > _LANCZOS_RESIDUAL_TOL:
+        raise RuntimeError(f"Lanczos residual {residual!r} exceeds {_LANCZOS_RESIDUAL_TOL!r}")
     full = LinearOperator((size, size), matvec=lambda x: pmv(x.reshape(-1)), dtype=np.float64)
     lam_min = eigsh(full, k=1, which="SA", v0=v0, return_eigenvectors=False)[0]
     return float(lam2), float(lam_min)

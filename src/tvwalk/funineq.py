@@ -2,8 +2,9 @@
 numerically checkable bounds, and log-Sobolev constant estimation.
 
 Everything here works on real-valued functions aligned to GroupTable
-indices under the uniform stationary law.  The checkers cover the chain of
-bounds that controls the walk's log-Sobolev constant:
+indices under the uniform stationary law.  The randomized suites check the
+chain of bounds that controls the walk's log-Sobolev constant, each written
+once as a batched (lhs, rhs) evaluator in ``_SUITE_TERMS``:
 
 * entropy of f^2 against the key bound n(n-1) E(f,f) + n var(f);
 * the entropy transfer from the group to the full matrix space via the
@@ -11,15 +12,17 @@ bounds that controls the walk's log-Sobolev constant:
 * sub-additivity of entropy over independent rows, plus the consolidated
   row-swap/variance bound it leads to;
 * the exact hypercube log-Sobolev inequality ent <= d * E_cube;
-* the variance-versus-Dirichlet bound var <= 4(31 sqrt(n) + 700)^2 E and
-  its spectral form gap >= 1 / (4(31 sqrt(n) + 700)^2).
+* the variance-versus-Dirichlet bound var <= 4(31 sqrt(n) + 700)^2 E, whose
+  spectral form is gap >= ``kassabov_gap_floor(n)``.
 
 All of these are theorem-backed: randomized suites must report zero
-violations at relative tolerance 1e-9.  The estimator for the log-Sobolev
-constant maximizes ent(f^2)/E(f,f) by projected gradient ascent and folds
-in the universal spectral floor 2/gap, so its output is a certified lower
-bound.  Calculators for the hypercontractivity mixing bound and the
-counting lower bound close the pipeline.
+violations at relative tolerance 1e-9.  ``entropy_sq``, ``dirichlet_form``
+and ``variance`` are compensated-sum oracles that the tests and the LSI
+witness check hold the batched formulas against.  The estimator for the
+log-Sobolev constant maximizes ent(f^2)/E(f,f) by projected gradient ascent
+and folds in the universal spectral floor 2/gap, so its output is a
+certified lower bound.  Calculators for the hypercontractivity mixing bound
+and the counting lower bound close the pipeline.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import numpy as np
 from .exactgroup import (
     DENSE_SPECTRUM_LIMIT,
     GroupTable,
-    SpectralReport,
     TransitionStructure,
     _dense_kernel,
     analyze,
@@ -42,19 +44,11 @@ from .gf2core import derive_rng
 
 __all__ = [
     "RELATIVE_TOL",
-    "BoundReport",
-    "RowDecompositionReport",
     "LsiEstimate",
     "SuiteResult",
     "entropy_sq",
     "dirichlet_form",
     "variance",
-    "check_key_inequality",
-    "check_extension_inequality",
-    "check_row_decomposition",
-    "hypercube_lsi_check",
-    "kassabov_check",
-    "kassabov_spectral_check",
     "kassabov_gap_floor",
     "estimate_lsi_constant",
     "log_order",
@@ -64,6 +58,7 @@ __all__ = [
     "run_suite",
     "SUITE_DIMENSIONS",
     "SUITE_NAMES",
+    "HYPERCUBE_DIMENSIONS",
     "LSI_DIMENSIONS",
 ]
 
@@ -94,38 +89,11 @@ SUITE_DIMENSIONS = {
     "kassabov": range(2, 5),
 }
 SUITE_NAMES = tuple(SUITE_DIMENSIONS)
+# The cube dimensions d at which the hypercube suite runs.
+HYPERCUBE_DIMENSIONS = range(1, 13)
 
 # The dimensions n at which the log-Sobolev constant is estimated.
 LSI_DIMENSIONS = range(2, 4)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One checked inequality: lhs <= rhs up to relative tolerance."""
-
-    name: str
-    lhs: float
-    rhs: float
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
-    def satisfied(self) -> bool:
-        return self.slack >= -RELATIVE_TOL * max(1.0, abs(self.rhs))
-
-
-@dataclass(frozen=True)
-class RowDecompositionReport:
-    """Sub-additivity step and the consolidated row bound, term by term."""
-
-    subadditivity: BoundReport
-    consolidated: BoundReport
-
-    @property
-    def satisfied(self) -> bool:
-        return self.subadditivity.satisfied and self.consolidated.satisfied
 
 
 @dataclass(frozen=True)
@@ -206,44 +174,14 @@ def variance(f, gt: GroupTable) -> float:
     return math.fsum((dev * dev).tolist()) / gt.size
 
 
-def check_key_inequality(f, ts: TransitionStructure, gt: GroupTable) -> BoundReport:
-    """ent(f^2) <= n(n-1) E(f,f) + n var(f) on the enumerated group."""
-    n = gt.n
-    lhs = entropy_sq(f, gt)
-    rhs = n * (n - 1) * dirichlet_form(f, ts, gt) + n * variance(f, gt)
-    return BoundReport("key", lhs, rhs)
-
-
-def _invertible_key_positions(gt: GroupTable) -> np.ndarray:
-    # Group keys double as positions in the 2^(n^2)-long ambient table.
-    return gt.keys.astype(np.int64)
-
-
 def _extension_values(values: np.ndarray, gt: GroupTable) -> np.ndarray:
     """Extend f to all 2^(n^2) matrices: mean of f off the group."""
     ambient = 1 << (gt.n * gt.n)
     fill = math.fsum(values.tolist()) / gt.size
     g = np.full(ambient, fill, dtype=np.float64)
-    g[_invertible_key_positions(gt)] = values
+    # Group keys double as positions in the 2^(n^2)-long ambient table.
+    g[gt.keys.astype(np.int64)] = values
     return g
-
-
-def check_extension_inequality(f, gt: GroupTable, extended: bool = False) -> BoundReport:
-    """ent over the group <= (2^(n^2) / |group|) * ent of the extension.
-
-    The extension fills every non-invertible matrix with the mean of f and
-    lives under the uniform law on all 2^(n^2) matrices.  Enumeration of
-    the ambient space restricts this to n <= 3 (16 and 512 matrices);
-    n = 4 (65536) is allowed behind the ``extended`` flag, n = 5 is not.
-    """
-    n = gt.n
-    if n > 4 or (n == 4 and not extended):
-        raise ValueError("ambient enumeration supports n <= 3 (n = 4 with extended=True)")
-    values = _as_values(f, gt.size)
-    lhs = _entropy_uniform(values)
-    ambient = 1 << (n * n)
-    rhs = (ambient / gt.size) * _entropy_uniform(_extension_values(values, gt))
-    return BoundReport("extension", lhs, rhs)
 
 
 def _rowdecomp_terms(
@@ -271,63 +209,14 @@ def _rowdecomp_terms(
     return ent_mu, subadd, swap + var_part
 
 
-def check_row_decomposition(
-    f, ts: TransitionStructure, gt: GroupTable
-) -> RowDecompositionReport:
-    """Entropy sub-additivity over rows and the consolidated bound (n = 2).
-
-    (a) The entropy of the extension is at most the sum over rows of the
-    expected conditional entropy given the other row; (b) it is also at
-    most half the sum of squared row-swap differences over the group plus
-    the per-row variance terms.  Both are reported separately.
-    """
-    if gt.n not in SUITE_DIMENSIONS["rowdecomp"]:
-        raise ValueError("row decomposition is enumerable only for n = 2")
-    values = _as_values(f, gt.size)
-    ent_mu, subadd, consolidated = _rowdecomp_terms(values, ts, gt)
-    return RowDecompositionReport(
-        subadditivity=BoundReport("rowdecomp-subadditivity", ent_mu, subadd),
-        consolidated=BoundReport("rowdecomp-consolidated", ent_mu, consolidated),
-    )
-
-
 def _hypercube_neighbors(d: int) -> np.ndarray:
     idx = np.arange(1 << d)
     return idx[:, None] ^ (1 << np.arange(d))[None, :]
 
 
-def hypercube_lsi_check(d: int, f) -> BoundReport:
-    """Exact hypercube bound: ent(f^2) <= d * E_cube(f,f) on {0,1}^d.
-
-    E_cube is the Dirichlet form of the walk that flips one uniformly
-    chosen coordinate; its log-Sobolev constant is exactly d.
-    """
-    if not 1 <= d <= 12:
-        raise ValueError("need 1 <= d <= 12")
-    values = np.asarray(f, dtype=np.float64)
-    if values.shape != (1 << d,):
-        raise ValueError(f"function must have shape ({1 << d},)")
-    lhs = _entropy_uniform(values)
-    diffs = values[:, None] - values[_hypercube_neighbors(d)]
-    energy = math.fsum(np.square(diffs).reshape(-1).tolist()) / (2.0 * (1 << d) * d)
-    return BoundReport("hypercube", lhs, d * energy)
-
-
 def kassabov_gap_floor(n: int) -> float:
     """Universal spectral-gap floor 1 / (4 (31 sqrt(n) + 700)^2)."""
     return 1.0 / (4.0 * (31.0 * math.sqrt(n) + 700.0) ** 2)
-
-
-def kassabov_check(f, ts: TransitionStructure, gt: GroupTable) -> BoundReport:
-    """Variance bound var(f) <= 4 (31 sqrt(n) + 700)^2 E(f,f)."""
-    lhs = variance(f, gt)
-    rhs = dirichlet_form(f, ts, gt) / kassabov_gap_floor(gt.n)
-    return BoundReport("kassabov", lhs, rhs)
-
-
-def kassabov_spectral_check(n: int, report: SpectralReport) -> BoundReport:
-    """Spectral form of the variance bound: the gap is above the floor."""
-    return BoundReport("kassabov-spectral", kassabov_gap_floor(n), report.gap)
 
 
 def log_order(n: int) -> float:
@@ -453,6 +342,14 @@ def _adversarial_group_functions(ts: TransitionStructure, gt: GroupTable) -> np.
     return np.stack(rows)
 
 
+def _adversarial_cube_functions(d: int) -> np.ndarray:
+    """The indicator of 0, its signed version, and a dictator on {0,1}^d."""
+    indicator = np.zeros(1 << d)
+    indicator[0] = 1.0
+    dictator = ((np.arange(1 << d) >> (d - 1)) & 1).astype(np.float64)
+    return np.stack([indicator, 2.0 * indicator - 1.0, dictator])
+
+
 def _suite_batches(trials: int, size: int, rng: np.random.Generator):
     chunk = max(1, _SUITE_CHUNK_ELEMS // size)
     done = 0
@@ -462,6 +359,64 @@ def _suite_batches(trials: int, size: int, rng: np.random.Generator):
         done += take
 
 
+# Each suite's (lhs, rhs) per row of a batch; ``domain`` is ``analyze(n)``'s
+# (gt, ts) for the group suites and the cube's neighbour table for hypercube.
+
+
+def _key_suite(batch: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
+    """ent(f^2) <= n(n-1) E(f,f) + n var(f) on the enumerated group."""
+    gt, ts = domain
+    rhs = (
+        gt.n * (gt.n - 1) * _dirichlet_rows(batch, ts.adjacency, ts.degree)
+        + gt.n * _var_rows(batch)
+    )
+    return _ent_rows(batch), rhs
+
+
+def _extension_suite(batch: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
+    """ent over the group <= (2^(n^2) / |group|) * ent of the extension."""
+    gt, _ = domain
+    ambient = 1 << (gt.n * gt.n)
+    g = np.empty((batch.shape[0], ambient))
+    g[:] = batch.mean(axis=1, keepdims=True)
+    g[:, gt.keys.astype(np.int64)] = batch
+    return _ent_rows(batch), (ambient / gt.size) * _ent_rows(g)
+
+
+def _rowdecomp_suite(batch: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
+    """Per function, two rows: ent_mu(g^2) against the sub-additivity sum,
+    then against the consolidated row-swap/variance bound (n = 2)."""
+    gt, ts = domain
+    lhs, rhs = [], []
+    for row in batch:
+        ent_mu, subadd, consolidated = _rowdecomp_terms(row, ts, gt)
+        lhs.extend([ent_mu, ent_mu])
+        rhs.extend([subadd, consolidated])
+    return np.array(lhs), np.array(rhs)
+
+
+def _hypercube_suite(batch: np.ndarray, nbrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ent(f^2) <= d * E_cube(f,f) on {0,1}^d, E_cube flipping one coordinate."""
+    return _ent_rows(batch), _edge_sums(batch, nbrs) / (2.0 * batch.shape[1])
+
+
+def _kassabov_suite(batch: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
+    """var(f) <= 4 (31 sqrt(n) + 700)^2 E(f,f)."""
+    gt, ts = domain
+    rhs = _dirichlet_rows(batch, ts.adjacency, ts.degree) / kassabov_gap_floor(gt.n)
+    return _var_rows(batch), rhs
+
+
+# The one evaluator of each suite's inequality, keyed in SUITE_NAMES order.
+_SUITE_TERMS = {
+    "key": _key_suite,
+    "extension": _extension_suite,
+    "rowdecomp": _rowdecomp_suite,
+    "hypercube": _hypercube_suite,
+    "kassabov": _kassabov_suite,
+}
+
+
 def run_suite(
     name: str,
     trials: int,
@@ -469,14 +424,15 @@ def run_suite(
     n: int | None = None,
     d: int = 8,
 ) -> SuiteResult:
-    """Randomized zero-violation suite for one inequality checker.
+    """Randomized zero-violation suite for one inequality.
 
     Draws `trials` i.i.d. standard-Gaussian functions plus a fixed family
     of adversarial functions (indicators, signed indicators, the second
-    eigenvector) and counts violations at relative tolerance 1e-9.  The
-    checked inequalities are theorem-backed, so any violation is a defect.
-    Group suites run on ``analyze(n)`` for the n that SUITE_DIMENSIONS
-    lists; the hypercube suite runs on {0,1}^d.
+    eigenvector or a dictator) and counts violations at relative tolerance
+    1e-9.  The checked inequalities are theorem-backed, so any violation is
+    a defect.  Group suites run on ``analyze(n)`` for the n that
+    SUITE_DIMENSIONS lists; the hypercube suite runs on {0,1}^d for d in
+    HYPERCUBE_DIMENSIONS.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}")
@@ -486,59 +442,30 @@ def run_suite(
     rng = derive_rng(seed, _STREAM_SUITE, suite_id)
 
     if name == "hypercube":
-        size = 1 << d
-        nbrs = _hypercube_neighbors(d)
-        indicator = np.zeros(size)
-        indicator[0] = 1.0
-        dictator = ((np.arange(size) >> (d - 1)) & 1).astype(np.float64)
-        extra = np.stack([indicator, 2.0 * indicator - 1.0, dictator])
-        violations, min_slack = 0, math.inf
-        for batch in [*_suite_batches(trials, size, rng), extra]:
-            lhs = _ent_rows(batch)
-            rhs = _edge_sums(batch, nbrs) / (2.0 * size)
-            v, s = _slack_stats(lhs, rhs)
-            violations += v
-            min_slack = min(min_slack, s)
-        return SuiteResult("hypercube", d, trials, violations, min_slack)
+        dims = HYPERCUBE_DIMENSIONS
+        if d not in dims:
+            raise ValueError(f"suite 'hypercube' is defined for d in {dims[0]}..{dims[-1]}")
+        size, dim = 1 << d, d
+        domain = _hypercube_neighbors(d)
+        extra = _adversarial_cube_functions(d)
+    else:
+        if n is None:
+            raise ValueError("group suites need n")
+        dims = SUITE_DIMENSIONS[name]
+        if n not in dims:
+            raise ValueError(f"suite {name!r} is defined for n in {dims[0]}..{dims[-1]}")
+        domain = analyze(n)
+        gt, ts = domain
+        size, dim = gt.size, gt.n
+        extra = _adversarial_group_functions(ts, gt)
 
-    if n is None:
-        raise ValueError("group suites need n")
-    dims = SUITE_DIMENSIONS[name]
-    if n not in dims:
-        raise ValueError(f"suite {name!r} is defined for n in {dims[0]}..{dims[-1]}")
-    gt, ts = analyze(n)
-
-    extra = _adversarial_group_functions(ts, gt)
+    terms = _SUITE_TERMS[name]
     violations, min_slack = 0, math.inf
-    for batch in [*_suite_batches(trials, gt.size, rng), extra]:
-        if name == "key":
-            lhs = _ent_rows(batch)
-            rhs = (
-                gt.n * (gt.n - 1) * _dirichlet_rows(batch, ts.adjacency, ts.degree)
-                + gt.n * _var_rows(batch)
-            )
-        elif name == "extension":
-            lhs = _ent_rows(batch)
-            ambient = 1 << (gt.n * gt.n)
-            g = np.empty((batch.shape[0], ambient))
-            g[:] = batch.mean(axis=1, keepdims=True)
-            g[:, _invertible_key_positions(gt)] = batch
-            rhs = (ambient / gt.size) * _ent_rows(g)
-        elif name == "rowdecomp":
-            lhs_list, rhs_list = [], []
-            for row in batch:
-                ent_mu, subadd, consolidated = _rowdecomp_terms(row, ts, gt)
-                lhs_list.extend([ent_mu, ent_mu])
-                rhs_list.extend([subadd, consolidated])
-            lhs = np.array(lhs_list)
-            rhs = np.array(rhs_list)
-        else:  # kassabov
-            lhs = _var_rows(batch)
-            rhs = _dirichlet_rows(batch, ts.adjacency, ts.degree) / kassabov_gap_floor(gt.n)
-        v, s = _slack_stats(lhs, rhs)
+    for batch in [*_suite_batches(trials, size, rng), extra]:
+        v, s = _slack_stats(*terms(batch, domain))
         violations += v
         min_slack = min(min_slack, s)
-    return SuiteResult(name, gt.n, trials, violations, min_slack)
+    return SuiteResult(name, dim, trials, violations, min_slack)
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,8 @@ class TestCheck:
         [
             (("--suite", "key", "--n", "5"), "error: --n must be in 2..4 (got 5)\n"),
             (("--suite", "all", "--n", "1"), "error: --n must be in 2..4 (got 1)\n"),
+            (("--suite", "hypercube", "--d", "0"), "error: --d must be in 1..12 (got 0)\n"),
+            (("--suite", "hypercube", "--d", "13"), "error: --d must be in 1..12 (got 13)\n"),
         ],
     )
     def test_group_suite_n_range(self, capsys, argv, message):

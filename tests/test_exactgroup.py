@@ -240,6 +240,24 @@ class TestSpectrum:
         with pytest.raises(RuntimeError, match="two-coloring disagrees"):
             eg.spectral_report(dataclasses.replace(ts, period=2))
 
+    def test_lanczos_residual_is_checked(self, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        eigsh = sla.eigsh
+
+        def perturbed(*args, **kwargs):
+            out = eigsh(*args, **kwargs)
+            if kwargs.get("return_eigenvectors", True):
+                vals, vecs = out
+                vecs = vecs.copy()
+                vecs[0] += 1e-6
+                return vals, vecs
+            return out
+
+        monkeypatch.setattr(sla, "eigsh", perturbed)
+        with pytest.raises(RuntimeError, match="Lanczos residual"):
+            eg.spectral_report(eg.analyze(4)[1])
+
     def test_adjacency_is_neighbour_major_intp(self):
         _, ts = eg.analyze(3)
         assert ts.adjacency.dtype == np.intp and ts.adjacency.flags.f_contiguous

@@ -1,7 +1,8 @@
-"""Entropy, Dirichlet forms, inequality checkers, suites, bound calculators."""
+"""Entropy, Dirichlet forms, suite evaluators, suites, bound calculators."""
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,102 +72,92 @@ class TestFunctionals:
             fi.dirichlet_form(np.zeros((2, 3)), ts, gt)
 
 
+def suite_terms(name, f, domain):
+    """The suite's evaluator on a batch of one function."""
+    return fi._SUITE_TERMS[name](np.asarray(f, dtype=float)[None, :], domain)
+
+
+def satisfied(lhs, rhs):
+    return fi._slack_stats(lhs, rhs)[0] == 0
+
+
 class TestKeyInequality:
     def test_indicator_frozen(self, g2):
-        gt, ts = g2
-        rep = fi.check_key_inequality(identity_indicator(6), ts, gt)
-        assert rep.lhs == pytest.approx(math.log(6) / 6, abs=1e-15)
-        assert rep.rhs == pytest.approx(11 / 18, abs=1e-15)
-        assert rep.satisfied and rep.slack > 0
+        lhs, rhs = suite_terms("key", identity_indicator(6), g2)
+        assert lhs[0] == pytest.approx(math.log(6) / 6, abs=1e-15)
+        assert rhs[0] == pytest.approx(11 / 18, abs=1e-15)
+        assert satisfied(lhs, rhs) and rhs[0] - lhs[0] > 0
 
     def test_random_functions_satisfied(self, g3):
-        gt, ts = g3
+        gt, _ = g3
         rng = np.random.default_rng(11)
         for _ in range(25):
-            rep = fi.check_key_inequality(rng.standard_normal(gt.size), ts, gt)
-            assert rep.satisfied
+            assert satisfied(*suite_terms("key", rng.standard_normal(gt.size), g3))
 
 
 class TestExtensionInequality:
     def test_indicator_frozen(self, g2):
-        gt, _ = g2
-        rep = fi.check_extension_inequality(identity_indicator(6), gt)
-        assert rep.lhs == pytest.approx(math.log(6) / 6, abs=1e-15)
-        assert rep.rhs == pytest.approx(0.37235304985625706, abs=1e-12)
-        assert rep.satisfied
-
-    def test_n4_needs_extended_flag(self):
-        gt, _ = analyze(4)
-        f = identity_indicator(gt.size)
-        with pytest.raises(ValueError):
-            fi.check_extension_inequality(f, gt)
-        rep = fi.check_extension_inequality(f, gt, extended=True)
-        assert rep.satisfied
-
-    def test_rejects_n5_even_extended(self):
-        class FakeTable:
-            n = 5
-        with pytest.raises(ValueError):
-            fi.check_extension_inequality(np.zeros(3), FakeTable(), extended=True)
+        lhs, rhs = suite_terms("extension", identity_indicator(6), g2)
+        assert lhs[0] == pytest.approx(math.log(6) / 6, abs=1e-15)
+        assert rhs[0] == pytest.approx(0.37235304985625706, abs=1e-12)
+        assert satisfied(lhs, rhs)
 
 
 class TestRowDecomposition:
     def test_indicator_frozen(self, g2):
-        gt, ts = g2
-        rep = fi.check_row_decomposition(identity_indicator(6), ts, gt)
-        assert rep.subadditivity.lhs == pytest.approx(0.1396323936960964, abs=1e-12)
-        assert rep.subadditivity.rhs == pytest.approx(0.1605214658319893, abs=1e-12)
-        assert rep.consolidated.lhs == rep.subadditivity.lhs
-        assert rep.consolidated.rhs == pytest.approx(11 / 48, abs=1e-12)
-        assert rep.satisfied
+        # one row for the sub-additivity step, one for the consolidated bound
+        lhs, rhs = suite_terms("rowdecomp", identity_indicator(6), g2)
+        assert lhs[0] == pytest.approx(0.1396323936960964, abs=1e-12)
+        assert rhs[0] == pytest.approx(0.1605214658319893, abs=1e-12)
+        assert lhs[1] == lhs[0]
+        assert rhs[1] == pytest.approx(11 / 48, abs=1e-12)
+        assert satisfied(lhs, rhs)
 
     def test_random_functions_satisfied(self, g2):
-        gt, ts = g2
         rng = np.random.default_rng(13)
         for _ in range(25):
-            rep = fi.check_row_decomposition(rng.standard_normal(6), ts, gt)
-            assert rep.satisfied
+            assert satisfied(*suite_terms("rowdecomp", rng.standard_normal(6), g2))
 
-    def test_only_n2(self, g3):
-        gt, ts = g3
-        with pytest.raises(ValueError):
-            fi.check_row_decomposition(np.zeros(gt.size), ts, gt)
+    def test_only_n2(self):
+        assert fi.SUITE_DIMENSIONS["rowdecomp"] == range(2, 3)
+        with pytest.raises(ValueError, match=r"n in 2\.\.2"):
+            fi.run_suite("rowdecomp", 10, seed=0, n=3)
 
 
 class TestHypercube:
     def test_indicator_d1(self):
-        rep = fi.hypercube_lsi_check(1, np.array([1.0, 0.0]))
-        assert rep.lhs == pytest.approx(math.log(2) / 2, abs=1e-15)
-        assert rep.rhs == pytest.approx(0.5, abs=1e-15)
-        assert rep.satisfied
+        lhs, rhs = suite_terms("hypercube", [1.0, 0.0], fi._hypercube_neighbors(1))
+        assert lhs[0] == pytest.approx(math.log(2) / 2, abs=1e-15)
+        assert rhs[0] == pytest.approx(0.5, abs=1e-15)
+        assert satisfied(lhs, rhs)
 
     def test_dictator_frozen(self):
         d = 5
         f = ((np.arange(1 << d) >> 2) & 1).astype(float)
-        rep = fi.hypercube_lsi_check(d, f)
-        assert rep.lhs == pytest.approx(math.log(2) / 2, abs=1e-15)
-        assert rep.rhs == pytest.approx(0.5, abs=1e-15)
+        lhs, rhs = suite_terms("hypercube", f, fi._hypercube_neighbors(d))
+        assert lhs[0] == pytest.approx(math.log(2) / 2, abs=1e-15)
+        assert rhs[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_near_constant_perturbation_is_tight(self):
         """lhs/rhs -> 1 as f -> constant along a dictator direction."""
         d = 5
         dic = ((np.arange(1 << d) >> 2) & 1).astype(float)
-        rep = fi.hypercube_lsi_check(d, 1.0 + 0.001 * dic)
-        assert rep.satisfied
-        assert rep.lhs / rep.rhs > 0.99999
+        lhs, rhs = suite_terms("hypercube", 1.0 + 0.001 * dic, fi._hypercube_neighbors(d))
+        assert satisfied(lhs, rhs)
+        assert lhs[0] / rhs[0] > 0.99999
 
     def test_random_satisfied(self):
         rng = np.random.default_rng(17)
+        nbrs = fi._hypercube_neighbors(4)
         for _ in range(20):
-            assert fi.hypercube_lsi_check(4, rng.standard_normal(16)).satisfied
+            assert satisfied(*suite_terms("hypercube", rng.standard_normal(16), nbrs))
 
     def test_d_validation(self):
-        with pytest.raises(ValueError):
-            fi.hypercube_lsi_check(0, np.array([1.0]))
-        with pytest.raises(ValueError):
-            fi.hypercube_lsi_check(13, np.zeros(1 << 13))
-        with pytest.raises(ValueError):
-            fi.hypercube_lsi_check(3, np.zeros(7))
+        assert fi.HYPERCUBE_DIMENSIONS == range(1, 13)
+        for d in (1, 12):  # both ends run
+            assert fi.run_suite("hypercube", 2, seed=0, d=d).violations == 0
+        with pytest.raises(ValueError, match=r"d in 1\.\.12"):
+            fi.run_suite("hypercube", 5, seed=0, d=0)
 
 
 class TestKassabov:
@@ -179,18 +170,83 @@ class TestKassabov:
         assert all(a > b for a, b in zip(floors, floors[1:]))
 
     def test_variance_form(self, g3):
-        gt, ts = g3
+        gt, _ = g3
         rng = np.random.default_rng(19)
         for _ in range(25):
-            assert fi.kassabov_check(rng.standard_normal(gt.size), ts, gt).satisfied
+            assert satisfied(*suite_terms("kassabov", rng.standard_normal(gt.size), g3))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_spectral_form(self, n):
-        rep = spectral_report(analyze(n)[1])
-        out = fi.kassabov_spectral_check(n, rep)
-        assert out.satisfied
-        assert out.lhs == fi.kassabov_gap_floor(n)
-        assert out.rhs == rep.gap
+        assert spectral_report(analyze(n)[1]).gap >= fi.kassabov_gap_floor(n)
+
+
+def oracle_terms(name, f, domain):
+    """The suite's (lhs, rhs) composed from the compensated oracles."""
+    if name == "hypercube":
+        # the cube as a walk graph: degree d, 2^d states
+        d = domain.shape[1]
+        cube_ts = SimpleNamespace(adjacency=domain, degree=d)
+        cube_gt = SimpleNamespace(size=1 << d)
+        return [fi._entropy_uniform(f)], [d * fi.dirichlet_form(f, cube_ts, cube_gt)]
+    gt, ts = domain
+    energy = fi.dirichlet_form(f, ts, gt)
+    var = fi.variance(f, gt)
+    if name == "key":
+        return [fi.entropy_sq(f, gt)], [gt.n * (gt.n - 1) * energy + gt.n * var]
+    if name == "kassabov":
+        return [var], [energy / fi.kassabov_gap_floor(gt.n)]
+    g = fi._extension_values(f, gt)
+    ambient = len(g)
+    ent_mu = fi._entropy_uniform(g)
+    if name == "extension":
+        return [fi.entropy_sq(f, gt)], [(ambient / gt.size) * ent_mu]
+    # rowdecomp: conditional entropies of each row given the other, and the
+    # row swaps (the walk's moves) plus per-row variances, averaged under mu
+    table = g.reshape(4, 4)
+    ent = fi._entropy_uniform
+    subadd = sum(ent(table[r]) + ent(table[:, r]) for r in range(4))
+    consolidated = gt.size * (ts.degree * energy + gt.n * var) / ambient
+    return [ent_mu, ent_mu], [subadd / 4.0, consolidated]
+
+
+ORACLE_DOMAINS = [
+    ("key", 2), ("key", 3), ("key", 4),
+    ("extension", 2), ("extension", 3),
+    ("rowdecomp", 2),
+    ("hypercube", 1), ("hypercube", 4), ("hypercube", 8),
+    ("kassabov", 2), ("kassabov", 3), ("kassabov", 4),
+]
+
+
+class TestEvaluatorsMatchOracles:
+    """Each suite evaluator agrees with the compensated oracles."""
+
+    def test_table_in_suite_order(self):
+        assert tuple(fi._SUITE_TERMS) == fi.SUITE_NAMES
+
+    @pytest.mark.parametrize("name,dim", ORACLE_DOMAINS)
+    def test_agreement(self, name, dim):
+        rng = np.random.default_rng(dim)
+        if name == "hypercube":
+            domain, size = fi._hypercube_neighbors(dim), 1 << dim
+            adversarial = fi._adversarial_cube_functions(dim)
+        else:
+            domain = analyze(dim)
+            gt, ts = domain
+            size = gt.size
+            adversarial = fi._adversarial_group_functions(ts, gt)
+        gaussian = rng.standard_normal((20 if size > 5000 else 200, size))
+        rows = np.vstack([gaussian, evaluator_rows(size, seed=dim), adversarial])
+        lhs, rhs = fi._SUITE_TERMS[name](rows, domain)
+        want_lhs, want_rhs = [], []
+        for row in rows:
+            a, b = oracle_terms(name, row, domain)
+            want_lhs += a
+            want_rhs += b
+        for got, want in ((lhs, want_lhs), (rhs, want_rhs)):
+            want = np.array(want)
+            assert got.shape == want.shape
+            assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
 
 
 class TestSuites:
@@ -226,6 +282,9 @@ class TestSuites:
             fi.run_suite("rowdecomp", 10, seed=0, n=3)
         with pytest.raises(ValueError):
             fi.run_suite("extension", 10, seed=0, n=4)
+        for d in (0, -1, 13):
+            with pytest.raises(ValueError):
+                fi.run_suite("hypercube", 10, seed=0, d=d)
         for name in ("key", "kassabov"):
             with pytest.raises(ValueError):
                 fi.run_suite(name, 10, seed=0, n=5)
