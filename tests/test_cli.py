@@ -97,7 +97,11 @@ class TestExact:
 
     def test_n5_rejected(self, capsys):
         code, _, err = run(capsys, "exact", "--n", "5")
-        assert code == 2 and "--n" in err
+        assert code == 2 and err == "error: --n must be in 2..4 (got 5)\n"
+
+    def test_n1_rejected(self, capsys):
+        code, _, err = run(capsys, "exact", "--n", "1")
+        assert code == 2 and err == "error: --n must be in 2..4 (got 1)\n"
 
     @pytest.mark.parametrize(
         "n,csv_digest,stdout_digest",
@@ -158,6 +162,10 @@ class TestSpectrum:
         assert len(body) == 7
         eigs = sorted(float(ln.split(",")[1]) for ln in body[1:])
         assert eigs == pytest.approx([-1.0, -0.5, -0.5, 0.5, 0.5, 1.0], abs=1e-10)
+
+    def test_n5_rejected(self, capsys):
+        code, _, err = run(capsys, "spectrum", "--n", "5")
+        assert code == 2 and err == "error: --n must be in 2..4 (got 5)\n"
 
     def test_n4_partial_spectrum(self, capsys, tmp_path):
         code, out, _ = run(capsys, "spectrum", "--n", "4", "--out", str(tmp_path))

@@ -210,16 +210,28 @@ class TestMcStateFrequencies:
         assert (a == b).all()
 
     @pytest.mark.parametrize(
-        "t,trials,seed,lazy,digest",
+        "n,t,trials,seed,lazy,digest",
         [
-            (50, 100_000, 7, True,
-             "8f98f844e859878adba7a7aaf5624ead0f48a57bc940cd3a37ffd395c7d1c6c6"),
-            (20, 30_000, 8, False,
-             "05c27d2155b62c17adff38771c9571ea77d09ddb48fd1cfc5a9ba0830392c4e8"),
+            # ids leave n out, so the n = 3 cases keep their original names
+            pytest.param(*case, id="-".join(map(str, case[1:])))
+            for case in [
+                (2, 5, 20_000, 3, True,
+                 "d9c4ad9d74776275a4da4627b88cc798247b550ddafadc85b711253f8c1ac69a"),
+                (2, 6, 20_000, 4, False,
+                 "02af669cd3b9ff0789f1927675576befb970c01206bf7e5e22a5623f16e82fcf"),
+                (3, 50, 100_000, 7, True,
+                 "8f98f844e859878adba7a7aaf5624ead0f48a57bc940cd3a37ffd395c7d1c6c6"),
+                (3, 20, 30_000, 8, False,
+                 "05c27d2155b62c17adff38771c9571ea77d09ddb48fd1cfc5a9ba0830392c4e8"),
+                (4, 40, 50_000, 5, True,
+                 "517e60461c233a62092e65bd76ad69e6bd2296b50c029e55699e3b6d5d630b5d"),
+                (4, 30, 50_000, 6, False,
+                 "6cf261d45f164e86f59349fabfe9a8d43a56eddd643c33bc52ff379273e23b50"),
+            ]
         ],
     )
-    def test_golden_counts(self, t, trials, seed, lazy, digest):
-        counts = dg.mc_state_frequencies(3, t, trials, seed, enumerate_group(3), lazy=lazy)
+    def test_golden_counts(self, n, t, trials, seed, lazy, digest):
+        counts = dg.mc_state_frequencies(n, t, trials, seed, enumerate_group(n), lazy=lazy)
         assert counts_sha256(counts) == digest
 
     def test_dimension_mismatch_rejected(self):
