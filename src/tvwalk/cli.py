@@ -28,8 +28,6 @@ from . import chain, diagnostics, exactgroup, funineq, gf2core, protocol
 
 __all__ = ["cli_dispatch", "main"]
 
-_MAX_EXACT_N = 4  # full transition structure in memory: 20160 states at n=4
-
 
 # ---------------------------------------------------------------------------
 # Formatting and CSV emission.
@@ -154,7 +152,8 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    _require_range("n", args.n, 2, _MAX_EXACT_N)
+    dims = exactgroup.ANALYZE_DIMENSIONS
+    _require_range("n", args.n, dims[0], dims[-1])
     gt, ts = exactgroup.analyze(args.n)
     lazy = args.lazy
     if not lazy and ts.period == 2:
@@ -177,7 +176,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    _require_range("n", args.n, 2, _MAX_EXACT_N)
+    dims = exactgroup.ANALYZE_DIMENSIONS
+    _require_range("n", args.n, dims[0], dims[-1])
     _, ts = exactgroup.analyze(args.n)
     report = exactgroup.spectral_report(ts)
     path = _out_path(args, "spectrum.csv")

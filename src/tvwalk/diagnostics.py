@@ -16,11 +16,10 @@ from near 1 to near 0.  The stationary law of the nonzero-vector walk has
 weight Binomial(n, 1/2) conditioned to be at least 1, so the reference
 sample is drawn directly rather than by long runs.
 
-Two batched kernels, with the same generator calls per step and pair tables
-from the chain's decoder, advance the walks.  `_walk_rows` takes a
-(count, n, ...) array of rows: packed full matrices and column slices, or
-unpacked k = 1 vectors.  `_walk_keys` takes one uint64 key per walk, its
-whole n x n matrix with row r at bits r*n, for the Monte-Carlo frequencies.
+One batched kernel, `_walk_rows`, advances (count, n, ...) arrays of rows:
+packed full matrices and column slices, or unpacked k = 1 vectors.  The
+Monte-Carlo frequencies walk group indices, one successor-table read per
+step.  Both make the same generator calls, with the chain's pair decoder.
 
 Trials are split into fixed-size blocks with per-block derived generator
 streams: merging is associative over block index, so results are identical
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import _decode
-from .exactgroup import GroupTable
+from .exactgroup import ANALYZE_DIMENSIONS, GroupTable
 from .gf2core import WORD_BITS, derive_rng, rank_words_batch, sample_uniform_invertible_batch
 
 __all__ = [
@@ -182,25 +181,29 @@ def _walk_rows(state: np.ndarray, t: int, rng: np.random.Generator, lazy: bool) 
         flat[ti[u] + base] ^= src
 
 
-def _walk_keys(keys: np.ndarray, n: int, t: int, rng: np.random.Generator, lazy: bool) -> None:
-    """Advance walks held as one uint64 key each, t steps, in place.
-
-    Walk b's n x n matrix is ``keys[b]`` with row r at bits r*n (so n <= 8).
-    Each step makes the same generator calls, in the same order, as
-    `_walk_rows`, so both kernels give the same walks from the same state.
-    """
+def _successors(gt: GroupTable, lazy: bool) -> np.ndarray:
+    """Flat successor table of row width w = n(n-1): entry x*w + u is w times the
+    index of x with row j(u) added to row i(u).  Lazy rows double w, their first
+    half holding x (coin 0).  `index_of` raises on any successor outside the group."""
+    n = gt.n
     si, sj = ((tab * n).astype(np.uint64) for tab in _pair_tables(n))
-    mask = np.uint64((1 << n) - 1)
-    count, npairs = len(keys), n * (n - 1)
-    rj = np.empty_like(keys)
+    keys = gt.keys[:, None]
+    moved = gt.index_of(keys ^ (((keys >> sj) & np.uint64((1 << n) - 1)) << si))
+    if lazy:
+        moved = np.hstack([np.arange(gt.size)[:, None].repeat(moved.shape[1], 1), moved])
+    return (moved * moved.shape[1]).astype(np.intp).reshape(-1)
+
+
+def _walk_table(
+    state: np.ndarray, table: np.ndarray, npairs: int, t: int, rng: np.random.Generator, lazy: bool
+) -> None:
+    """Advance walks held as successor-table row offsets t steps, in place, with
+    the same generator calls, in the same order, as `_walk_rows`."""
     for _ in range(t):
-        u = rng.integers(0, npairs, size=count)
-        np.right_shift(keys, sj[u], out=rj)
-        rj &= mask
+        at = state + rng.integers(0, npairs, size=state.size)
         if lazy:
-            rj *= rng.integers(0, 2, size=count).astype(np.uint64)
-        rj <<= si[u]
-        keys ^= rj
+            at += npairs * rng.integers(0, 2, size=state.size)
+        np.take(table, at, out=state, mode="clip")  # in range; "raise" would buffer out
 
 
 def _walk_full(n: int, t: int, count: int, rng: np.random.Generator, lazy: bool) -> np.ndarray:
@@ -439,27 +442,27 @@ def mc_state_frequencies(
 ) -> np.ndarray:
     """Monte-Carlo counts of final states over the enumerated group.
 
-    Runs `trials` chains to time t from the identity, each held as its
-    packed row-major key (row r at bits r*n), and bins final states by group
-    index through those keys.  This is the sampling
-    route whose frequencies must match the exact distribution within
-    binomial tolerance; it shares no code path with the exact iteration.
+    Runs `trials` chains to time t from the identity, each held as its group
+    index and moved through a successor table built from the group's keys.
+    This sampling route must match the exact law within binomial tolerance,
+    and shares no code with the exact iteration.  n is in ANALYZE_DIMENSIONS.
     """
+    if n not in ANALYZE_DIMENSIONS:
+        raise ValueError(f"need n in {ANALYZE_DIMENSIONS[0]}..{ANALYZE_DIMENSIONS[-1]}")
     if n != gt.n:
         raise ValueError("group table dimension mismatch")
-    if n > 5:
-        raise ValueError("state keys require n <= 5")
     if trials < 1:
         raise ValueError("need at least one trial")
     if t < 0:
         raise ValueError("time must be non-negative")
     sizes = _block_sizes(trials)
+    table = _successors(gt, lazy)
 
     def block(b: int) -> np.ndarray:
         rng = derive_rng(seed, _STREAM_MC, b)
-        keys = np.full(sizes[b], gt.keys[0])  # the identity sits at index 0
-        _walk_keys(keys, n, t, rng, lazy)
-        return np.bincount(gt.index_of(keys), minlength=gt.size)
+        state = np.zeros(sizes[b], dtype=np.intp)  # the identity sits at index 0
+        _walk_table(state, table, n * (n - 1), t, rng, lazy)
+        return np.bincount(state // (len(table) // gt.size), minlength=gt.size)
 
     counts = _map_blocks(len(sizes), block, threads)
     return np.sum(counts, axis=0)

@@ -39,9 +39,11 @@ __all__ = [
     "mixing_times",
     "spectral_report",
     "analyze",
+    "ANALYZE_DIMENSIONS",
 ]
 
-ENUMERATION_CAP = 5
+ENUMERATION_CAP = 5  # the breadth-first search alone: about 10^7 elements at n = 5
+ANALYZE_DIMENSIONS = range(2, 5)  # transition structure in memory: 20,160 states at n = 4
 DENSE_SPECTRUM_LIMIT = 5000
 # Largest accepted ||Pv - lambda_2 v|| for the unit Lanczos eigenvector
 # (a healthy n = 4 solve leaves about 4e-16).
@@ -452,7 +454,9 @@ def spectral_report(ts: TransitionStructure) -> SpectralReport:
 
 @functools.lru_cache(maxsize=4)
 def analyze(n: int) -> tuple[GroupTable, TransitionStructure]:
-    """Memoized (table, transition) pair for small n; the spectrum is
-    ``spectral_report(ts)``, computed only by the callers that read it."""
+    """Memoized (table, transition) pair for n in ANALYZE_DIMENSIONS; the spectrum
+    is ``spectral_report(ts)``, computed only by the callers that read it."""
+    if n not in ANALYZE_DIMENSIONS:
+        raise ValueError(f"analysis needs n in {ANALYZE_DIMENSIONS[0]}..{ANALYZE_DIMENSIONS[-1]}")
     gt = enumerate_group(n)
     return gt, build_transition(gt)

@@ -497,9 +497,13 @@ def _ent_energy(
     return ent, energy, logs, resid
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each a[i] . b[i] by one stacked matmul: the BLAS dot of ``a[i].dot(b[i])``."""
+    return np.matmul(a[:, None, :], b[:, :, None]).reshape(-1)
+
+
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    # sqrt(row . row) is the BLAS dot that np.linalg.norm takes.
-    return rows / np.array([[math.sqrt(row.dot(row))] for row in rows])
+    return rows / np.sqrt(_row_dots(rows, rows))[:, None]
 
 
 # The line search halves the step from 1 down to 2^-39.  Each block of eight
@@ -535,9 +539,8 @@ def _ascend(
         grad_ent = 2.0 * f * log_ratios[live] / size
         grad_energy = 2.0 * resids[live] / size
         grad = (grad_ent * energy - ent * grad_energy) / (energy * energy)
-        for g, row in zip(grad, f):
-            g -= np.dot(g, row) * row  # tangent to the unit sphere
-        pending = np.flatnonzero([not math.sqrt(g.dot(g)) < 1e-14 for g in grad])
+        grad -= _row_dots(grad, f)[:, None] * f  # tangent to the unit sphere
+        pending = np.flatnonzero(~(np.sqrt(_row_dots(grad, grad)) < 1e-14))
         moved = np.zeros(len(live), dtype=bool)
         for steps in _BACKTRACK_BLOCKS:
             if not pending.size:

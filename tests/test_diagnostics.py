@@ -177,20 +177,19 @@ class TestCrossover:
 
 class TestWalkKernels:
     @pytest.mark.parametrize("lazy", [False, True])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_key_kernel_matches_row_kernel(self, n, lazy):
-        """From the same rows and generator, the one-word kernel walks as the
-        row kernel does; keys hold row r at bits r*n."""
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_table_walk_matches_row_kernel(self, n, lazy):
+        """From every group element and one generator seed, the successor
+        table walks as the row kernel does; keys hold row r at bits r*n."""
+        gt = enumerate_group(n)
+        table = dg._successors(gt, lazy)
+        width = len(table) // gt.size
         shifts = np.arange(n, dtype=np.uint64) * np.uint64(n)
-
-        def pack(rows):
-            return (rows << shifts).sum(axis=1, dtype=np.uint64)
-
-        rows = np.random.default_rng(n).integers(0, 1 << n, size=(3000, n), dtype=np.uint64)
-        keys = pack(rows)
+        rows = (gt.keys[:, None] >> shifts) & np.uint64((1 << n) - 1)
+        state = np.arange(gt.size) * width
         dg._walk_rows(rows, 40, np.random.default_rng(99), lazy)
-        dg._walk_keys(keys, n, 40, np.random.default_rng(99), lazy)
-        assert (keys == pack(rows)).all()
+        dg._walk_table(state, table, n * (n - 1), 40, np.random.default_rng(99), lazy)
+        assert (gt.keys[state // width] == (rows << shifts).sum(axis=1, dtype=np.uint64)).all()
 
 
 class TestMcStateFrequencies:
@@ -245,6 +244,13 @@ class TestMcStateFrequencies:
 
         with pytest.raises(ValueError):
             dg.mc_state_frequencies(6, 1, 1000, seed=0, gt=WideTable())
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_n_outside_analysis_range_rejected(self, n):
+        """The range is checked before the table is read: n = 5 would need a
+        successor table of about 4 * 10^8 entries."""
+        with pytest.raises(ValueError, match="n in 2..4"):
+            dg.mc_state_frequencies(n, 1, 1000, seed=0, gt=None)
 
 
 @pytest.mark.parametrize(

@@ -69,6 +69,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             eg.enumerate_group(eg.ENUMERATION_CAP + 1)
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_analyze_range(self, n):
+        """n = 5 enumerates, but its transition structure is not built."""
+        assert n not in eg.ANALYZE_DIMENSIONS
+        with pytest.raises(ValueError, match="n in 2..4"):
+            eg.analyze(n)
+
 
 class TestKernelStructure:
     @pytest.mark.parametrize("n", [2, 3])
