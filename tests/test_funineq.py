@@ -396,6 +396,13 @@ class TestBatchedEvaluators:
 
 
 class TestLsiEstimate:
+    @pytest.mark.parametrize("size", [6, 168, 20160])
+    def test_row_dots_match_per_row_dots(self, size):
+        """The stacked dots are the per-row BLAS dots, bit for bit."""
+        a, b = np.random.default_rng(size).standard_normal((2, 9, size))
+        assert np.array_equal(fi._row_dots(a, b), [x.dot(y) for x, y in zip(a, b)])
+        assert np.array_equal(fi._row_dots(a, a), [x.dot(x) for x in a])
+
     def test_n2_floor_dominates(self, g2):
         gt, ts = g2
         est = fi.estimate_lsi_constant(ts, gt, restarts=8, iters=600, seed=0)
