@@ -13,6 +13,7 @@ import tvwalk
 from tvwalk import exactgroup
 from tvwalk import gf2core as g
 from tvwalk.chain import load_trajectory, replay
+from tvwalk import cli
 from tvwalk.cli import cli_dispatch
 
 
@@ -656,6 +657,39 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+
+class TestParserPath:
+    """cli_dispatch answers help and usage errors exactly as the whole parser
+    tree does, which the builder returns when argv names no subcommand."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("--help",),
+            ("-h",),
+            ("frobnicate",),
+            ("protocol",),
+            ("protocol", "--help"),
+            ("protocol", "frobnicate"),
+            ("walk", "--help"),
+            ("protocol", "prove", "--help"),
+            ("walk",),
+            ("walk", "--n", "x", "--t", "1"),
+            ("protocol", "prove", "--secret", "a", "--key", "b", "--challenge", "01"),
+            ("check", "--suite", "nope", "--trials", "5"),
+            ("order", "--n", "3", "--bogus"),
+        ],
+    )
+    def test_matches_whole_tree(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = run(capsys, *argv)
+        parser, _ = cli._build_parser()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(list(argv))
+        captured = capsys.readouterr()
+        assert got == (exc.value.code, captured.out, captured.err)
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -65,6 +65,13 @@ class TestStatisticTv:
             "ae960ee62e3e7897864ed88414939eb71485b173a74cc4c3f336adb993226324"
         )
 
+    def test_golden_single_word_chain_histogram(self):
+        """At n = 64 each packed row is one word: the (count, n, 1) walk state."""
+        r = dg.statistic_tv(64, 60, "weight", 5000, 3)
+        assert counts_sha256(r.chain_sample.histogram) == (
+            "951605350e446e3edf2f970a936321eeae610cdbbec15cada70e115d8077d0a5"
+        )
+
     def test_histograms_account_for_all_trials(self):
         r = dg.statistic_tv(8, 10, "corner_rank", 3000, seed=2)
         assert r.chain_sample.count == 3000
