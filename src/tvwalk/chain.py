@@ -58,10 +58,10 @@ class Trajectory:
             moves = moves.reshape(0, 2)
         if moves.ndim != 2 or moves.shape[1] != 2:
             raise ValueError("moves must be a (t, 2) array of row pairs")
-        held = (moves == _HOLD).all(axis=1)
+        held = (moves[:, 0] == _HOLD) & (moves[:, 1] == _HOLD)
         if held.any() and not self.lazy:
             raise ValueError("held step in a non-lazy trajectory")
-        live = moves[~held]
+        live = moves[~held] if held.any() else moves  # a boolean copy costs as much as the checks
         if ((live < 0) | (live >= self.n)).any() or (live[:, 0] == live[:, 1]).any():
             raise ValueError("each move needs two distinct rows in 0..n-1")
         moves.flags.writeable = False
@@ -200,5 +200,5 @@ def load_trajectory(path) -> Trajectory:
     if len(raw) - _TRAJ_HEADER != 4 * t:
         raise ValueError("TVWK payload length mismatch")
     moves = np.frombuffer(raw, dtype="<u2", offset=_TRAJ_HEADER).reshape(t, 2).astype(np.int64)
-    moves[(moves == _HOLD_RECORD).all(axis=1)] = _HOLD
+    moves[(moves[:, 0] == _HOLD_RECORD) & (moves[:, 1] == _HOLD_RECORD)] = _HOLD
     return Trajectory(n, 0, moves, bool(raw[17]))

@@ -327,6 +327,8 @@ def _cmd_protocol(args) -> int:
         return 0
 
     if args.action == "prove":
+        if args.secret and args.key:  # argparse rejects both flags, so the file set one
+            raise ValueError("--secret and --key exclude each other, in the config file too")
         if args.secret:
             secret = chain.load_trajectory(args.secret)
             challenge = protocol.Challenge(_vector_from_hex(args.challenge, secret.n))
@@ -384,7 +386,22 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+class _Unbuilt:
+    """Stands in for a subparser that argv does not name: every call is a no-op."""
+
+    def __getattr__(self, attr):
+        return lambda *args, **kwargs: self
+
+
+def _build_parser(argv=()) -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    """The parser and its leaves, built only along the path that argv names.
+
+    Above the leaves only -h is an option, so argparse picks a subparser by
+    argv's next token alone and never reads its siblings, left unbuilt.  A
+    token that names none of them builds no leaf, and then the whole tree is
+    built, as for no argv: help and usage errors read it.
+    """
+    path, unbuilt = iter(argv), _Unbuilt()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common.add_argument(
@@ -400,10 +417,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
         "cutoff diagnostics, and a timed authentication protocol.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
+    tokens = {sub: next(path, None)}  # subparsers action -> argv's token at its level
     leaves: list[argparse.ArgumentParser] = []
 
+    def subparser(owner, name: str, **kwargs):
+        if owner is unbuilt or tokens[owner] not in (None, name):
+            return unbuilt
+        return owner.add_parser(name, **kwargs)
+
     def leaf(name: str, owner, handler, **kwargs) -> argparse.ArgumentParser:
-        p = owner.add_parser(name, parents=[common], **kwargs)
+        p = subparser(owner, name, parents=[common], **kwargs)
         p.set_defaults(func=handler)
         leaves.append(p)
         return p
@@ -460,8 +483,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     p.add_argument("--restarts", type=int, default=8, help="constant-estimation restarts")
     p.add_argument("--iters", type=int, default=600, help="constant-estimation iterations")
 
-    proto = sub.add_parser("protocol", help="timed challenge-response authentication")
+    proto = subparser(sub, "protocol", help="timed challenge-response authentication")
     proto_sub = proto.add_subparsers(dest="action", required=True, metavar="ACTION")
+    tokens[proto_sub] = next(path, None)
 
     p = leaf("keygen", proto_sub, _cmd_protocol, help="walk out a key pair and save both halves")
     p.add_argument("--n", type=int, required=True)
@@ -488,7 +512,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     p.add_argument("--t", type=int, required=True, help="honest move count")
     p.add_argument("--word-bits", type=int, default=64, help="machine word width (default 64)")
 
-    return parser, leaves
+    leaves = [p for p in leaves if p is not unbuilt]
+    return (parser, leaves) if leaves else _build_parser()
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -546,7 +571,7 @@ def _apply_config(leaves: list[argparse.ArgumentParser], pairs: dict[str, str]) 
 def cli_dispatch(argv) -> int:
     """Parse argv, run the mapped operation, and return the exit code."""
     argv = list(argv)
-    parser, leaves = _build_parser()
+    parser, leaves = _build_parser(argv)
 
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)

@@ -166,9 +166,9 @@ def _walk_rows(state: np.ndarray, t: int, rng: np.random.Generator, lazy: bool) 
     walker XORs a zero row, keeping the update branch-free.
     """
     count, n = state.shape[:2]
-    # Walk-major view: walk b's row r is flat[b*n + r].  A 2-D state gets a
+    # Walk-major view: walk b's row r is flat[b*n + r].  One-element rows get a
     # 1-D view; indexing (count*n, 1) rows instead is about 20 % slower.
-    flat = state.reshape(count * n, *state.shape[2:])
+    flat = state.reshape(count * n, *(w for w in state.shape[2:] if w != 1))
     base = np.arange(count) * n
     ti, tj = _pair_tables(n)
     npairs = n * (n - 1)
@@ -177,7 +177,7 @@ def _walk_rows(state: np.ndarray, t: int, rng: np.random.Generator, lazy: bool) 
         src = flat[tj[u] + base]
         if lazy:
             coins = rng.integers(0, 2, size=count).astype(state.dtype)
-            src *= coins.reshape(count, *[1] * (state.ndim - 2))
+            src *= coins.reshape(count, *[1] * (flat.ndim - 1))
         flat[ti[u] + base] ^= src
 
 

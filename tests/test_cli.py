@@ -464,6 +464,32 @@ class TestConfigFile:
         code, _, err = run(capsys, "order", "--config", str(cfg), "--n", "2")
         assert code == 2 and "frobnicate" in err
 
+    def test_key_of_another_subcommand_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("restarts=3\n")
+        code, _, err = run(capsys, "order", "--config", str(cfg), "--n", "2")
+        assert code == 2 and "restarts" in err
+
+    @pytest.mark.parametrize("in_file, on_line", [("secret", "key"), ("key", "secret")])
+    def test_prove_source_in_file_and_on_line_exits_2(self, capsys, tmp_path, in_file, on_line):
+        run(capsys, "protocol", "keygen", "--n", "8", "--t", "20", "--out", str(tmp_path))
+        paths = {"secret": tmp_path / "secret.tvwk", "key": tmp_path / "key.gf2m"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{in_file}={paths[in_file]}\n")
+        code, out, err = run(
+            capsys, "protocol", "prove", "--config", str(cfg),
+            f"--{on_line}", str(paths[on_line]), "--challenge", "a5",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_prove_secret_from_file_answers_honestly(self, capsys, tmp_path):
+        run(capsys, "protocol", "keygen", "--n", "8", "--t", "20", "--out", str(tmp_path))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"secret={tmp_path / 'secret.tvwk'}\n")
+        code, out, _ = run(capsys, "protocol", "prove", "--config", str(cfg), "--challenge", "a5")
+        assert code == 0 and "role=honest" in out
+
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "order", "--config", str(tmp_path / "absent.cfg"), "--n", "2"
