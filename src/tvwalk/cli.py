@@ -425,7 +425,7 @@ def _build_parser(argv=()) -> tuple[argparse.ArgumentParser, list[argparse.Argum
             return unbuilt
         return owner.add_parser(name, **kwargs)
 
-    def leaf(name: str, owner, handler, **kwargs) -> argparse.ArgumentParser:
+    def leaf(name: str, owner, handler, **kwargs):
         p = subparser(owner, name, parents=[common], **kwargs)
         p.set_defaults(func=handler)
         leaves.append(p)

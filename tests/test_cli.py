@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 import tvwalk
-from tvwalk import exactgroup
+from tvwalk import cli, exactgroup
 from tvwalk import gf2core as g
 from tvwalk.chain import load_trajectory, replay
-from tvwalk import cli
 from tvwalk.cli import cli_dispatch
 
 
