@@ -13,7 +13,8 @@ invalid configuration or input (with a one-line diagnostic on stderr).
 
 An optional ``--config path`` reads a flat ``key=value`` file whose keys
 are the long option names of the chosen subcommand; values given on the
-command line win over the file.
+command line win over the file.  File values are converted and checked as
+command-line values are, and a bad one is reported with its key.
 """
 
 from __future__ import annotations
@@ -393,22 +394,47 @@ class _Unbuilt:
         return lambda *args, **kwargs: self
 
 
-def _build_parser(argv=()) -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
-    """The parser and its leaves, built only along the path that argv names.
+def _build_parser(argv=(), config=None) -> tuple[argparse.ArgumentParser, set[str]]:
+    """The parser, built only along the path that argv names, and the config
+    keys that no built option takes.
 
     Above the leaves only -h is an option, so argparse picks a subparser by
     argv's next token alone and never reads its siblings, left unbuilt.  A
     token that names none of them builds no leaf, and then the whole tree is
-    built, as for no argv: help and usage errors read it.
+    built, as for no argv: help and usage errors read it.  A config value is
+    converted and checked as on the command line, which still wins over it.
     """
-    path, unbuilt = iter(argv), _Unbuilt()
+    config = config or {}
+    path, unbuilt, untaken, built = iter(argv), _Unbuilt(), set(config), False
+
+    def option(p, flag: str, **kwargs) -> None:
+        key = flag.lstrip("-").replace("-", "_")
+        if p is not unbuilt and key in config:
+            raw, choices = config[key], kwargs.get("choices")
+            try:
+                if kwargs.get("action") == "store_true":
+                    if raw.lower() not in _TRUE_WORDS | _FALSE_WORDS:
+                        raise ValueError(f"not a boolean: {raw!r}")
+                    value = raw.lower() in _TRUE_WORDS
+                else:
+                    value = kwargs.get("type", str)(raw)
+                if choices is not None and value not in choices:
+                    listed = ", ".join(map(repr, choices))
+                    raise ValueError(f"invalid choice: {value!r} (choose from {listed})")
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+            kwargs.update(default=value, required=False)
+            untaken.discard(key)
+        p.add_argument(flag, **kwargs)
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    common.add_argument(
-        "--threads", type=int, default=1, help="worker threads; never changes results (default 1)"
+    option(common, "--seed", type=int, default=0, help="master seed (default 0)")
+    option(
+        common, "--threads", type=int, default=1,
+        help="worker threads; never changes results (default 1)",
     )
-    common.add_argument("--out", default=".", help="output directory for CSVs (default .)")
-    common.add_argument("--config", default=None, help="flat key=value file with flag defaults")
+    option(common, "--out", default=".", help="output directory for CSVs (default .)")
+    option(common, "--config", default=None, help="flat key=value file with flag defaults")
 
     parser = argparse.ArgumentParser(
         prog="tvwalk",
@@ -418,7 +444,6 @@ def _build_parser(argv=()) -> tuple[argparse.ArgumentParser, list[argparse.Argum
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
     tokens = {sub: next(path, None)}  # subparsers action -> argv's token at its level
-    leaves: list[argparse.ArgumentParser] = []
 
     def subparser(owner, name: str, **kwargs):
         if owner is unbuilt or tokens[owner] not in (None, name):
@@ -426,51 +451,53 @@ def _build_parser(argv=()) -> tuple[argparse.ArgumentParser, list[argparse.Argum
         return owner.add_parser(name, **kwargs)
 
     def leaf(name: str, owner, handler, **kwargs):
+        nonlocal built
         p = subparser(owner, name, parents=[common], **kwargs)
         p.set_defaults(func=handler)
-        leaves.append(p)
+        built = built or p is not unbuilt
         return p
 
+    exact_n = f"n <= {exactgroup.ANALYZE_DIMENSIONS[-1]}"
+    lsi_n = "n in {" + ",".join(map(str, funineq.LSI_DIMENSIONS)) + "}"
+    cutoff_n = f"n >= {diagnostics.CUTOFF_MIN_N}"
+
     p = leaf("order", sub, _cmd_order, help="group order and its ratio to all binary matrices")
-    p.add_argument("--n", type=int, required=True, help="matrix dimension")
+    option(p, "--n", type=int, required=True, help="matrix dimension")
 
     p = leaf("walk", sub, _cmd_walk, help="run one seeded walk and summarize the endpoint")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True, help="number of steps")
-    p.add_argument("--lazy", action="store_true", help="hold each step with probability 1/2")
-    p.add_argument("--save-trajectory", default=None, help="write the move record here")
-    p.add_argument("--save-matrix", default=None, help="write the final matrix here")
+    option(p, "--n", type=int, required=True)
+    option(p, "--t", type=int, required=True, help="number of steps")
+    option(p, "--lazy", action="store_true", help="hold each step with probability 1/2")
+    option(p, "--save-trajectory", default=None, help="write the move record here")
+    option(p, "--save-matrix", default=None, help="write the final matrix here")
 
-    p = leaf("exact", sub, _cmd_exact, help="exact distance curve and mixing times (n <= 4)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", type=float, default=0.25, help="distance threshold (default 0.25)")
-    p.add_argument("--tmax", type=int, default=None, help="curve horizon (default: t2_mix + 5)")
-    p.add_argument("--lazy", action="store_true")
+    p = leaf("exact", sub, _cmd_exact, help=f"exact distance curve and mixing times ({exact_n})")
+    option(p, "--n", type=int, required=True)
+    option(p, "--eps", type=float, default=0.25, help="distance threshold (default 0.25)")
+    option(p, "--tmax", type=int, default=None, help="curve horizon (default: t2_mix + 5)")
+    option(p, "--lazy", action="store_true")
 
-    p = leaf("spectrum", sub, _cmd_spectrum, help="eigenvalue report of the walk (n <= 4)")
-    p.add_argument("--n", type=int, required=True)
+    p = leaf("spectrum", sub, _cmd_spectrum, help=f"eigenvalue report of the walk ({exact_n})")
+    option(p, "--n", type=int, required=True)
 
-    p = leaf("lsi", sub, _cmd_lsi, help="log-Sobolev constant lower bound (n in {2,3})")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--iters", type=int, default=1500)
+    p = leaf("lsi", sub, _cmd_lsi, help=f"log-Sobolev constant lower bound ({lsi_n})")
+    option(p, "--n", type=int, required=True)
+    option(p, "--restarts", type=int, default=50)
+    option(p, "--iters", type=int, default=1500)
 
     p = leaf("check", sub, _cmd_check, help="randomized zero-violation inequality suites")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=(*funineq.SUITE_NAMES, "all"),
-        help="which inequality to stress",
-    )
-    p.add_argument("--n", type=int, default=2, help="group dimension (default 2)")
-    p.add_argument("--trials", type=int, required=True, help="random functions per suite")
-    p.add_argument("--d", type=int, default=8, help="hypercube dimension (default 8)")
+    suites = (*funineq.SUITE_NAMES, "all")
+    option(p, "--suite", required=True, choices=suites, help="which inequality to stress")
+    option(p, "--n", type=int, default=2, help="group dimension (default 2)")
+    option(p, "--trials", type=int, required=True, help="random functions per suite")
+    option(p, "--d", type=int, default=8, help="hypercube dimension (default 8)")
 
-    p = leaf("cutoff", sub, _cmd_cutoff, help="k-column projection cutoff curve (n >= 16)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--k", type=int, default=1, help="number of projected columns (default 1)")
-    p.add_argument(
+    p = leaf("cutoff", sub, _cmd_cutoff, help=f"k-column projection cutoff curve ({cutoff_n})")
+    option(p, "--n", type=int, required=True)
+    option(p, "--trials", type=int, required=True)
+    option(p, "--k", type=int, default=1, help="number of projected columns (default 1)")
+    option(
+        p,
         "--grid",
         type=_float_list,
         default=None,
@@ -478,42 +505,41 @@ def _build_parser(argv=()) -> tuple[argparse.ArgumentParser, list[argparse.Argum
     )
 
     p = leaf("bounds", sub, _cmd_bounds, help="counting lower bound and the mixing upper bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--restarts", type=int, default=8, help="constant-estimation restarts")
-    p.add_argument("--iters", type=int, default=600, help="constant-estimation iterations")
+    option(p, "--n", type=int, required=True)
+    option(p, "--eps", type=float, default=0.25)
+    option(p, "--restarts", type=int, default=8, help="constant-estimation restarts")
+    option(p, "--iters", type=int, default=600, help="constant-estimation iterations")
 
     proto = subparser(sub, "protocol", help="timed challenge-response authentication")
     proto_sub = proto.add_subparsers(dest="action", required=True, metavar="ACTION")
     tokens[proto_sub] = next(path, None)
 
     p = leaf("keygen", proto_sub, _cmd_protocol, help="walk out a key pair and save both halves")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--lazy", action="store_true")
-    p.add_argument("--key", default=None, help="public key path (default OUT/key.gf2m)")
-    p.add_argument("--secret", default=None, help="secret move-record path (default OUT/secret.tvwk)")
+    option(p, "--n", type=int, required=True)
+    option(p, "--t", type=int, required=True)
+    option(p, "--lazy", action="store_true")
+    option(p, "--key", default=None, help="public key path (default OUT/key.gf2m)")
+    option(p, "--secret", default=None, help="secret move-record path (default OUT/secret.tvwk)")
 
     p = leaf("prove", proto_sub, _cmd_protocol, help="answer a challenge, honestly or not")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--secret", default=None, help="answer honestly from this move record")
-    src.add_argument("--key", default=None, help="answer dishonestly from this public key")
-    p.add_argument("--challenge", required=True, help="hex challenge vector (ceil(n/8) bytes)")
+    src = p.add_mutually_exclusive_group(required="secret" not in config and "key" not in config)
+    option(src, "--secret", default=None, help="answer honestly from this move record")
+    option(src, "--key", default=None, help="answer dishonestly from this public key")
+    option(p, "--challenge", required=True, help="hex challenge vector (ceil(n/8) bytes)")
 
     p = leaf("verify", proto_sub, _cmd_protocol, help="check an answer against the deadline")
-    p.add_argument("--key", required=True, help="public key path")
-    p.add_argument("--challenge", required=True, help="hex challenge vector")
-    p.add_argument("--response", default=None, help="response line from `prove`")
-    p.add_argument("--response-file", default=None, help="file holding the response line")
-    p.add_argument("--deadline", type=int, required=True, help="bit-operation budget")
+    option(p, "--key", required=True, help="public key path")
+    option(p, "--challenge", required=True, help="hex challenge vector")
+    option(p, "--response", default=None, help="response line from `prove`")
+    option(p, "--response-file", default=None, help="file holding the response line")
+    option(p, "--deadline", type=int, required=True, help="bit-operation budget")
 
     p = leaf("report", proto_sub, _cmd_protocol, help="honest vs dishonest cost table")
-    p.add_argument("--n", type=_int_list, required=True, help="comma-separated dimensions")
-    p.add_argument("--t", type=int, required=True, help="honest move count")
-    p.add_argument("--word-bits", type=int, default=64, help="machine word width (default 64)")
+    option(p, "--n", type=_int_list, required=True, help="comma-separated dimensions")
+    option(p, "--t", type=int, required=True, help="honest move count")
+    option(p, "--word-bits", type=int, default=64, help="machine word width (default 64)")
 
-    leaves = [p for p in leaves if p is not unbuilt]
-    return (parser, leaves) if leaves else _build_parser()
+    return (parser, untaken) if built else _build_parser((), config)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -534,51 +560,16 @@ _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
-def _convert_flag_value(action: argparse.Action, raw: str):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        low = raw.lower()
-        if low in _TRUE_WORDS:
-            return True
-        if low in _FALSE_WORDS:
-            return False
-        raise ValueError(f"boolean flag {action.dest!r} got non-boolean value {raw!r}")
-    if action.type is not None:
-        return action.type(raw)
-    return raw
-
-
-def _apply_config(leaves: list[argparse.ArgumentParser], pairs: dict[str, str]) -> None:
-    known = set()
-    for leaf in leaves:
-        defaults = {}
-        for action in leaf._actions:
-            if action.dest in ("help", "config"):
-                continue
-            if action.dest in pairs:
-                known.add(action.dest)
-                defaults[action.dest] = _convert_flag_value(action, pairs[action.dest])
-                action.required = False  # the config supplies it
-        for group in leaf._mutually_exclusive_groups:
-            if any(a.dest in pairs for a in group._group_actions):
-                group.required = False
-        if defaults:
-            leaf.set_defaults(**defaults)
-    unknown = set(pairs) - known - {"config"}
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-
 def cli_dispatch(argv) -> int:
     """Parse argv, run the mapped operation, and return the exit code."""
     argv = list(argv)
-    parser, leaves = _build_parser(argv)
-
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     try:
-        pre_ns, _ = pre.parse_known_args(argv)
-        if pre_ns.config:
-            _apply_config(leaves, _read_config_file(pre_ns.config))
+        path = pre.parse_known_args(argv)[0].config
+        parser, untaken = _build_parser(argv, _read_config_file(path) if path else {})
+        if untaken:
+            raise ValueError(f"unknown config keys: {', '.join(sorted(untaken))}")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

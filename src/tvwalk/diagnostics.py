@@ -45,6 +45,7 @@ __all__ = [
     "TvEstimate",
     "CutoffPoint",
     "NoBracketError",
+    "CUTOFF_MIN_N",
     "DEFAULT_CUTOFF_GRID",
     "CUTOFF_GRID_MAX",
     "statistic_tv",
@@ -65,6 +66,9 @@ _STREAM_STAT_CHAIN = 7
 _STREAM_STAT_REF = 8
 _STREAM_CUTOFF_CHAIN = 9
 _STREAM_CUTOFF_REF = 10
+
+# Smallest dimension of the cutoff experiment.
+CUTOFF_MIN_N = 16
 
 # Cutoff time grid in units of n log n, spanning [0.5, 3] times the
 # transition point at 1.5 n log n.
@@ -341,8 +345,8 @@ def cutoff_experiment(
     derived generator streams (reference draw first, then the walk), so the
     curve is reproducible for any thread count.
     """
-    if n < 16:
-        raise ValueError("cutoff diagnostics need n >= 16")
+    if n < CUTOFF_MIN_N:
+        raise ValueError(f"cutoff diagnostics need n >= {CUTOFF_MIN_N}")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if trials < 1000:

@@ -122,6 +122,8 @@ def separation_report(ns, t: int, word_bits: int = 64) -> list[dict]:
     """
     if isinstance(ns, int):
         ns = [ns]
+    if not ns:
+        raise ValueError("need at least one dimension")
     if word_bits < 1:
         raise ValueError(f"word size must be >= 1 bit (got {word_bits})")
     rows = []

@@ -469,6 +469,13 @@ class TestConfigFile:
         code, _, err = run(capsys, "order", "--config", str(cfg), "--n", "2")
         assert code == 2 and "restarts" in err
 
+    def test_value_outside_choices_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("suite=nope\ntrials=5\n")
+        code, out, err = run(capsys, "check", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: config key 'suite': ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("in_file, on_line", [("secret", "key"), ("key", "secret")])
     def test_prove_source_in_file_and_on_line_exits_2(self, capsys, tmp_path, in_file, on_line):
         run(capsys, "protocol", "keygen", "--n", "8", "--t", "20", "--out", str(tmp_path))
@@ -500,6 +507,23 @@ class TestConfigFile:
         cfg.write_text("just a line without equals\n")
         code, _, err = run(capsys, "order", "--config", str(cfg), "--n", "2")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("order",), "n=x"),
+            (("walk", "--n", "4", "--t", "5"), "lazy=maybe"),
+            (("exact", "--n", "3"), "eps=big"),
+            (("cutoff", "--n", "16", "--trials", "1000"), "grid=1.0,x"),
+        ],
+    )
+    def test_bad_value_names_its_key(self, capsys, tmp_path, argv, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path))
+        key = line.partition("=")[0]
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: config key {key!r}: ") and err.count("\n") == 1
 
 
 class TestProtocolFlow:
@@ -660,6 +684,7 @@ class TestMalformedInput:
              "--response", "{correct} bit_ops=-1 word_ops=0 role=dishonest", "--deadline", "99"),
             ("protocol", "verify", "--key", "{key}", "--challenge", "a5",
              "--response", "{correct} bit_ops=3 word_ops=-2 role=honest", "--deadline", "99"),
+            ("protocol", "report", "--n", ",", "--t", "5"),
         ],
     )
     def test_exits_2_with_one_line(self, capsys, tmp_path, argv):

@@ -157,3 +157,7 @@ class TestSeparationReport:
     def test_word_cost_follows_word_size(self):
         (row,) = pr.separation_report(64, 10, word_bits=32)
         assert row["dishonest_word_ops"] == 64 * 2
+
+    def test_empty_dimension_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one dimension"):
+            pr.separation_report([], 10)
