@@ -427,15 +427,6 @@ def _build_parser(argv=(), config=None) -> tuple[argparse.ArgumentParser, set[st
             untaken.discard(key)
         p.add_argument(flag, **kwargs)
 
-    common = argparse.ArgumentParser(add_help=False)
-    option(common, "--seed", type=int, default=0, help="master seed (default 0)")
-    option(
-        common, "--threads", type=int, default=1,
-        help="worker threads; never changes results (default 1)",
-    )
-    option(common, "--out", default=".", help="output directory for CSVs (default .)")
-    option(common, "--config", default=None, help="flat key=value file with flag defaults")
-
     parser = argparse.ArgumentParser(
         prog="tvwalk",
         description="Random transvection walk on invertible binary matrices: "
@@ -452,7 +443,14 @@ def _build_parser(argv=(), config=None) -> tuple[argparse.ArgumentParser, set[st
 
     def leaf(name: str, owner, handler, **kwargs):
         nonlocal built
-        p = subparser(owner, name, parents=[common], **kwargs)
+        p = subparser(owner, name, **kwargs)
+        option(p, "--seed", type=int, default=0, help="master seed (default 0)")
+        option(
+            p, "--threads", type=int, default=1,
+            help="worker threads; never changes results (default 1)",
+        )
+        option(p, "--out", default=".", help="output directory for CSVs (default .)")
+        option(p, "--config", default=None, help="flat key=value file with flag defaults")
         p.set_defaults(func=handler)
         built = built or p is not unbuilt
         return p
@@ -563,14 +561,14 @@ _FALSE_WORDS = {"0", "false", "no", "off"}
 def cli_dispatch(argv) -> int:
     """Parse argv, run the mapped operation, and return the exit code."""
     argv = list(argv)
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     pre.add_argument("--config", default=None)
     try:
         path = pre.parse_known_args(argv)[0].config
         parser, untaken = _build_parser(argv, _read_config_file(path) if path else {})
         if untaken:
             raise ValueError(f"unknown config keys: {', '.join(sorted(untaken))}")
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -226,8 +226,43 @@ class BitMatrix:
 
 
 def rank(x: BitMatrix) -> int:
-    """Row rank over Z_2: rank_words_batch on a batch of one."""
-    return int(rank_words_batch(x.words[None], x.n)[0])
+    """Row rank over Z_2 of one matrix, eliminated 8 columns at a time.
+
+    The kernel for one wide matrix, as `walk` checks; rank_words_batch is
+    the one for a batch of small ones.  Per strip, a byte column of the
+    packed rows, a scan in row order picks up to 8 pivot rows with
+    independent bytes (combos[mask] is the XOR of the bytes of the pivots
+    in mask), and a table of the same XORs of whole pivot rows, built by
+    doubling, clears the strip from every row, the pivots included, in one
+    gather and one XOR: four Russians (Albrecht, Bard and Hart, ACM TOMS
+    36(3), 2010).
+    """
+    a = x.words.copy()
+    strips = a.view(np.uint8)  # on any byte order a column permutation
+    found = 0
+    for s in range(strips.shape[1]):
+        col = strips[:, s]
+        hit = np.flatnonzero(col)
+        if not hit.size:
+            continue
+        combos, pivots = [0], []
+        for row, byte in zip(hit.tolist(), col[hit].tolist()):
+            if byte not in combos:
+                combos += [c ^ byte for c in combos]
+                pivots.append(row)
+                if len(pivots) == 8:
+                    break
+        table = np.zeros(256, dtype=np.intp)
+        table[combos] = range(len(combos))
+        w = s // 8  # the earlier words are zero in every row
+        sums = np.zeros((len(combos), a.shape[1] - w), dtype=np.uint64)
+        for i, row in enumerate(pivots):
+            sums[1 << i : 2 << i] = sums[: 1 << i] ^ a[row, w:]
+        a[:, w:] ^= sums[table[col]]
+        found += len(pivots)
+        if found == x.n:
+            break
+    return found
 
 
 def rank_naive(x: BitMatrix) -> int:
@@ -253,6 +288,10 @@ def rank_naive(x: BitMatrix) -> int:
 
 def rank_words_batch(rows: np.ndarray, ncols: int) -> np.ndarray:
     """Ranks of a batch of packed matrices, vectorized over the batch.
+
+    The kernel for a batch of small matrices: the rejection sampler, whose
+    n x k slices have multi-word rows for k > 64 (`cutoff --k`), and the
+    statistic-TV corner rank.  rank() is the kernel for one wide matrix.
 
     Parameters
     ----------
@@ -399,10 +438,11 @@ def save_matrix(path, x: BitMatrix) -> None:
     """Write a matrix in the binary format GF2M v1.
 
     Layout: magic "GF2M", version byte 0x01, n as u32 little-endian, then
-    ceil(n/8) bytes per row, row-major, LSB-first within each byte.
+    ceil(n/8) bytes per row, row-major, LSB-first within each byte: the
+    leading bytes of each row's little-endian words.
     """
     header = _MATRIX_MAGIC + bytes([_MATRIX_VERSION]) + x.n.to_bytes(4, "little")
-    rows = np.packbits(x.to_bits(), axis=1, bitorder="little")
+    rows = x.words.astype("<u8", copy=False).view(np.uint8)[:, : (x.n + 7) // 8]
     with open(path, "wb") as fh:
         fh.write(header + rows.tobytes())
 
@@ -429,7 +469,8 @@ def load_matrix(path) -> BitMatrix:
     if len(body) != n * row_bytes:
         raise ValueError("GF2M payload length mismatch")
     rows = np.frombuffer(body, dtype=np.uint8).reshape(n, row_bytes)
-    bits = np.unpackbits(rows, axis=1, bitorder="little")
-    if bits[:, n:].any():
+    if n % 8 and (rows[:, -1] >> n % 8).any():  # padding sits in a row's last byte only
         raise ValueError("GF2M padding bits past column n must be zero")
-    return BitMatrix.from_bits(bits[:, :n])
+    words = np.zeros((n, _n_words(n)), dtype="<u8")
+    words.view(np.uint8)[:, :row_bytes] = rows
+    return BitMatrix(n, words.astype(np.uint64, copy=False))

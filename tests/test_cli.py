@@ -685,6 +685,7 @@ class TestMalformedInput:
             ("protocol", "verify", "--key", "{key}", "--challenge", "a5",
              "--response", "{correct} bit_ops=3 word_ops=-2 role=honest", "--deadline", "99"),
             ("protocol", "report", "--n", ",", "--t", "5"),
+            ("order", "--n", "3", "--config"),
         ],
     )
     def test_exits_2_with_one_line(self, capsys, tmp_path, argv):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvwalk import gf2core as g
-from tvwalk.chain import Trajectory, _apply_moves, replay
+from tvwalk.chain import Trajectory, _apply_moves, replay, run
 from tvwalk.exactgroup import order_ratio
 
 
@@ -148,6 +148,45 @@ class TestRank:
         assert np.array_equal(rows, before)
         if rows.shape[2] == 1:
             assert g.rank_words_batch(rows[:, :, 0], ncols).tolist() == expected
+
+    @pytest.mark.parametrize("n", [8, 9, 63, 64, 65, 127, 128, 129, 200])
+    @pytest.mark.parametrize(
+        "shape", ["invertible", "random", "duplicate_row", "zero_row", "zero_column", "half_rank"]
+    )
+    def test_strips_agree_with_oracles(self, n, shape):
+        # Multi-word rows through the 8-column strips of rank(): empty strips
+        # (a zero column, a low rank), strips with fewer than 8 pivots, and
+        # the end when every row has been a pivot.
+        rng = np.random.default_rng(n)
+        words = g.sample_uniform_invertible_batch(n, 1, rng)[0]
+        i, j = rng.choice(n, size=2, replace=False)
+        if shape == "random":
+            words = g.random_bit_words(rng, (n,), n)
+        elif shape == "duplicate_row":
+            words[i] = words[j]
+        elif shape == "zero_row":
+            words[i] = 0
+        elif shape == "zero_column":
+            words[:, j // 64] &= ~(np.uint64(1) << np.uint64(j % 64))
+        elif shape == "half_rank":
+            # Every row a random combination of the same n // 2 random rows.
+            basis = g.BitMatrix(n, g.random_bit_words(rng, (n,), n)).to_bits()[: n // 2]
+            mix = rng.integers(0, 2, size=(n, n // 2))
+            words = g.BitMatrix.from_bits(mix @ basis % 2).words
+        x = g.BitMatrix(n, words)
+        got = g.rank(x)
+        assert got == g.rank_naive(x) == g.rank_words_batch(x.words[None], n)[0]
+        if shape == "half_rank":
+            assert got <= n // 2
+        elif shape != "random":
+            assert got == (n if shape == "invertible" else n - 1)
+
+    def test_walk_endpoint_at_1024(self):
+        _, final = run(1024, 100_000, seed=1)
+        assert g.rank(final) == 1024
+        words = final.words.copy()
+        words[5] = words[700] ^ words[1023]
+        assert g.rank(g.BitMatrix(1024, words)) == 1023
 
     def test_rank_reached_past_the_head_rows(self):
         # Tall samples whose rank is set by rows far below min(m, ncols):
@@ -336,6 +375,30 @@ class TestMatrixFile:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="padding"):
             g.load_matrix(path)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 1024])
+    def test_payload_is_the_packed_bits(self, tmp_path, n):
+        x = random_matrix(n, n)
+        path = tmp_path / "m.gf2m"
+        g.save_matrix(path, x)
+        packed = np.packbits(x.to_bits(), axis=1, bitorder="little")
+        assert path.read_bytes()[9:] == packed.tobytes()
+        assert g.load_matrix(path) == x
+
+    @pytest.mark.parametrize("n", [1, 9, 11, 63, 65])
+    def test_rejects_padding_bits_in_first_and_last_rows(self, tmp_path, n):
+        path = tmp_path / "pad.gf2m"
+        g.save_matrix(path, g.BitMatrix.identity(n))
+        data = path.read_bytes()
+        row_bytes = (n + 7) // 8
+        for row in (0, n - 1):
+            last = 9 + row * row_bytes + row_bytes - 1
+            for bit in range(n % 8, 8):
+                edited = bytearray(data)
+                edited[last] |= 1 << bit
+                path.write_bytes(bytes(edited))
+                with pytest.raises(ValueError, match="GF2M padding"):
+                    g.load_matrix(path)
 
 
 class TestRngDerivation:
