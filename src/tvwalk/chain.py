@@ -7,6 +7,9 @@ its move sequence as a Trajectory, a (t, 2) array of row pairs, which
 replays deterministically; the trajectory is the secret in the
 authentication protocol.  Runs, replays and the protocol's honest
 responder all apply moves through one kernel that XORs Python-int rows.
+The kernel turns each move column into an index list by gathering from
+one object array of the n row indices, which copies pointers to n shared
+ints instead of making two fresh ints per move.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ class Trajectory:
 
     ``moves`` is a read-only (t, 2) int64 array with one (i, j) row per
     step; a held lazy step is the row (-1, -1).  Replaying the applied
-    moves from the identity reproduces the final state bit for bit.
+    moves from the identity reproduces the final state bit for bit.  An
+    int64 array that owns its data and is read-only is kept as given, as
+    run() and load_trajectory() hand theirs over; any other is copied.
     """
 
     n: int
@@ -53,7 +58,10 @@ class Trajectory:
     lazy: bool = False
 
     def __post_init__(self) -> None:
-        moves = np.array(self.moves, dtype=np.int64)
+        moves = self.moves
+        owned = isinstance(moves, np.ndarray) and moves.dtype == np.int64 and moves.flags.owndata
+        if not owned or moves.flags.writeable:  # the caller may change it later
+            moves = np.array(moves, dtype=np.int64)
         if moves.size == 0:
             moves = moves.reshape(0, 2)
         if moves.ndim != 2 or moves.shape[1] != 2:
@@ -110,10 +118,11 @@ def _apply_moves(rows: list, i: np.ndarray, j: np.ndarray) -> None:
     """The move kernel: rows[i[s]] ^= rows[j[s]] for each step s in order.
 
     ``rows`` holds Python ints: n-bit rows of a matrix, or single bits of a
-    vector.  Columns go through tolist() one at a time, which is much
-    cheaper than tolist() on the (t, 2) array.
+    vector.  Each column becomes a list by a gather from an object array of
+    the row indices, so its entries are the same n ints, not fresh ones.
     """
-    for a, b in zip(i.tolist(), j.tolist()):
+    index = np.arange(len(rows)).astype(object)
+    for a, b in zip(index[i].tolist(), index[j].tolist()):
         rows[a] ^= rows[b]
 
 
@@ -149,6 +158,7 @@ def run(n: int, t: int, seed: int, lazy: bool = False) -> tuple[Trajectory, BitM
                 draws.append(int(rng.integers(0, n * (n - 1))))
         moves = np.full((t, 2), _HOLD, dtype=np.int64)
         moves[steps] = np.stack(_decode(np.array(draws, dtype=np.int64), n), axis=1)
+    moves.flags.writeable = False  # the trajectory owns these moves
     traj = Trajectory(n, seed, moves, lazy)
     return traj, _endpoint(n, traj.applied())
 
@@ -174,7 +184,10 @@ def save_trajectory(path, traj: Trajectory) -> None:
         + traj.steps.to_bytes(8, "little")
         + bytes([1 if traj.lazy else 0])
     )
-    records = np.where(traj.moves == _HOLD, _HOLD_RECORD, traj.moves).astype("<u2")
+    records = traj.moves
+    if traj.lazy:
+        records = np.where(records == _HOLD, _HOLD_RECORD, records)
+    records = records.astype("<u2")
     with open(path, "wb") as fh:
         fh.write(header + records.tobytes())
 
@@ -201,4 +214,5 @@ def load_trajectory(path) -> Trajectory:
         raise ValueError("TVWK payload length mismatch")
     moves = np.frombuffer(raw, dtype="<u2", offset=_TRAJ_HEADER).reshape(t, 2).astype(np.int64)
     moves[(moves[:, 0] == _HOLD_RECORD) & (moves[:, 1] == _HOLD_RECORD)] = _HOLD
+    moves.flags.writeable = False  # the trajectory owns these moves
     return Trajectory(n, 0, moves, bool(raw[17]))

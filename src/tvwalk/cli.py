@@ -295,7 +295,7 @@ def _cmd_bounds(args) -> int:
     gt, ts = exactgroup.analyze(args.n)
     report = exactgroup.spectral_report(ts)
     est = funineq.estimate_lsi_constant(
-        ts, gt, restarts=args.restarts, iters=args.iters, seed=args.seed
+        ts, gt, restarts=args.restarts, iters=args.iters, seed=args.seed, report=report
     )
     if report.period == 1:
         kernel, cls, inv_abs_gap = "nonlazy", est.estimate, 1.0 / report.absolute_gap
@@ -561,6 +561,10 @@ _FALSE_WORDS = {"0", "false", "no", "off"}
 def cli_dispatch(argv) -> int:
     """Parse argv, run the mapped operation, and return the exit code."""
     argv = list(argv)
+    if argv and argv[0].partition("=")[0] == "--config":
+        # The root parser has no --config and would read FILE as a subcommand.
+        print("error: missing subcommand: tvwalk SUBCOMMAND --config FILE", file=sys.stderr)
+        return 2
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     pre.add_argument("--config", default=None)
     try:

@@ -35,6 +35,7 @@ import numpy as np
 from .exactgroup import (
     DENSE_SPECTRUM_LIMIT,
     GroupTable,
+    SpectralReport,
     TransitionStructure,
     _dense_kernel,
     analyze,
@@ -570,6 +571,7 @@ def estimate_lsi_constant(
     restarts: int = 50,
     iters: int = 1500,
     seed: int = 0,
+    report: SpectralReport | None = None,
 ) -> LsiEstimate:
     """Certified lower bound on the log-Sobolev constant of the walk.
 
@@ -578,8 +580,10 @@ def estimate_lsi_constant(
     witness f = indicator of the identity plus `restarts` Gaussian starts.
     The result is the best ratio found, floored by the universal spectral
     bound 2/gap; each component is a true lower bound, hence so is the
-    maximum.  Deterministic in (restarts, iters, seed): restarts run in
-    index order and ties keep the earliest winner.  Raises RuntimeError if
+    maximum.  The gap is read from `report` when the caller has already
+    solved the spectrum of `ts`, and solved here otherwise.  Deterministic
+    in (restarts, iters, seed): restarts run in index order and ties keep
+    the earliest winner.  Raises RuntimeError if
     the winning witness, re-scored by the compensated ``entropy_sq`` and
     ``dirichlet_form``, misses the best ratio by more than a relative 1e-12.
     """
@@ -607,7 +611,7 @@ def estimate_lsi_constant(
             f"LSI witness scores {witness!r} under the compensated oracles, "
             f"not the ascent's {best_ratio!r}"
         )
-    floor = 2.0 / spectral_report(ts).gap
+    floor = 2.0 / (spectral_report(ts) if report is None else report).gap
     return LsiEstimate(
         n=gt.n,
         estimate=max(best_ratio, floor),

@@ -51,6 +51,9 @@ _MATRIX_HEADER = 9  # magic, version, n (u32)
 # below 0.712^1024; this cap on consecutive empty rounds bounds the loop.
 _MAX_EMPTY_ROUNDS = 4
 
+# rank() converts this many nonzero bytes of a strip before the rest.
+_STRIP_PREFIX = 16
+
 
 def _n_words(n: int) -> int:
     return (n + WORD_BITS - 1) // WORD_BITS
@@ -143,11 +146,6 @@ class BitVector:
     def popcount(self) -> int:
         return int(np.bitwise_count(self.words).sum())
 
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return BitVector(self.n, self.words ^ other.words)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitVector)
@@ -233,9 +231,10 @@ def rank(x: BitMatrix) -> int:
     packed rows, a scan in row order picks up to 8 pivot rows with
     independent bytes (combos[mask] is the XOR of the bytes of the pivots
     in mask), and a table of the same XORs of whole pivot rows, built by
-    doubling, clears the strip from every row, the pivots included, in one
-    gather and one XOR: four Russians (Albrecht, Bard and Hart, ACM TOMS
-    36(3), 2010).
+    doubling, clears the strip from every row with a nonzero byte, the
+    pivots included, in one gather and one XOR: four Russians (Albrecht,
+    Bard and Hart, ACM TOMS 36(3), 2010).  A pivot row clears to zero and
+    stays zero, so later strips touch fewer rows.
     """
     a = x.words.copy()
     strips = a.view(np.uint8)  # on any byte order a column permutation
@@ -245,24 +244,37 @@ def rank(x: BitMatrix) -> int:
         hit = np.flatnonzero(col)
         if not hit.size:
             continue
-        combos, pivots = [0], []
-        for row, byte in zip(hit.tolist(), col[hit].tolist()):
-            if byte not in combos:
-                combos += [c ^ byte for c in combos]
-                pivots.append(row)
-                if len(pivots) == 8:
-                    break
+        combos, pivots = _strip_pivots(col, hit)
         table = np.zeros(256, dtype=np.intp)
-        table[combos] = range(len(combos))
+        table[np.array(combos)] = np.arange(len(combos))
         w = s // 8  # the earlier words are zero in every row
         sums = np.zeros((len(combos), a.shape[1] - w), dtype=np.uint64)
         for i, row in enumerate(pivots):
-            sums[1 << i : 2 << i] = sums[: 1 << i] ^ a[row, w:]
-        a[:, w:] ^= sums[table[col]]
+            np.bitwise_xor(sums[: 1 << i], a[row, w:], out=sums[1 << i : 2 << i])
+        a[hit, w:] ^= sums[table[col[hit]]]
         found += len(pivots)
         if found == x.n:
             break
     return found
+
+
+def _strip_pivots(col: np.ndarray, hit: np.ndarray) -> tuple[list, list]:
+    """The first rows of `hit` whose bytes in `col` are independent, up to 8.
+
+    Returns the span of their bytes in doubling order and the rows.  A
+    random strip finds its 8 pivots within its first rows, so only the
+    first _STRIP_PREFIX hits are converted to Python ints unless those
+    yield fewer.
+    """
+    combos, pivots = [0], []
+    for part in (hit[:_STRIP_PREFIX], hit[_STRIP_PREFIX:]):
+        for row, byte in zip(part.tolist(), col[part].tolist()):
+            if byte not in combos:
+                combos += [c ^ byte for c in combos]
+                pivots.append(row)
+                if len(pivots) == 8:
+                    return combos, pivots
+    return combos, pivots
 
 
 def rank_naive(x: BitMatrix) -> int:

@@ -112,6 +112,15 @@ class TestTrajectory:
             traj.moves[0, 0] = 1
         assert c.Trajectory(5, 0, ()).moves.shape == (0, 2)
 
+    def test_caller_array_is_copied(self):
+        moves = np.array([[0, 1], [1, 2]], dtype=np.int64)
+        traj = c.Trajectory(3, 0, moves)
+        view = moves.view()
+        view.flags.writeable = False  # read-only, but its base is not
+        other = c.Trajectory(3, 0, view)
+        moves[0] = [2, 0]
+        assert traj.moves.tolist() == other.moves.tolist() == [[0, 1], [1, 2]]
+
 
 class TestKeyStream:
     @pytest.mark.parametrize("n", [2, 3, 64, 1024])
@@ -216,6 +225,15 @@ class TestTrajectoryFile:
         assert c.replay(back) == c.replay(traj)
         # the master seed is not stored in the file
         assert back.seed == 0
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_loaded_moves_are_read_only(self, tmp_path, lazy):
+        path = tmp_path / "t.tvwk"
+        c.save_trajectory(path, c.run(6, 40, seed=2, lazy=lazy)[0])
+        back = c.load_trajectory(path)
+        assert back.moves.dtype == np.int64
+        with pytest.raises(ValueError):
+            back.moves[0, 0] = 1
 
     def test_format_bytes(self, tmp_path):
         traj = c.Trajectory(3, 9, np.array([[2, 0], [-1, -1]]), lazy=True)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tvwalk
-from tvwalk import cli, exactgroup
+from tvwalk import cli, exactgroup, funineq
 from tvwalk import gf2core as g
 from tvwalk.chain import load_trajectory, replay
 from tvwalk.cli import cli_dispatch
@@ -375,6 +375,22 @@ class TestBounds:
         assert code == 0
         assert sha256(out.encode()) == digest
 
+    def test_spectrum_solved_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(ts):
+            calls.append(ts)
+            return solve(ts)
+
+        solve = exactgroup.spectral_report
+        monkeypatch.setattr(exactgroup, "spectral_report", counted)
+        monkeypatch.setattr(funineq, "spectral_report", counted)
+        code, out, _ = run(capsys, "bounds", "--n", "3")
+        assert code == 0 and len(calls) == 1
+        assert sha256(out.encode()) == (
+            "d3d428bd5cd4e42447fdfdf8b61fcb1940e5a9c3676de0272eed535511f655db"
+        )
+
     def test_n4_notes_the_lsi_range(self, capsys):
         code, out, _ = run(capsys, "bounds", "--n", "4")
         assert code == 0
@@ -495,6 +511,14 @@ class TestConfigFile:
         cfg.write_text(f"secret={tmp_path / 'secret.tvwk'}\n")
         code, out, _ = run(capsys, "protocol", "prove", "--config", str(cfg), "--challenge", "a5")
         assert code == 0 and "role=honest" in out
+
+    @pytest.mark.parametrize("argv", [("--config", "{cfg}"), ("--config={cfg}",)])
+    def test_config_without_subcommand_says_so(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=3\n")
+        code, out, err = run(capsys, *[a.format(cfg=cfg) for a in argv])
+        assert code == 2 and out == ""
+        assert err == "error: missing subcommand: tvwalk SUBCOMMAND --config FILE\n"
 
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run(

@@ -99,6 +99,34 @@ class TestRank:
         x = random_matrix(n, seed)
         assert g.rank(x) == g.rank_naive(x)
 
+    def test_late_eighth_pivot_of_a_strip(self):
+        # The first strip's leading nonzero bytes span only 7 bits, so its
+        # 8th pivot comes after the first prefix of hits that rank() reads.
+        rng = np.random.default_rng(13)
+        late = g._STRIP_PREFIX + 5
+        words = g.random_bit_words(rng, (64,), 64)
+        low = np.concatenate([1 << np.arange(7), rng.integers(1, 128, late - 7), [128]])
+        words[: late + 1, 0] = (words[: late + 1, 0] & ~np.uint64(0xFF)) | low.astype(np.uint64)
+        x = g.BitMatrix(64, words)
+        # Full rank needs all 8 pivots of the first strip.
+        assert g.rank(x) == g.rank_naive(x) == 64
+
+    @pytest.mark.parametrize("n", [24, 64, 130])
+    def test_all_zero_strips(self, n):
+        rng = np.random.default_rng(n)
+        bits = rng.integers(0, 2, (n, n))
+        bits[:, 8:24] = 0  # two whole byte strips
+        x = g.BitMatrix.from_bits(bits)
+        assert g.rank(x) == g.rank_naive(x) <= n - 16
+
+    @pytest.mark.parametrize("n, independent", [(65, 40), (130, 129), (200, 97), (256, 255)])
+    def test_rank_deficient_multi_word(self, n, independent):
+        rng = np.random.default_rng(independent)
+        basis = rng.integers(0, 2, (independent, n))
+        mix = rng.integers(0, 2, (n, independent))
+        x = g.BitMatrix.from_bits(mix @ basis % 2)
+        assert g.rank(x) == g.rank_naive(x) <= independent
+
     @given(pair_strategy())
     def test_invariant_under_row_operations(self, tns):
         n, i, j, seed = tns
@@ -277,7 +305,11 @@ class TestMatvecAndMul:
         x = draw_matrix(n, rng)
         u = draw_vector(n, rng)
         v = draw_vector(n, rng)
-        assert g.matvec(x, u ^ v) == g.matvec(x, u) ^ g.matvec(x, v)
+
+        def add(a, b):
+            return g.BitVector(n, a.words ^ b.words)
+
+        assert g.matvec(x, add(u, v)) == add(g.matvec(x, u), g.matvec(x, v))
 
     def test_matvec_cost_model(self):
         c = g.matvec_cost(1024)

@@ -5,7 +5,7 @@ import pytest
 
 from tvwalk import gf2core as g
 from tvwalk import protocol as pr
-from tvwalk.chain import replay
+from tvwalk.chain import load_trajectory, replay, save_trajectory
 
 
 def random_challenge(n, rng):
@@ -62,6 +62,18 @@ class TestResponders:
             rh = pr.respond_honest(kp.secret, ch)
             rd = pr.respond_dishonest(kp.public, ch)
             assert rh.y == rd.y == g.matvec(kp.public, ch.x)
+
+    def test_loaded_secret_answers_as_loaded_key(self, tmp_path):
+        n = 1024
+        kp = pr.keygen(n, 100_000, seed=5)
+        save_trajectory(tmp_path / "secret.tvwk", kp.secret)
+        g.save_matrix(tmp_path / "key.gf2m", kp.public)
+        secret = load_trajectory(tmp_path / "secret.tvwk")
+        key = g.load_matrix(tmp_path / "key.gf2m")
+        rng = np.random.default_rng(8)
+        for _ in range(4):
+            c = random_challenge(n, rng)
+            assert pr.respond_honest(secret, c).y == g.matvec(key, c.x)
 
     def test_honest_cost_is_work_steps(self):
         kp = pr.keygen(1024, 500_000, seed=6)
