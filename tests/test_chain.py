@@ -258,7 +258,7 @@ class TestTrajectoryFile:
             + bytes([0]) + (0xFFFF).to_bytes(2, "little") * 2
         )
         path.write_bytes(data)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="held step in a non-lazy trajectory"):
             c.load_trajectory(path)
 
     def test_rejects_bad_magic(self, tmp_path):

@@ -1,6 +1,7 @@
 """Exact small-n analysis: enumeration, kernel structure, mixing, spectra."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -41,6 +42,29 @@ class TestEnumeration:
         gt, _ = eg.analyze(2)
         with pytest.raises(KeyError):
             gt.index_of(np.array([0], dtype=np.uint64))  # zero matrix
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_index_of_every_key(self, n):
+        gt = eg.enumerate_group(n)
+        assert np.array_equal(gt.index_of(gt.keys), np.arange(gt.size))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_key_out_of_range_is_key_error(self, n):
+        gt = eg.enumerate_group(n)
+        for key in (1 << (n * n), (1 << 64) - 1):
+            with pytest.raises(KeyError):
+                gt.index_of(np.array([int(gt.keys[0]), key], dtype=np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_non_member_key_is_key_error(self, n):
+        gt = eg.enumerate_group(n)
+        with pytest.raises(KeyError):
+            gt.index_of(np.array([int(gt.keys[-1]), 0], dtype=np.uint64))  # zero matrix
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_empty_query(self, n):
+        gt = eg.enumerate_group(n)
+        assert gt.index_of(np.array([], dtype=np.uint64)).shape == (0,)
 
     def test_identity_sits_at_index_zero(self):
         gt, _ = eg.analyze(2)
@@ -266,5 +290,39 @@ class TestSpectrum:
             eg.spectral_report(eg.analyze(4)[1])
 
     def test_adjacency_is_neighbour_major_intp(self):
+        # The exact goldens depend on this order: a law's row sum over an
+        # F-ordered gather adds whole neighbour columns one after another.
         _, ts = eg.analyze(3)
         assert ts.adjacency.dtype == np.intp and ts.adjacency.flags.f_contiguous
+
+
+def unit_csr_kernel(ts):
+    """The unit-weight sparse kernel over the sorted adjacency rows."""
+    nnz = ts.size * ts.degree
+    return sp.csr_matrix(
+        (np.ones(nnz), np.ascontiguousarray(ts.adjacency).reshape(-1),
+         np.arange(0, nnz + 1, ts.degree)),
+        shape=(ts.size, ts.size),
+    )
+
+
+class TestKernelBits:
+    """The sparse matvec adds each row's sorted neighbours in order from 0.0,
+    as the F-ordered gather-sum does, so the two give equal bits."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_sparse_matvec_matches_gather_on_random_vectors(self, n):
+        _, ts = eg.analyze(n)
+        kernel = unit_csr_kernel(ts)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            x = rng.standard_normal(ts.size)
+            assert np.array_equal(kernel @ x / ts.degree, x[ts.adjacency].sum(axis=1) / ts.degree)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_sparse_matvec_matches_gather_on_laws(self, n, lazy):
+        _, ts = eg.analyze(n)
+        kernel = unit_csr_kernel(ts)
+        for p in itertools.islice(eg._laws(ts, lazy), 40):
+            assert np.array_equal(kernel @ p / ts.degree, p[ts.adjacency].sum(axis=1) / ts.degree)

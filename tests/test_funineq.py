@@ -384,6 +384,14 @@ class TestBatchedEvaluators:
             fi._dirichlet_rows(rows, adj, ts.degree), sums / (2.0 * gt.size * ts.degree)
         )
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_edge_sums_same_bits_for_c_ordered_adjacency(self, n):
+        gt, ts = analyze(n)
+        rows = np.concatenate([evaluator_rows(gt.size, seed) for seed in range(3)])
+        c_ordered = np.ascontiguousarray(ts.adjacency)
+        assert c_ordered.flags.c_contiguous and not c_ordered.flags.f_contiguous
+        assert np.array_equal(fi._edge_sums(rows, ts.adjacency), fi._edge_sums(rows, c_ordered))
+
     def test_ent_rows_match_broadcast_formula(self, g3):
         gt, _ = g3
         rows = evaluator_rows(gt.size, seed=5)
