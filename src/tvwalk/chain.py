@@ -192,6 +192,10 @@ def save_trajectory(path, traj: Trajectory) -> None:
         fh.write(header + records.tobytes())
 
 
+def _hold_records(moves: np.ndarray) -> np.ndarray:
+    return (moves[:, 0] == _HOLD_RECORD) & (moves[:, 1] == _HOLD_RECORD)
+
+
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory written by save_trajectory; validates the header.
 
@@ -212,7 +216,15 @@ def load_trajectory(path) -> Trajectory:
     t = int.from_bytes(raw[9:17], "little")
     if len(raw) - _TRAJ_HEADER != 4 * t:
         raise ValueError("TVWK payload length mismatch")
+    lazy = bool(raw[17])
     moves = np.frombuffer(raw, dtype="<u2", offset=_TRAJ_HEADER).reshape(t, 2).astype(np.int64)
-    moves[(moves[:, 0] == _HOLD_RECORD) & (moves[:, 1] == _HOLD_RECORD)] = _HOLD
+    if lazy:
+        moves[_hold_records(moves)] = _HOLD
     moves.flags.writeable = False  # the trajectory owns these moves
-    return Trajectory(n, 0, moves, bool(raw[17]))
+    try:
+        return Trajectory(n, 0, moves, lazy)
+    except ValueError:
+        # Unmapped, a hold record fails the row check; name it as Trajectory would.
+        if not lazy and _hold_records(moves).any():
+            raise ValueError("held step in a non-lazy trajectory") from None
+        raise

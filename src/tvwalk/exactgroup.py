@@ -86,26 +86,27 @@ class GroupTable:
     """Enumerated group: canonical keys in BFS-from-identity order.
 
     ``keys[idx]`` is the packed row-major key of element idx; the identity
-    sits at index 0.  Lookup from key to index goes through a sorted copy.
+    sits at index 0.  ``_index[key]`` is the index of each of the 2^(n^2)
+    keys, -1 off the group (256 KiB at n = 4, 128 MiB at n = 5).
     """
 
     n: int
     keys: np.ndarray = field(repr=False)  # (size,) uint64, BFS order
-    _sorted_keys: np.ndarray = field(repr=False)
-    _sort_perm: np.ndarray = field(repr=False)
+    _index: np.ndarray = field(repr=False)  # (2^(n^2),) int32
 
     @property
     def size(self) -> int:
         return int(self.keys.shape[0])
 
     def index_of(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized key -> index; raises if any key is not in the group."""
+        """Vectorized key -> int32 index; raises KeyError if any key is not in the group."""
         keys = np.asarray(keys, dtype=np.uint64)
-        pos = np.searchsorted(self._sorted_keys, keys)
-        pos = np.clip(pos, 0, self.size - 1)
-        if not np.array_equal(self._sorted_keys[pos], keys):
+        if keys.size and keys.max() >= self._index.size:
             raise KeyError("key does not belong to the enumerated group")
-        return self._sort_perm[pos]
+        idx = np.take(self._index, keys)
+        if keys.size and idx.min() < 0:
+            raise KeyError("key does not belong to the enumerated group")
+        return idx
 
     @property
     def pi(self) -> float:
@@ -188,14 +189,12 @@ def enumerate_group(n: int) -> GroupTable:
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_CAP}")
     identity_key = sum(1 << (i * n + i) for i in range(n))
-    if n == 1:
-        keys = np.array([identity_key], dtype=np.uint64)
-        return _table_from_keys(n, keys)
     moves = _move_list(n)
-    visited = np.zeros(1 << (n * n), dtype=bool)
-    visited[identity_key] = True
+    index = np.full(1 << (n * n), -1, dtype=np.int32)
+    index[identity_key] = 0
     order: list[np.ndarray] = [np.array([identity_key], dtype=np.uint64)]
     frontier = order[0]
+    count = 1
     while frontier.size:
         new_chunks: list[np.ndarray] = []
         for lo in range(0, frontier.size, _BFS_CHUNK):
@@ -205,19 +204,20 @@ def enumerate_group(n: int) -> GroupTable:
             for m, (i, j) in enumerate(moves):
                 cand[:, m] = _apply_move_keys(chunk, i, j, n)
             flat = cand.reshape(-1)
-            fresh = flat[~visited[flat]]
-            uniq, first = np.unique(fresh, return_index=True)
-            uniq = uniq[np.argsort(first)]
-            visited[uniq] = True
+            fresh = flat[index[flat] < 0]
+            _, first = np.unique(fresh, return_index=True)
+            uniq = fresh[np.sort(first)]
+            index[uniq] = np.arange(count, count + uniq.size, dtype=np.int32)
+            count += uniq.size
             new_chunks.append(uniq)
-        frontier = np.concatenate(new_chunks) if new_chunks else np.array([], dtype=np.uint64)
+        frontier = np.concatenate(new_chunks)
         if frontier.size:
             order.append(frontier)
     keys = np.concatenate(order)
     expected = group_order(n)
     if keys.size != expected:
         raise RuntimeError(f"BFS found {keys.size} elements, expected {expected}")
-    return _table_from_keys(n, keys)
+    return GroupTable(n=n, keys=keys, _index=index)
 
 
 def enumerate_group_reference(n: int) -> list[int]:
@@ -242,16 +242,6 @@ def enumerate_group_reference(n: int) -> list[int]:
                 out.append(nxt)
                 queue.append(nxt)
     return out
-
-
-def _table_from_keys(n: int, keys: np.ndarray) -> GroupTable:
-    perm = np.argsort(keys, kind="stable")
-    return GroupTable(
-        n=n,
-        keys=keys,
-        _sorted_keys=keys[perm],
-        _sort_perm=perm.astype(np.int64),
-    )
 
 
 def build_transition(gt: GroupTable) -> TransitionStructure:
@@ -384,6 +374,21 @@ def _dense_kernel(ts: TransitionStructure) -> np.ndarray:
     return mat
 
 
+def _sparse_kernel(ts: TransitionStructure):
+    """The walk graph as a unit-weight CSR matrix over the sorted adjacency rows.
+
+    Its matvec adds each row's entries in order from 0.0, as the row sum of
+    the F-ordered gather ``x[ts.adjacency]`` does, so the two agree bit for bit.
+    """
+    from scipy.sparse import csr_matrix
+
+    nnz = ts.size * ts.degree
+    return csr_matrix(
+        (np.ones(nnz), ts.adjacency.reshape(-1), np.arange(0, nnz + 1, ts.degree)),
+        shape=(ts.size, ts.size),
+    )
+
+
 def _extremal_spectrum(ts: TransitionStructure) -> tuple[float, float]:
     """(lambda_2, lambda_min) by Lanczos with the top eigenvector deflated.
 
@@ -393,14 +398,16 @@ def _extremal_spectrum(ts: TransitionStructure) -> tuple[float, float]:
     Raises RuntimeError when lambda_2's eigenvector misses its eigen-equation
     by more than _LANCZOS_RESIDUAL_TOL.  lambda_min is solved without
     vectors: asking ARPACK for them moves it in its last digits.  SciPy is
-    imported here, its only use, so other commands skip its import.
+    imported here and in _sparse_kernel, its only uses, so other commands
+    skip its import.
     """
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     size, deg = ts.size, ts.degree
+    kernel = _sparse_kernel(ts)
 
     def pmv(x: np.ndarray) -> np.ndarray:
-        return x[ts.adjacency].sum(axis=1) / deg
+        return (kernel @ x) / deg
 
     def deflated(x: np.ndarray) -> np.ndarray:
         x = x.reshape(-1)

@@ -49,6 +49,13 @@ class TestEnumeration:
         assert np.array_equal(gt.index_of(gt.keys), np.arange(gt.size))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_index_covers_exactly_the_group(self, n):
+        gt = eg.enumerate_group(n)
+        assert gt._index.shape == (1 << (n * n),) and gt._index.dtype == np.int32
+        assert np.count_nonzero(gt._index >= 0) == gt.size
+        assert np.array_equal(gt._index[gt.keys.astype(np.intp)], np.arange(gt.size))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_key_out_of_range_is_key_error(self, n):
         gt = eg.enumerate_group(n)
         for key in (1 << (n * n), (1 << 64) - 1):
@@ -296,16 +303,6 @@ class TestSpectrum:
         assert ts.adjacency.dtype == np.intp and ts.adjacency.flags.f_contiguous
 
 
-def unit_csr_kernel(ts):
-    """The unit-weight sparse kernel over the sorted adjacency rows."""
-    nnz = ts.size * ts.degree
-    return sp.csr_matrix(
-        (np.ones(nnz), np.ascontiguousarray(ts.adjacency).reshape(-1),
-         np.arange(0, nnz + 1, ts.degree)),
-        shape=(ts.size, ts.size),
-    )
-
-
 class TestKernelBits:
     """The sparse matvec adds each row's sorted neighbours in order from 0.0,
     as the F-ordered gather-sum does, so the two give equal bits."""
@@ -313,7 +310,7 @@ class TestKernelBits:
     @pytest.mark.parametrize("n", [3, 4])
     def test_sparse_matvec_matches_gather_on_random_vectors(self, n):
         _, ts = eg.analyze(n)
-        kernel = unit_csr_kernel(ts)
+        kernel = eg._sparse_kernel(ts)
         rng = np.random.default_rng(n)
         for _ in range(5):
             x = rng.standard_normal(ts.size)
@@ -323,6 +320,6 @@ class TestKernelBits:
     @pytest.mark.parametrize("lazy", [False, True])
     def test_sparse_matvec_matches_gather_on_laws(self, n, lazy):
         _, ts = eg.analyze(n)
-        kernel = unit_csr_kernel(ts)
+        kernel = eg._sparse_kernel(ts)
         for p in itertools.islice(eg._laws(ts, lazy), 40):
             assert np.array_equal(kernel @ p / ts.degree, p[ts.adjacency].sum(axis=1) / ts.degree)
