@@ -101,10 +101,8 @@ class GroupTable:
     def index_of(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized key -> int32 index; raises KeyError if any key is not in the group."""
         keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size and keys.max() >= self._index.size:
-            raise KeyError("key does not belong to the enumerated group")
-        idx = np.take(self._index, keys)
-        if keys.size and idx.min() < 0:
+        idx = np.take(self._index, keys, mode="clip")  # keys out of range fail below
+        if keys.size and (keys.max() >= self._index.size or idx.min() < 0):
             raise KeyError("key does not belong to the enumerated group")
         return idx
 
@@ -121,9 +119,14 @@ class TransitionStructure:
     ``move_perms[m, x]`` is the state reached from x by the m-th move in
     lexicographic (i, j) order; ``adjacency[x]`` is the sorted list of the
     n(n-1) neighbors of x, held neighbour-major (Fortran order) as intp so
-    gathers index with it directly.  The kernel is symmetric with step
-    probability 1/(n(n-1)).  ``period`` is 1 or 2: 2 exactly when the walk
-    graph is bipartite.
+    gathers index with it directly.  ``_laws`` reads that order: its row sum
+    over ``p[adjacency]`` adds whole neighbour columns one after another,
+    which fixes the bits of every law; ``funineq._ent_energy`` gathers
+    through the transpose in the same order.  ``funineq._edge_sums``
+    gathers through a C-ordered copy and ``_sparse_kernel`` copies the rows
+    into CSR indices; each keeps its per-row summation order.  The kernel
+    is symmetric with step probability 1/(n(n-1)).  ``period`` is 1 or 2:
+    2 exactly when the walk graph is bipartite.
     """
 
     n: int
@@ -375,11 +378,8 @@ def _dense_kernel(ts: TransitionStructure) -> np.ndarray:
 
 
 def _sparse_kernel(ts: TransitionStructure):
-    """The walk graph as a unit-weight CSR matrix over the sorted adjacency rows.
-
-    Its matvec adds each row's entries in order from 0.0, as the row sum of
-    the F-ordered gather ``x[ts.adjacency]`` does, so the two agree bit for bit.
-    """
+    """The walk graph as a unit-weight CSR matrix over the sorted adjacency rows;
+    its matvec adds each row's entries in order from 0.0, as ``_laws`` does."""
     from scipy.sparse import csr_matrix
 
     nnz = ts.size * ts.degree
