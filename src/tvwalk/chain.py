@@ -102,6 +102,12 @@ def _decode(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row tables (i, j) of every pair draw u in [0, n(n-1)), decoded once: the
+    one move table, whose move u adds row j(u) to row i(u), of the walk graph."""
+    return _decode(np.arange(n * (n - 1)), n)
+
+
 def draw_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
     """Uniform ordered pair (i, j), i != j, from one draw, without rejection.
 

@@ -588,6 +588,9 @@ def cli_dispatch(argv) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # NumPy's message is one line; a bare one is empty
+        print(f"error: not enough memory: {str(exc) or 'request too large'}", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

@@ -18,8 +18,9 @@ sample is drawn directly rather than by long runs.
 
 One batched kernel, `_walk_rows`, advances (count, n, ...) arrays of rows:
 packed full matrices and column slices, or unpacked k = 1 vectors.  The
-Monte-Carlo frequencies walk group indices, one successor-table read per
-step.  Both make the same generator calls, with the chain's pair decoder.
+Monte-Carlo frequencies walk group indices through the exact layer's
+successor keys, one table read per step, without knowing the key layout.
+Both make the same generator calls, in the chain's pair-table move order.
 
 Trials are split into fixed-size blocks with per-block derived generator
 streams: merging is associative over block index, so results are identical
@@ -35,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import _decode
-from .exactgroup import ANALYZE_DIMENSIONS, GroupTable
+from .chain import _pair_tables
+from .exactgroup import ANALYZE_DIMENSIONS, GroupTable, _successor_keys
 from .gf2core import WORD_BITS, derive_rng, rank_words_batch, sample_uniform_invertible_batch
 
 __all__ = [
@@ -156,11 +157,6 @@ def _identity_words(n: int, count: int, k: int) -> np.ndarray:
     return state
 
 
-def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row tables (i, j) of every pair draw u in [0, n(n-1)), decoded once."""
-    return _decode(np.arange(n * (n - 1)), n)
-
-
 def _walk_rows(state: np.ndarray, t: int, rng: np.random.Generator, lazy: bool) -> None:
     """Advance `count` independent walks t steps, in place.
 
@@ -189,10 +185,7 @@ def _successors(gt: GroupTable, lazy: bool) -> np.ndarray:
     """Flat successor table of row width w = n(n-1): entry x*w + u is w times the
     index of x with row j(u) added to row i(u).  Lazy rows double w, their first
     half holding x (coin 0).  `index_of` raises on any successor outside the group."""
-    n = gt.n
-    si, sj = ((tab * n).astype(np.uint64) for tab in _pair_tables(n))
-    keys = gt.keys[:, None]
-    moved = gt.index_of(keys ^ (((keys >> sj) & np.uint64((1 << n) - 1)) << si))
+    moved = gt.index_of(_successor_keys(gt.keys, gt.n))
     if lazy:
         moved = np.hstack([np.arange(gt.size)[:, None].repeat(moved.shape[1], 1), moved])
     return (moved * moved.shape[1]).astype(np.intp).reshape(-1)
@@ -409,19 +402,15 @@ def monotone_decreasing_envelope(values: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(np.asarray(values, dtype=np.float64))
 
 
-def crossover_locator(curve) -> float:
+def crossover_locator(curve: list[CutoffPoint]) -> float:
     """Time (in n log n units) where the cutoff curve crosses 1/2.
 
-    Accepts a list of CutoffPoint or (time, estimate) pairs.  The curve is
-    regularized to be nonincreasing, then the crossing is located by linear
-    interpolation; a curve that does not bracket 1/2 is reported as such.
+    The curve is regularized to be nonincreasing, then the crossing is
+    located by linear interpolation; a curve that does not bracket 1/2 is
+    reported as such.
     """
-    if curve and isinstance(curve[0], CutoffPoint):
-        xs = np.array([p.t_over_nlogn for p in curve])
-        ys = np.array([p.tv_estimate for p in curve])
-    else:
-        xs = np.array([p[0] for p in curve], dtype=np.float64)
-        ys = np.array([p[1] for p in curve], dtype=np.float64)
+    xs = np.array([p.t_over_nlogn for p in curve])
+    ys = np.array([p.tv_estimate for p in curve])
     if xs.size < 2:
         raise NoBracketError("need at least two curve points")
     reg = monotone_decreasing_envelope(ys)
@@ -448,8 +437,10 @@ def mc_state_frequencies(
 
     Runs `trials` chains to time t from the identity, each held as its group
     index and moved through a successor table built from the group's keys.
-    This sampling route must match the exact law within binomial tolerance,
-    and shares no code with the exact iteration.  n is in ANALYZE_DIMENSIONS.
+    It must match the exact law within binomial tolerance; it shares the
+    successor keys, not the law iteration, with the exact layer, and
+    ``test_table_walk_matches_row_kernel`` holds the table to the row kernel,
+    which shares neither.  n is in ANALYZE_DIMENSIONS.
     """
     if n not in ANALYZE_DIMENSIONS:
         raise ValueError(f"need n in {ANALYZE_DIMENSIONS[0]}..{ANALYZE_DIMENSIONS[-1]}")

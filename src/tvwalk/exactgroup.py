@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chain import _pair_tables
+
 __all__ = [
     "GroupTable",
     "TransitionStructure",
@@ -116,13 +118,14 @@ class GroupTable:
 class TransitionStructure:
     """Walk graph on the enumerated group.
 
-    ``move_perms[m, x]`` is the state reached from x by the m-th move in
-    lexicographic (i, j) order; ``adjacency[x]`` is the sorted list of the
-    n(n-1) neighbors of x, held neighbour-major (Fortran order) as intp so
-    gathers index with it directly.  ``_laws`` reads that order: its row sum
-    over ``p[adjacency]`` adds whole neighbour columns one after another,
-    which fixes the bits of every law; ``funineq._ent_energy`` gathers
-    through the transpose in the same order.  ``funineq._edge_sums``
+    ``n`` is the dimension and ``size`` the group order.  ``adjacency[x]``
+    is the sorted list of the n(n-1) neighbours of state x, one per move;
+    which move reaches which neighbour is not kept (``_successor_keys``
+    gives that in move order).  It is held neighbour-major (Fortran order)
+    as intp so gathers index with it directly.  ``_laws`` reads that order:
+    its row sum over ``p[adjacency]`` adds whole neighbour columns one after
+    another, which fixes the bits of every law; ``funineq._ent_energy``
+    gathers through the transpose in the same order.  ``funineq._edge_sums``
     gathers through a C-ordered copy and ``_sparse_kernel`` copies the rows
     into CSR indices; each keeps its per-row summation order.  The kernel
     is symmetric with step probability 1/(n(n-1)).  ``period`` is 1 or 2:
@@ -131,14 +134,12 @@ class TransitionStructure:
 
     n: int
     size: int
-    moves: tuple[tuple[int, int], ...]
-    move_perms: np.ndarray = field(repr=False)  # (M, size) int32
-    adjacency: np.ndarray = field(repr=False)  # (size, M) intp, rows sorted
+    adjacency: np.ndarray = field(repr=False)  # (size, n(n-1)) intp, rows sorted
     period: int
 
     @property
     def degree(self) -> int:
-        return len(self.moves)
+        return self.adjacency.shape[1]
 
     @property
     def step_probability(self) -> float:
@@ -170,29 +171,32 @@ class SpectralReport:
         return float(self.eigenvalues[-1])
 
 
-def _move_list(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(n) for j in range(n) if i != j)
+def _successor_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """The (len(keys), n(n-1)) uint64 successors of packed row-major keys.
 
-
-def _apply_move_keys(keys: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
-    """Row i ^= row j on packed row-major keys, vectorized."""
-    row_mask = np.uint64((1 << n) - 1)
-    row_j = (keys >> np.uint64(j * n)) & row_mask
-    return keys ^ (row_j << np.uint64(i * n))
+    Column u adds row j(u) to row i(u), in ``chain._pair_tables`` order
+    (lexicographic in (i, j)); row r of a key sits at bits r*n.  The shift,
+    mask and XOR run in place, so only the output array is allocated.
+    """
+    ti, tj = (np.uint64(n) * tab.astype(np.uint64) for tab in _pair_tables(n))
+    out = np.right_shift(keys[:, None], tj)
+    out &= np.uint64((1 << n) - 1)
+    out <<= ti
+    out ^= keys[:, None]
+    return out
 
 
 def enumerate_group(n: int) -> GroupTable:
     """Enumerate the invertible group by BFS from the identity.
 
     Every element is visited exactly once; discovery order (queue order,
-    moves scanned in lexicographic order per state) is the canonical index
-    order.  Capped at n = 5 (about 10^7 elements); larger n is out of reach
-    for exhaustive analysis.
+    moves scanned in ``_successor_keys`` order per state) is the canonical
+    index order.  Capped at n = 5 (about 10^7 elements); larger n is out of
+    reach for exhaustive analysis.
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_CAP}")
     identity_key = sum(1 << (i * n + i) for i in range(n))
-    moves = _move_list(n)
     index = np.full(1 << (n * n), -1, dtype=np.int32)
     index[identity_key] = 0
     order: list[np.ndarray] = [np.array([identity_key], dtype=np.uint64)]
@@ -203,10 +207,7 @@ def enumerate_group(n: int) -> GroupTable:
         for lo in range(0, frontier.size, _BFS_CHUNK):
             chunk = frontier[lo : lo + _BFS_CHUNK]
             # State-major candidate order keeps discovery order sequential.
-            cand = np.empty((chunk.size, len(moves)), dtype=np.uint64)
-            for m, (i, j) in enumerate(moves):
-                cand[:, m] = _apply_move_keys(chunk, i, j, n)
-            flat = cand.reshape(-1)
+            flat = _successor_keys(chunk, n).reshape(-1)
             fresh = flat[index[flat] < 0]
             _, first = np.unique(fresh, return_index=True)
             uniq = fresh[np.sort(first)]
@@ -229,7 +230,7 @@ def enumerate_group_reference(n: int) -> list[int]:
         return [1]
     from collections import deque
 
-    moves = _move_list(n)
+    moves = list(itertools.permutations(range(n), 2))  # lexicographic (i, j), i != j
     start = sum(1 << (i * n + i) for i in range(n))
     seen = {start}
     out = [start]
@@ -248,23 +249,16 @@ def enumerate_group_reference(n: int) -> list[int]:
 
 
 def build_transition(gt: GroupTable) -> TransitionStructure:
-    """Per-move permutations, sorted adjacency lists and period of the walk graph."""
+    """Sorted adjacency lists and period of the walk graph."""
     n = gt.n
     if n < 2:
         raise ValueError("the walk needs n >= 2")
-    moves = _move_list(n)
-    size = gt.size
-    move_perms = np.empty((len(moves), size), dtype=np.int32)
-    for m, (i, j) in enumerate(moves):
-        move_perms[m] = gt.index_of(_apply_move_keys(gt.keys, i, j, n))
-    # Sorting the transposed view keeps its Fortran order: a row sum over
-    # neighbours then adds whole neighbour columns one after another, which
-    # fixes the bits of every law (a C-ordered copy would sum pairwise).
-    adjacency = np.sort(move_perms.T, axis=1).astype(np.intp)
-    return TransitionStructure(
-        n=n, size=size, moves=moves, move_perms=move_perms, adjacency=adjacency,
-        period=_period(adjacency),
-    )
+    # Fortran order: a row sum over neighbours then adds whole neighbour
+    # columns one after another, which fixes the bits of every law (a
+    # C-ordered copy would sum pairwise).
+    adjacency = np.sort(gt.index_of(_successor_keys(gt.keys, n)), axis=1)
+    adjacency = np.asfortranarray(adjacency, dtype=np.intp)
+    return TransitionStructure(n=n, size=gt.size, adjacency=adjacency, period=_period(adjacency))
 
 
 def _laws(ts: TransitionStructure, lazy: bool):

@@ -38,6 +38,7 @@ from .exactgroup import (
     SpectralReport,
     TransitionStructure,
     _dense_kernel,
+    _successor_keys,
     analyze,
     spectral_report,
 )
@@ -186,9 +187,10 @@ def _extension_values(values: np.ndarray, gt: GroupTable) -> np.ndarray:
 
 
 def _rowdecomp_terms(
-    values: np.ndarray, ts: TransitionStructure, gt: GroupTable
+    values: np.ndarray, successors: np.ndarray, gt: GroupTable
 ) -> tuple[float, float, float]:
-    """(ent_mu(g^2), sub-additivity sum, consolidated rhs) for n = 2."""
+    """(ent_mu(g^2), sub-additivity sum, consolidated rhs) for n = 2;
+    ``successors[x, m]`` is the index of x moved by move m."""
     g = _extension_values(values, gt)
     ent_mu = _entropy_uniform(g)
     # Ambient key = row0 + 4 * row1, so a (row1, row0) view is a reshape.
@@ -202,8 +204,7 @@ def _rowdecomp_terms(
     ambient = 1 << (gt.n * gt.n)
     mean_pi = math.fsum(values.tolist()) / gt.size
     swap = 0.0
-    for m in range(ts.degree):
-        moved = values[ts.move_perms[m]]
+    for moved in values[successors].T:  # one fsum per move
         swap += math.fsum(np.square(values - moved).tolist())
     swap /= 2.0 * ambient
     var_part = gt.n * math.fsum(np.square(values - mean_pi).tolist()) / ambient
@@ -390,10 +391,11 @@ def _extension_suite(batch: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]
 def _rowdecomp_suite(batch: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
     """Per function, two rows: ent_mu(g^2) against the sub-additivity sum,
     then against the consolidated row-swap/variance bound (n = 2)."""
-    gt, ts = domain
+    gt, _ = domain
+    successors = gt.index_of(_successor_keys(gt.keys, gt.n))
     lhs, rhs = [], []
     for row in batch:
-        ent_mu, subadd, consolidated = _rowdecomp_terms(row, ts, gt)
+        ent_mu, subadd, consolidated = _rowdecomp_terms(row, successors, gt)
         lhs.extend([ent_mu, ent_mu])
         rhs.extend([subadd, consolidated])
     return np.array(lhs), np.array(rhs)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tvwalk
-from tvwalk import cli, exactgroup, funineq
+from tvwalk import chain, cli, exactgroup, funineq
 from tvwalk import gf2core as g
 from tvwalk.chain import load_trajectory, replay
 from tvwalk.cli import cli_dispatch
@@ -721,6 +721,17 @@ class TestMalformedInput:
         code, _, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_out_of_memory_exits_2_with_one_line(self, capsys, monkeypatch):
+        """A request too large to allocate is refused like any bad input."""
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(chain, "run", no_memory)
+        code, out, err = run(capsys, "walk", "--n", "3", "--t", "5")
+        assert code == 2 and out == ""
+        assert err == "error: not enough memory: request too large\n"
 
 
 class TestUsage:

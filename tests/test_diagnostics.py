@@ -149,9 +149,18 @@ class TestCutoffExperiment:
         assert pts[0].t_over_nlogn == pytest.approx(dg.CUTOFF_GRID_MAX, rel=1e-3)
 
 
+def curve_points(pairs):
+    """CutoffPoints at the given (t / n log n, estimate) pairs."""
+    return [
+        dg.CutoffPoint(n=16, k=1, t=0, t_over_nlogn=float(x), tv_estimate=float(y),
+                       noise_floor=0.0, trials=1000, seed=0)
+        for x, y in pairs
+    ]
+
+
 class TestCrossover:
     def test_linear_interpolation(self):
-        curve = [(0.5, 1.0), (1.0, 0.9), (1.5, 0.2), (2.0, 0.05)]
+        curve = curve_points([(0.5, 1.0), (1.0, 0.9), (1.5, 0.2), (2.0, 0.05)])
         assert dg.crossover_locator(curve) == pytest.approx(1.2857142857142858)
 
     def test_accepts_cutoff_points(self):
@@ -162,7 +171,7 @@ class TestCrossover:
     def test_step_curve_crossing_within_spacing(self):
         xs = np.arange(0.5, 3.0, 0.25)
         ys = np.where(xs < 1.5, 0.95, 0.05)
-        crossing = dg.crossover_locator(list(zip(xs, ys)))
+        crossing = dg.crossover_locator(curve_points(zip(xs, ys)))
         assert abs(crossing - 1.5) <= 0.25
 
     def test_envelope_no_op_on_nonincreasing(self):
@@ -175,11 +184,11 @@ class TestCrossover:
 
     def test_no_bracket_raised_both_sides(self):
         with pytest.raises(dg.NoBracketError):
-            dg.crossover_locator([(0.5, 0.4), (1.0, 0.3)])
+            dg.crossover_locator(curve_points([(0.5, 0.4), (1.0, 0.3)]))
         with pytest.raises(dg.NoBracketError):
-            dg.crossover_locator([(0.5, 1.0), (1.0, 0.8)])
+            dg.crossover_locator(curve_points([(0.5, 1.0), (1.0, 0.8)]))
         with pytest.raises(dg.NoBracketError):
-            dg.crossover_locator([(0.5, 1.0)])
+            dg.crossover_locator(curve_points([(0.5, 1.0)]))
 
 
 class TestWalkKernels:

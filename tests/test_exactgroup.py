@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from tvwalk import exactgroup as eg
 from tvwalk import gf2core as g
+from tvwalk.chain import _decode
 
 
 class TestEnumeration:
@@ -125,10 +126,22 @@ class TestKernelStructure:
         assert ncomp == 1
 
     def test_moves_are_involutions(self):
-        _, ts = eg.analyze(3)
+        gt, ts = eg.analyze(3)
         idx = np.arange(ts.size)
-        for perm in ts.move_perms:
+        for perm in gt.index_of(eg._successor_keys(gt.keys, gt.n)).T:
             assert (perm[perm] == idx).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_successor_keys_match_scalar_moves(self, n):
+        """Column u adds row j to row i of each key, (i, j) = _decode(u)."""
+        gt = eg.enumerate_group(n)
+        succ = eg._successor_keys(gt.keys, n)
+        assert succ.shape == (gt.size, n * (n - 1)) and succ.dtype == np.uint64
+        mask = (1 << n) - 1
+        for u in range(n * (n - 1)):
+            i, j = (int(a[0]) for a in _decode(np.array([u]), n))
+            want = [key ^ (((key >> j * n) & mask) << i * n) for key in gt.keys.tolist()]
+            assert succ[:, u].tolist() == want
 
     def test_adjacency_rows_sorted(self):
         _, ts = eg.analyze(3)
