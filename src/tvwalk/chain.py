@@ -141,13 +141,49 @@ def _endpoint(n: int, moves: np.ndarray) -> BitMatrix:
     return BitMatrix(n, np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(n, w))
 
 
+def _lazy_moves(rng: np.random.Generator, npairs: int, t: int) -> tuple[list, list]:
+    """The moving steps of t lazy steps and their pair draws, as lists.
+
+    Each step draws a coin, ``rng.integers(0, 2)``, and when it is 0 a pair,
+    ``rng.integers(0, npairs)``.  Both are bounded draws from 32-bit words w:
+    the coin is w >> 31, and the pair is m >> 32 for m = w * npairs, with w
+    skipped while m mod 2**32 < 2**32 mod npairs (Lemire).  The words come in
+    batches of as many as there are steps to go, current step included; each
+    step takes at least one, so the generator ends where scalar draws leave it.
+    """
+    steps, draws = [], []
+    if npairs >= 2**32:  # 64-bit pair draws
+        for s in range(t):
+            if not int(rng.integers(0, 2)):
+                steps.append(s)
+                draws.append(int(rng.integers(0, npairs)))
+        return steps, draws
+    threshold = 2**32 % npairs
+    s, moving = 0, False
+    while s < t:
+        for w in rng.integers(0, 2**32, size=t - s, dtype=np.uint32).tolist():
+            if moving:
+                m = w * npairs
+                if m & 0xFFFFFFFF >= threshold:
+                    steps.append(s)
+                    draws.append(m >> 32)
+                    s += 1
+                    moving = False
+            elif w >> 31:
+                s += 1
+            else:
+                moving = True
+    return steps, draws
+
+
 def run(n: int, t: int, seed: int, lazy: bool = False) -> tuple[Trajectory, BitMatrix]:
     """Run the walk for t steps from the identity.
 
     Fully deterministic in (n, t, seed, lazy).  A non-lazy run draws all t
     pairs in one batch.  When lazy, each step first flips a fair coin and
     holds with probability 1/2; a held step records (-1, -1) and leaves the
-    state unchanged.
+    state unchanged.  Lazy draws are parsed from batches of 32-bit words by
+    `_lazy_moves`, with the values and final state of per-step draws.
     """
     if t < 0:
         raise ValueError("step count must be non-negative")
@@ -156,12 +192,8 @@ def run(n: int, t: int, seed: int, lazy: bool = False) -> tuple[Trajectory, BitM
     rng = derive_rng(seed, STREAM_WALK)
     if not lazy:
         moves = np.stack(_decode(rng.integers(0, n * (n - 1), size=t), n), axis=1)
-    else:  # a coin, then a pair draw when the coin says move
-        steps, draws = [], []
-        for s in range(t):
-            if not int(rng.integers(0, 2)):
-                steps.append(s)
-                draws.append(int(rng.integers(0, n * (n - 1))))
+    else:
+        steps, draws = _lazy_moves(rng, n * (n - 1), t)
         moves = np.full((t, 2), _HOLD, dtype=np.int64)
         moves[steps] = np.stack(_decode(np.array(draws, dtype=np.int64), n), axis=1)
     moves.flags.writeable = False  # the trajectory owns these moves

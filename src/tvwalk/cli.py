@@ -126,8 +126,13 @@ def _require_range(name: str, value: int, lo: int, hi: int | None = None) -> Non
         raise ValueError(f"--{name} must be {bound} (got {value})")
 
 
+# Largest n whose group order prints: the order of n = 120 has more than the
+# 4,300 decimal digits that Python converts by default.
+_MAX_ORDER_N = 119
+
+
 def _cmd_order(args) -> int:
-    _require_range("n", args.n, 1)
+    _require_range("n", args.n, 1, _MAX_ORDER_N)
     order = exactgroup.group_order(args.n)
     ratio = exactgroup.order_ratio(args.n)
     print(f"n={args.n} order={order} ambient=2^{args.n * args.n} ratio={ratio!r}")

@@ -20,7 +20,8 @@ One batched kernel, `_walk_rows`, advances (count, n, ...) arrays of rows:
 packed full matrices and column slices, or unpacked k = 1 vectors.  The
 Monte-Carlo frequencies walk group indices through the exact layer's
 successor keys, one table read per step, without knowing the key layout.
-Both make the same generator calls, in the chain's pair-table move order.
+Both take the same values and leave the same final generator state, drawn a
+chunk at a time by `_move_draws`, in the chain's pair-table move order.
 
 Trials are split into fixed-size blocks with per-block derived generator
 streams: merging is associative over block index, so results are identical
@@ -31,6 +32,7 @@ probing public keys of the authentication protocol against uniform.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -157,13 +159,56 @@ def _identity_words(n: int, count: int, k: int) -> np.ndarray:
     return state
 
 
+def _move_draws(rng: np.random.Generator, npairs: int, t: int, count: int, lazy: bool):
+    """Pair draws, and hold coins when lazy, of `count` walks over t steps.
+
+    Yields (pairs, coins) chunks of k = max(1, 2**13 // count) steps, (k,
+    count) arrays (the last may be shorter; coins is None unless lazy), with
+    the values and final generator state of per-step ``rng.integers(0,
+    npairs, count)`` then, when lazy, ``rng.integers(0, 2, count)``.  Such a
+    bounded draw maps a 32-bit word w to (w * bound) >> 32 and redraws while
+    (w * bound) mod 2**32 < 2**32 mod bound (Lemire), and PCG64 hands out each
+    64-bit output as its low, then its high half.  So a lazy chunk is replayed
+    from raw outputs, where bound 2 never redraws.  A chunk with a pair redraw,
+    a buffered half word at its start, or another generator is drawn per step
+    from the state saved before it.
+    """
+    bg = rng.bit_generator
+    k = max(1, 2**13 // count)
+    replay = lazy and type(bg) is np.random.PCG64 and sys.byteorder == "little" and npairs < 2**32
+    threshold = 2**32 % npairs
+    last = None  # the final coin word of a replayed chunk
+    for start in range(0, t, k):
+        rows = min(k, t - start)
+        if not lazy:
+            yield rng.integers(0, npairs, size=(rows, count)), None
+            continue
+        saved = bg.state if replay else None
+        if replay and not saved["has_uint32"]:
+            words = bg.random_raw(rows * count).view(np.uint32).reshape(rows, 2, count)
+            m = words[:, 0].astype(np.uint64)
+            m *= npairs
+            if m.astype(np.uint32).min() >= threshold:
+                last = int(words[-1, 1, -1])
+                m >>= 32
+                yield m.view(np.int64), (words[:, 1] >> 31).astype(np.int64)
+                continue
+            bg.state = saved
+        last = None
+        pairs, coins = zip(*[(rng.integers(0, npairs, count), rng.integers(0, 2, count))
+                             for _ in range(rows)])
+        yield np.array(pairs), np.array(coins)
+    if last is not None:  # the buffered high half, as a per-step draw leaves it
+        bg.state = {**bg.state, "uinteger": last}
+
+
 def _walk_rows(state: np.ndarray, t: int, rng: np.random.Generator, lazy: bool) -> None:
     """Advance `count` independent walks t steps, in place.
 
     ``state`` is a C-contiguous (count, n, ...) array: walk b's row r is
-    ``state[b, r]``, of any dtype that supports XOR.  Per step the generator
-    yields the pair draws first and then, when lazy, the hold coins; a held
-    walker XORs a zero row, keeping the update branch-free.
+    ``state[b, r]``, of any dtype that supports XOR.  The moves come from
+    `_move_draws`; a held walker XORs a zero row, keeping the update
+    branch-free.
     """
     count, n = state.shape[:2]
     # Walk-major view: walk b's row r is flat[b*n + r].  One-element rows get a
@@ -171,14 +216,16 @@ def _walk_rows(state: np.ndarray, t: int, rng: np.random.Generator, lazy: bool) 
     flat = state.reshape(count * n, *(w for w in state.shape[2:] if w != 1))
     base = np.arange(count) * n
     ti, tj = _pair_tables(n)
-    npairs = n * (n - 1)
-    for _ in range(t):
-        u = rng.integers(0, npairs, size=count)
-        src = flat[tj[u] + base]
+    for pairs, coins in _move_draws(rng, n * (n - 1), t, count, lazy):
+        src_at = tj[pairs] + base
+        dst_at = ti[pairs] + base
         if lazy:
-            coins = rng.integers(0, 2, size=count).astype(state.dtype)
-            src *= coins.reshape(count, *[1] * (flat.ndim - 1))
-        flat[ti[u] + base] ^= src
+            coins = coins.astype(state.dtype).reshape(*coins.shape, *[1] * (flat.ndim - 1))
+        for s in range(len(pairs)):
+            src = flat[src_at[s]]
+            if lazy:
+                src *= coins[s]
+            flat[dst_at[s]] ^= src
 
 
 def _successors(gt: GroupTable, lazy: bool) -> np.ndarray:
@@ -195,12 +242,15 @@ def _walk_table(
     state: np.ndarray, table: np.ndarray, npairs: int, t: int, rng: np.random.Generator, lazy: bool
 ) -> None:
     """Advance walks held as successor-table row offsets t steps, in place, with
-    the same generator calls, in the same order, as `_walk_rows`."""
-    for _ in range(t):
-        at = state + rng.integers(0, npairs, size=state.size)
+    the same values and final generator state as `_walk_rows`, drawn a chunk at
+    a time by `_move_draws`."""
+    at = np.empty_like(state)
+    for pairs, coins in _move_draws(rng, npairs, t, state.size, lazy):
         if lazy:
-            at += npairs * rng.integers(0, 2, size=state.size)
-        np.take(table, at, out=state, mode="clip")  # in range; "raise" would buffer out
+            pairs += npairs * coins
+        for row in pairs:
+            np.add(state, row, out=at)
+            table.take(at, out=state, mode="clip")  # in range; "raise" would buffer out
 
 
 def _walk_full(n: int, t: int, count: int, rng: np.random.Generator, lazy: bool) -> np.ndarray:

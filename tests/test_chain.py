@@ -139,6 +139,24 @@ class TestKeyStream:
         ]
         assert traj.moves.tolist() == want
 
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("npairs", [6, 1024 * 1023, 46342 * 46341, 65537 * 65536])
+    @pytest.mark.parametrize("t", [0, 2000])
+    def test_lazy_moves_match_scalar_draws(self, t, npairs, buffered):
+        """Values and final generator state; 46342 * 46341 > 2**31 skips about
+        half its words, and 65537 * 65536 > 2**32 draws 64-bit pairs."""
+        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+        if buffered:
+            rng.integers(0, 2**32, dtype=np.uint32)
+            ref.integers(0, 2**32, dtype=np.uint32)
+        steps, draws = [], []
+        for s in range(t):
+            if not int(ref.integers(0, 2)):
+                steps.append(s)
+                draws.append(int(ref.integers(0, npairs)))
+        assert c._lazy_moves(rng, npairs, t) == (steps, draws)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_golden_protocol_keygen(self, tmp_path, capsys):
         # sha256 of the files written by
         # `tvwalk protocol keygen --n 1024 --t 100000 --seed 3`

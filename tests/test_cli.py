@@ -46,6 +46,16 @@ class TestOrder:
         code, _, err = run(capsys, "order", "--n", "0")
         assert code == 2 and "error:" in err
 
+    def test_largest_printable_order(self, capsys):
+        code, out, _ = run(capsys, "order", "--n", "119")
+        assert code == 0 and out.startswith("n=119 order=")
+
+    @pytest.mark.parametrize("n", [120, 100_000])
+    def test_order_too_long_to_print(self, capsys, n):
+        """Rejected before any big-int work: the n = 100000 product would not end."""
+        code, out, err = run(capsys, "order", "--n", str(n))
+        assert (code, out, err) == (2, "", f"error: --n must be in 1..119 (got {n})\n")
+
 
 class TestWalk:
     def test_saves_loadable_artifacts(self, capsys, tmp_path):

@@ -208,6 +208,69 @@ class TestWalkKernels:
         assert (gt.keys[state // width] == (rows << shifts).sum(axis=1, dtype=np.uint64)).all()
 
 
+def per_step_draws(rng, npairs, t, count, lazy):
+    """The draws `_move_draws` replays: per step the pairs, then the coins."""
+    pairs, coins = [], []
+    for _ in range(t):
+        pairs.append(rng.integers(0, npairs, count))
+        if lazy:
+            coins.append(rng.integers(0, 2, count))
+    return pairs, coins
+
+
+class CountingRng:
+    """A generator's bit generator and `integers`, counting the `integers` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.calls = rng, rng.bit_generator, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+class TestMoveDraws:
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("count, t", [(2500, 7), (7, 2500)])
+    @pytest.mark.parametrize("npairs", [6, 128 * 127, 46342 * 46341])
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_chunks_equal_per_step_draws(self, lazy, npairs, count, t, buffered):
+        """Values and final generator state, with and without a buffered half
+        word at entry; 46342 * 46341 > 2**31 redraws about half its words."""
+        rng, ref = np.random.default_rng(31), np.random.default_rng(31)
+        if buffered:
+            rng.integers(0, 2**32, dtype=np.uint32)
+            ref.integers(0, 2**32, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        chunks = list(dg._move_draws(rng, npairs, t, count, lazy))
+        want_pairs, want_coins = per_step_draws(ref, npairs, t, count, lazy)
+        k = max(1, 2**13 // count)
+        assert [len(p) for p, _ in chunks] == [min(k, t - a) for a in range(0, t, k)]
+        assert np.array_equal(np.concatenate([p for p, _ in chunks]), want_pairs)
+        if lazy:
+            assert np.array_equal(np.concatenate([c for _, c in chunks]), want_coins)
+        else:
+            assert all(c is None for _, c in chunks)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_lazy_replay_makes_no_bounded_draws(self):
+        rng = CountingRng(np.random.default_rng(4))
+        ref = np.random.default_rng(4)
+        pairs, coins = zip(*dg._move_draws(rng, 6, 50, 2500, True))
+        assert rng.calls == 0
+        want_pairs, want_coins = per_step_draws(ref, 6, 50, 2500, True)
+        assert np.array_equal(np.concatenate(pairs), want_pairs)
+        assert np.array_equal(np.concatenate(coins), want_coins)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_no_steps_draw_nothing(self, lazy):
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        assert list(dg._move_draws(rng, 6, 0, 2500, lazy)) == []
+        assert rng.bit_generator.state == before
+
+
 class TestMcStateFrequencies:
     def test_counts_match_exact_law(self):
         gt, ts = analyze(2)
