@@ -125,11 +125,12 @@ class TransitionStructure:
     as intp so gathers index with it directly.  ``_laws`` reads that order:
     its row sum over ``p[adjacency]`` adds whole neighbour columns one after
     another, which fixes the bits of every law; ``funineq._ent_energy``
-    gathers through the transpose in the same order.  ``funineq._edge_sums``
-    gathers through a C-ordered copy and ``_sparse_kernel`` copies the rows
-    into CSR indices; each keeps its per-row summation order.  The kernel
-    is symmetric with step probability 1/(n(n-1)).  ``period`` is 1 or 2:
-    2 exactly when the walk graph is bipartite.
+    gathers through the transpose in the same order.  ``funineq.run_suite``
+    makes one C-ordered copy per run for ``_edge_sums`` to gather through,
+    and ``_sparse_kernel`` copies the rows into CSR indices; each keeps its
+    per-row summation order.  The kernel is symmetric with step probability
+    1/(n(n-1)).  ``period`` is 1 or 2: 2 exactly when the walk graph is
+    bipartite.
     """
 
     n: int

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -265,6 +266,39 @@ class TestSuites:
         assert res.violations == 0
         assert res.trials == trials
         assert res.min_slack > -fi.RELATIVE_TOL
+
+    @pytest.mark.parametrize("size", [6, 168, 4096, 20160])
+    def test_batches_are_one_draw(self, size):
+        """Chunked draws equal one (trials, size) draw, ending in the same state."""
+        chunk = max(1, fi._SUITE_CHUNK_ELEMS // size)
+        trials = 2 * chunk + 1
+        rng, ref = (fi.derive_rng(size, fi._STREAM_SUITE) for _ in range(2))
+        batches = list(fi._suite_batches(trials, size, rng))
+        assert [len(b) for b in batches] == [chunk, chunk, 1]
+        assert np.array_equal(np.concatenate(batches), ref.standard_normal((trials, size)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("chunk", [1 << 19, 168 * 7 + 5, 100])
+    def test_result_independent_of_chunk(self, monkeypatch, chunk):
+        want = fi.run_suite("key", 500, seed=9, n=3)
+        monkeypatch.setattr(fi, "_SUITE_CHUNK_ELEMS", chunk)
+        assert fi.run_suite("key", 500, seed=9, n=3) == want
+
+    def test_memory_bounded_in_trials(self):
+        """The suite holds one batch of draws at a time: its traced peak does
+        not grow with the trial count (20,000 functions on the 168 states of
+        n = 3 would be 27 MB of draws held at once)."""
+        fi.run_suite("key", 1, seed=0, n=3)  # memoizes analyze(3)
+        peaks = []
+        for trials in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                fi.run_suite("key", trials, seed=3, n=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4 * 2**20
+        assert abs(peaks[1] - peaks[0]) < 2**19
 
     def test_deterministic(self):
         a = fi.run_suite("key", 100, seed=5, n=2)
