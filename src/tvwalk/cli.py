@@ -9,7 +9,8 @@ reproduces the file byte for byte at any thread count.  Floats are written
 with ``repr``, which round-trips exactly.
 
 Exit codes: 0 on success, 1 when protocol verification rejects, 2 on
-invalid configuration or input (with a one-line diagnostic on stderr).
+invalid configuration or input (with a one-line diagnostic on stderr), 3
+when an inequality suite of ``check`` reports a violation.
 
 An optional ``--config path`` reads a flat ``key=value`` file whose keys
 are the long option names of the chosen subcommand; values given on the
@@ -256,7 +257,7 @@ def _cmd_check(args) -> int:
         rows,
     )
     print(f"suite={path}")
-    return 0
+    return 3 if any(violations for _, _, _, violations, _ in rows) else 0
 
 
 def _cmd_cutoff(args) -> int:

@@ -54,6 +54,10 @@ _MAX_EMPTY_ROUNDS = 4
 # rank() converts this many nonzero bytes of a strip before the rest.
 _STRIP_PREFIX = 16
 
+# Scratch budget, in uint64 words (512 KiB), of one sub-batch of the batched
+# rank and of the rejection sampler's candidates.
+_BATCH_WORDS = 1 << 16
+
 
 def _n_words(n: int) -> int:
     return (n + WORD_BITS - 1) // WORD_BITS
@@ -328,16 +332,24 @@ def rank_words_batch(rows: np.ndarray, ncols: int) -> np.ndarray:
     m^2 W B / 2 word operations for a square batch.  A tall batch is
     eliminated over its first min(m, ncols) + 16 rows, which nearly always
     reach the full rank, and over all m rows for the samples that fall short.
+    The batch is eliminated in sub-batches of at most 512 KiB of rows, so
+    the scratch does not grow with B.
     """
     if rows.ndim == 2:
         rows = rows[:, :, None]
     rows = rows[:, :, : _n_words(ncols)]
-    target = min(rows.shape[1], ncols)
+    nb, m, nw = rows.shape
+    target = min(m, ncols)
     head = target + 16
-    ranks = _eliminate(rows[:, :head], ncols, target)
-    if head < rows.shape[1]:
-        short = np.flatnonzero(ranks < target)
-        ranks[short] = _eliminate(rows[short], ncols, target)
+    step = max(1, _BATCH_WORDS // max(1, m * nw))
+    ranks = np.empty(nb, dtype=np.int64)
+    for s in range(0, nb, step):
+        sub = rows[s : s + step]
+        part = _eliminate(sub[:, :head], ncols, target)
+        if head < m:
+            short = np.flatnonzero(part < target)
+            part[short] = _eliminate(sub[short], ncols, target)
+        ranks[s : s + step] = part
     return ranks
 
 
@@ -348,6 +360,7 @@ def _eliminate(rows: np.ndarray, ncols: int, target: int) -> np.ndarray:
     a[:, -1] &= _pad_mask(ncols)
     flat = a.reshape(m, nw * nb)  # word w of sample b's row k: flat[k, w*nb + b]
     buf = np.empty((m, nb), dtype=np.uint64)
+    prod = np.empty_like(a) if nw > 1 else None  # row k times each later row's hit
     ranks = np.zeros(nb, dtype=np.int64)
     for k in range(m):
         hit = buf[k + 1 :]
@@ -365,7 +378,8 @@ def _eliminate(rows: np.ndarray, ncols: int, target: int) -> np.ndarray:
             np.take(flat[k + 1 :], pick, axis=1, out=hit)
             hit &= low
             hit >>= np.bitwise_count(low - _ONE)  # 0/1 per row
-            a[k + 1 :] ^= a[k] * hit[:, None, :]
+            np.multiply(a[k], hit[:, None, :], out=prod[k + 1 :])
+            a[k + 1 :] ^= prod[k + 1 :]
         ranks += low != 0
         if (ranks == target).all():
             break
@@ -389,20 +403,30 @@ def sample_uniform_invertible_batch(
     deterministic function of the generator state.  With k < n the samples
     are uniform rank-k n x k matrices, the first k columns of uniform
     invertible ones.
+
+    A round's candidates are drawn and ranked in consecutive sub-batches of
+    at most 512 KiB; once `count` samples are accepted, the rest of the
+    round is drawn without being ranked.  Each candidate word is one
+    generator output, so the samples and the final generator state are
+    those of one round-sized draw, and the scratch beyond the output does
+    not grow with `count`.
     """
     k = n if k is None else k
     if n < 1 or not 1 <= k <= n or count < 0:
         raise ValueError(f"need n >= 1, 1 <= k <= n and count >= 0 (got {n}, {k}, {count})")
     out = np.empty((count, n, _n_words(k)), dtype=np.uint64)
+    step = max(1, _BATCH_WORDS // (n * _n_words(k)))
     filled = empty_rounds = 0
     while filled < count:
         batch = max(1024, 2 * (count - filled))
-        cand = random_bit_words(rng, (batch, n), k)
-        good = rank_words_batch(cand, k) == k
-        take = cand[good][: count - filled]
-        out[filled : filled + take.shape[0]] = take
-        filled += take.shape[0]
-        empty_rounds = 0 if take.shape[0] else empty_rounds + 1
+        before = filled
+        for start in range(0, batch, step):
+            cand = random_bit_words(rng, (min(step, batch - start), n), k)
+            if filled < count:
+                take = cand[rank_words_batch(cand, k) == k][: count - filled]
+                out[filled : filled + take.shape[0]] = take
+                filled += take.shape[0]
+        empty_rounds = 0 if filled > before else empty_rounds + 1
         if empty_rounds == _MAX_EMPTY_ROUNDS:
             raise RuntimeError("rejection sampling accepted no candidate")
     return out

@@ -253,6 +253,22 @@ class TestCheck:
         assert "rowdecomp: skipped (not defined at n=3)" in out
         assert len(csv_body(tmp_path / "inequality_suite.csv")) == 5
 
+    def test_violations_exit_3(self, capsys, tmp_path, monkeypatch):
+        argv = ("check", "--suite", "key", "--n", "2", "--trials", "10", "--out", str(tmp_path))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "violations=0 " in out
+        key = funineq._SUITE_TERMS["key"]
+
+        def broken(batch, domain):
+            lhs, rhs = key(batch, domain)
+            return rhs + 1.0, rhs
+
+        monkeypatch.setitem(funineq._SUITE_TERMS, "key", broken)
+        code, out, _ = run(capsys, *argv)
+        assert code == 3 and "violations=0 " not in out
+        # The CSV is still written, with the violation count.
+        assert csv_body(tmp_path / "inequality_suite.csv")[1].split(",")[3] != "0"
+
     def test_single_unsupported_suite_fails(self, capsys):
         code, _, err = run(capsys, "check", "--suite", "rowdecomp", "--n", "3", "--trials", "10")
         assert code == 2 and "rowdecomp" in err

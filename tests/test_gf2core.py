@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,27 @@ def pair_strategy(max_n: int = 24):
             st.integers(0, 2**32 - 1),
         ).filter(lambda t: t[1] != t[2])
     )
+
+
+def one_shot_sampler(n: int, count: int, rng: np.random.Generator, k: int | None = None):
+    """The rejection sampler with each round's candidates drawn and ranked at
+    once: the oracle for the sub-batched one."""
+    k = n if k is None else k
+    out = np.empty((count, n, g._n_words(k)), dtype=np.uint64)
+    filled = 0
+    while filled < count:
+        cand = g.random_bit_words(rng, (max(1024, 2 * (count - filled)), n), k)
+        take = cand[g.rank_words_batch(cand, k) == k][: count - filled]
+        out[filled : filled + take.shape[0]] = take
+        filled += take.shape[0]
+    return out
+
+
+def same_state(a, b) -> bool:
+    """Equal bit-generator states (Philox's holds arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
 
 
 def padded_square_bits(rows: np.ndarray, ncols: int) -> np.ndarray:
@@ -228,6 +250,27 @@ class TestRank:
         rows[2, 63, 0] = 3
         assert g.rank_words_batch(rows, ncols).tolist() == [3, 2, 2]
 
+    @pytest.mark.parametrize("m,ncols", [(64, 64), (130, 130), (150, 70)])
+    def test_batch_crosses_sub_batches(self, m, ncols, monkeypatch):
+        # Three sub-batches and 7 samples (of a budget cut to 32 KiB, so the
+        # per-sample oracle stays cheap): single-word, multi-word and tall
+        # rows.  Square samples get a duplicated row (rank m - 1); tall ones
+        # get 60 zero head rows (rank reached past the head) or only 40
+        # nonzero rows (rank 40, short in every row).
+        monkeypatch.setattr(g, "_BATCH_WORDS", 1 << 12)
+        step = g._BATCH_WORDS // (m * g._n_words(ncols))
+        rng = np.random.default_rng(m)
+        rows = g.random_bit_words(rng, (3 * step + 7, m), ncols)
+        if m > ncols:
+            rows[1::5, :60] = 0
+            rows[2::5, 40:] = 0
+        else:
+            rows[::3, -1] = rows[::3, 0]
+        got = g.rank_words_batch(rows, ncols)
+        expected = [g.rank(g.BitMatrix.from_bits(a)) for a in padded_square_bits(rows, ncols)]
+        assert got.tolist() == expected
+        assert len(set(expected)) > 1
+
     def test_batch_rectangular_slices(self):
         # n x k slices: rank of the identity's first k columns is k.
         n, k = 8, 3
@@ -271,6 +314,39 @@ class TestSampling:
         assert hashlib.sha256(words.tobytes()).hexdigest() == (
             "6b82d82a4ee9ee8db855bb890d91f294bfa50285c6679f797d8a88aa65519480"
         )
+
+    @pytest.mark.parametrize(
+        "n,count,k,bitgen",
+        [
+            (256, 10, None, np.random.PCG64),  # count met in the round's 2nd sub-batch
+            (64, 2500, None, np.random.PCG64),  # several sub-batches and rounds
+            (128, 700, 3, np.random.PCG64),  # tall: the rest of round 1 is not ranked
+            (96, 300, 65, np.random.PCG64),  # multi-word rows
+            (64, 700, None, np.random.Philox),
+        ],
+    )
+    def test_sub_batches_match_one_shot_rounds(self, n, count, k, bitgen):
+        # Chunked full-range draws take the same generator outputs as one
+        # round-sized draw: the samples and the generator's end state agree.
+        rng, ref = np.random.Generator(bitgen(7)), np.random.Generator(bitgen(7))
+        words = g.sample_uniform_invertible_batch(n, count, rng, k)
+        assert np.array_equal(words, one_shot_sampler(n, count, ref, k))
+        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+    def test_memory_bounded_in_count(self):
+        """Scratch beyond the output is a few 512 KiB sub-batches at any count
+        (10,000 samples at n = 64 used to hold 30 MB of candidates)."""
+        g.sample_uniform_invertible_batch(64, 10, g.derive_rng(0))
+        extra = []
+        for count in (2_500, 10_000):
+            tracemalloc.start()
+            try:
+                out = g.sample_uniform_invertible_batch(64, count, g.derive_rng(5))
+                extra.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert max(extra) < 2 * 2**20
+        assert abs(extra[1] - extra[0]) < 2**18
 
     @pytest.mark.parametrize("n,count,k", [(4, 10, 5), (0, 1, None), (3, 1, 0), (3, -1, None)])
     def test_rejects_undrawable_requests(self, n, count, k):
