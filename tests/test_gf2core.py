@@ -256,7 +256,7 @@ class TestRank:
         # per-sample oracle stays cheap): single-word, multi-word and tall
         # rows.  Square samples get a duplicated row (rank m - 1); tall ones
         # get 60 zero head rows (rank reached past the head) or only 40
-        # nonzero rows (rank 40, short in every row).
+        # nonzero rows (rank 40, re-eliminated over all rows).
         monkeypatch.setattr(g, "_BATCH_WORDS", 1 << 12)
         step = g._BATCH_WORDS // (m * g._n_words(ncols))
         rng = np.random.default_rng(m)
@@ -318,7 +318,7 @@ class TestSampling:
     @pytest.mark.parametrize(
         "n,count,k,bitgen",
         [
-            (256, 10, None, np.random.PCG64),  # count met in the round's 2nd sub-batch
+            (256, 10, None, np.random.PCG64),  # met in sub-batch 1; 15 drawn unranked
             (64, 2500, None, np.random.PCG64),  # several sub-batches and rounds
             (128, 700, 3, np.random.PCG64),  # tall: the rest of round 1 is not ranked
             (96, 300, 65, np.random.PCG64),  # multi-word rows
