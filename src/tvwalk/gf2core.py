@@ -58,6 +58,10 @@ _STRIP_PREFIX = 16
 # rank and of the rejection sampler's candidates.
 _BATCH_WORDS = 1 << 16
 
+# The rejection sampler ranks square candidates from this n up with rank(),
+# which beats the batched rank's sub-batches there (BENCH_rank_crossover.json).
+_STRIP_MIN_N = 704
+
 
 def _n_words(n: int) -> int:
     return (n + WORD_BITS - 1) // WORD_BITS
@@ -305,9 +309,10 @@ def rank_naive(x: BitMatrix) -> int:
 def rank_words_batch(rows: np.ndarray, ncols: int) -> np.ndarray:
     """Ranks of a batch of packed matrices, vectorized over the batch.
 
-    The kernel for a batch of small matrices: the rejection sampler, whose
-    n x k slices have multi-word rows for k > 64 (`cutoff --k`), and the
-    statistic-TV corner rank.  rank() is the kernel for one wide matrix.
+    The kernel for a batch of small matrices: the rejection sampler below
+    n = 704 and for its n x k slices, multi-word for k > 64 (`cutoff --k`),
+    and the statistic-TV corner rank.  rank() is the kernel for one wide
+    matrix.
 
     Parameters
     ----------
@@ -324,12 +329,15 @@ def rank_words_batch(rows: np.ndarray, ncols: int) -> np.ndarray:
 
     Notes
     -----
-    Row-order elimination without pivot search: step k takes row k's lowest
-    set bit as its pivot column and XORs row k into every later row of the
-    same sample that has this bit, so row k is nonzero at its step exactly
-    when it is independent of rows 0..k-1.  A batch-minor (m, W, B) copy
-    makes each step a few whole-array passes over the rows below k, about
-    m^2 W B / 2 word operations for a square batch.  A tall batch is
+    Row-order elimination without pivot search: step k XORs row k into
+    every later row of the same sample that has row k's pivot bit, so row
+    k is nonzero at its step exactly when it is independent of rows
+    0..k-1.  A single-word row pivots on its highest set bit, which a later
+    row r has exactly when r ^ p < r: min(r, r ^ p) clears it in two passes,
+    about m^2 B word operations for a square batch.  A multi-word row pivots
+    on its lowest set bit, about m^2 W B / 2 multiply-XORs plus a pivot-word
+    gather per step.  A batch-minor (m, W, B) copy makes each step
+    whole-array passes over the rows below k.  A tall batch is
     eliminated over its first min(m, ncols) + 16 rows, which nearly always
     reach the full rank, and over all m rows for the samples that fall short.
     The batch is eliminated in sub-batches of at most 512 KiB of rows, so
@@ -366,11 +374,11 @@ def _eliminate(rows: np.ndarray, ncols: int, target: int) -> np.ndarray:
         hit = buf[k + 1 :]
         if nw == 1:
             p, rest = flat[k], flat[k + 1 :]
-            low = p & (~p + _ONE)
-            # rest & low is 0 or 2^c, and 2^c * (p >> c) == p.
-            np.bitwise_and(rest, low, out=hit)
-            hit *= p >> np.bitwise_count(low - _ONE)
-            rest ^= hit
+            # rest ^ p < rest exactly when rest has p's highest set bit
+            # (unsigned compare); p == 0 leaves rest as it is.
+            np.bitwise_xor(rest, p, out=hit)
+            np.minimum(rest, hit, out=rest)
+            ranks += p != 0
         else:
             pick = (a[k] != 0).argmax(axis=0) * nb + np.arange(nb)  # pivot words
             low = flat[k, pick]
@@ -380,8 +388,8 @@ def _eliminate(rows: np.ndarray, ncols: int, target: int) -> np.ndarray:
             hit >>= np.bitwise_count(low - _ONE)  # 0/1 per row
             np.multiply(a[k], hit[:, None, :], out=prod[k + 1 :])
             a[k + 1 :] ^= prod[k + 1 :]
-        ranks += low != 0
-        if (ranks == target).all():
+            ranks += low != 0
+        if k + 1 >= target and (ranks == target).all():
             break
     return ranks
 
@@ -406,7 +414,10 @@ def sample_uniform_invertible_batch(
 
     A round's candidates are drawn and ranked in consecutive sub-batches of
     at most 512 KiB; once `count` samples are accepted, the rest of the
-    round is drawn without being ranked.  Each candidate word is one
+    round is drawn without being ranked.  Square candidates from n = 704
+    (_STRIP_MIN_N) are ranked one by one with rank(), faster there; tall
+    n x k slices stay on rank_words_batch.  Either gives the exact rank,
+    so the choice moves no sample.  Each candidate word is one
     generator output, so the samples and the final generator state are
     those of one round-sized draw, and the scratch beyond the output does
     not grow with `count`.
@@ -423,7 +434,11 @@ def sample_uniform_invertible_batch(
         for start in range(0, batch, step):
             cand = random_bit_words(rng, (min(step, batch - start), n), k)
             if filled < count:
-                take = cand[rank_words_batch(cand, k) == k][: count - filled]
+                if k == n >= _STRIP_MIN_N:
+                    full = [is_invertible(BitMatrix(n, c)) for c in cand]
+                else:
+                    full = rank_words_batch(cand, k) == k
+                take = cand[full][: count - filled]
                 out[filled : filled + take.shape[0]] = take
                 filled += take.shape[0]
         empty_rounds = 0 if filled > before else empty_rounds + 1

@@ -271,6 +271,45 @@ class TestRank:
         assert got.tolist() == expected
         assert len(set(expected)) > 1
 
+    @pytest.mark.parametrize(
+        "shape", ["top_bit", "upper", "lower", "upper_dependent", "lower_dependent"]
+    )
+    def test_single_word_pivot_shapes(self, shape):
+        # Full-width single-word rows pivot on their highest set bit: bit 63
+        # in every row (a signed compare would misorder such rows), and unit
+        # triangular matrices, whose rows share a top bit (upper) or each
+        # bring a new one (lower), with the last row the sum of two others.
+        rng = np.random.default_rng(63)
+        bits = rng.integers(0, 2, (4, 64, 64), dtype=np.uint8)
+        if shape == "top_bit":
+            bits[:, :, 63] = 1
+        else:
+            bits = np.triu(bits) if shape.startswith("upper") else np.tril(bits)
+            bits[:, np.arange(64), np.arange(64)] = 1
+            if shape.endswith("dependent"):
+                bits[:, -1] = bits[:, 3] ^ bits[:, 40]
+        xs = [g.BitMatrix.from_bits(b) for b in bits]
+        got = g.rank_words_batch(np.stack([x.words for x in xs]), 64)
+        assert got.tolist() == [g.rank_naive(x) for x in xs] == [g.rank(x) for x in xs]
+        if shape != "top_bit":
+            assert got.tolist() == [63 if shape.endswith("dependent") else 64] * 4
+
+    def test_tall_single_word_with_bits_past_ncols(self):
+        # m = 80 rows of 40 columns under full 64-bit words: the bits past
+        # ncols would be the highest-bit pivots if they were not masked.
+        # Sample 0 repeats one 40-bit row under distinct high bits (rank 1);
+        # sample 1 has 30 independent rows and 50 sums of them.
+        rng = np.random.default_rng(80)
+        rows = rng.integers(0, 2**64, size=(6, 80, 1), dtype=np.uint64)
+        rows[0, :, 0] = rows[0, 0, 0] & g._pad_mask(40) | rows[0, :, 0] & ~g._pad_mask(40)
+        mix = rng.integers(0, 2, (50, 30), dtype=np.uint8)
+        for r in range(50):
+            rows[1, 30 + r, 0] = np.bitwise_xor.reduce(rows[1, :30, 0][mix[r] == 1])
+        got = g.rank_words_batch(rows, 40)
+        squares = [g.BitMatrix.from_bits(a) for a in padded_square_bits(rows, 40)]
+        assert got.tolist() == [g.rank_naive(x) for x in squares] == [g.rank(x) for x in squares]
+        assert got[0] == 1 and got[1] <= 30 and got[2:].tolist() == [40] * 4
+
     def test_batch_rectangular_slices(self):
         # n x k slices: rank of the identity's first k columns is k.
         n, k = 8, 3
@@ -331,6 +370,21 @@ class TestSampling:
         rng, ref = np.random.Generator(bitgen(7)), np.random.Generator(bitgen(7))
         words = g.sample_uniform_invertible_batch(n, count, rng, k)
         assert np.array_equal(words, one_shot_sampler(n, count, ref, k))
+        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+    @pytest.mark.parametrize("n,k,strips", [(79, None, False), (80, None, True), (80, 70, False)])
+    def test_strip_dispatch_matches_one_shot_rounds(self, n, k, strips, monkeypatch):
+        # Square candidates from _STRIP_MIN_N up (cut to 80 here, so the
+        # oracle's batched rank stays cheap) are ranked by rank(); smaller
+        # and tall ones by rank_words_batch.  Same samples, same end state.
+        monkeypatch.setattr(g, "_STRIP_MIN_N", 80)
+        calls = []
+        strip_rank = g.rank
+        monkeypatch.setattr(g, "rank", lambda x: calls.append(x.n) or strip_rank(x))
+        rng, ref = g.derive_rng(3, n), g.derive_rng(3, n)
+        words = g.sample_uniform_invertible_batch(n, 40, rng, k)
+        assert bool(calls) == strips
+        assert np.array_equal(words, one_shot_sampler(n, 40, ref, k))
         assert same_state(rng.bit_generator.state, ref.bit_generator.state)
 
     def test_memory_bounded_in_count(self):
