@@ -59,9 +59,7 @@ from .gf2core import (
     BitMatrix,
     BitVector,
     OpCount,
-    decode_key,
     derive_rng,
-    encode_key,
     is_invertible,
     load_matrix,
     matvec,
@@ -89,9 +87,7 @@ __all__ = [
     "BitMatrix",
     "BitVector",
     "OpCount",
-    "decode_key",
     "derive_rng",
-    "encode_key",
     "is_invertible",
     "load_matrix",
     "matvec",

@@ -7,14 +7,12 @@ its move sequence as a Trajectory, a (t, 2) array of row pairs, which
 replays deterministically; the trajectory is the secret in the
 authentication protocol.  Runs, replays and the protocol's honest
 responder all apply moves through one kernel that XORs Python-int rows.
-The kernel turns each move column into an index list by gathering from
-one object array of the n row indices, which copies pointers to n shared
-ints instead of making two fresh ints per move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +20,6 @@ from .gf2core import WORD_BITS, BitMatrix, derive_rng
 
 __all__ = [
     "Trajectory",
-    "draw_pair",
     "run",
     "replay",
     "save_trajectory",
@@ -39,6 +36,7 @@ _TRAJ_VERSION = 1
 _TRAJ_HEADER = 18  # magic, version, n (u32), step count (u64), lazy flag
 _HOLD = -1  # both columns of a held lazy step
 _HOLD_RECORD = 0xFFFF  # both u16 fields of a held step in a TVWK file
+_MAX_N = 0xFFFE  # largest n whose rows fit a TVWK record's u16 fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +93,34 @@ def _decode(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     u maps to i = u // (n-1) and j = u mod (n-1), shifted past the diagonal
     gap when j is at least i; the map is a bijection onto the ordered pairs
     i != j.  Every consumer of pair draws, here and in the diagnostics'
-    batched walks, decodes them with this function.
+    batched walks, decodes them with this function.  Lazy walks draw u from
+    `_words32`; non-lazy pair draws, ``standard_normal``, ``binomial`` and the
+    sampler's uint64 words still come from Generator methods.
     """
     i, j = np.divmod(u, n - 1)
     j += j >= i
     return i, j
+
+
+def _words32(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The next `size` words of the generator's 32-bit stream, as uint32: a
+    buffered half word, whole ``random_raw`` outputs (low half first), then
+    the last one or two words from NumPy's own 32-bit draws, which leave
+    ``has_uint32`` and ``uinteger`` as single draws do; nothing writes the state."""
+    bg = rng.bit_generator
+    head = min(size, bg.state["has_uint32"])  # a KeyError on MT19937, which buffers none
+    tail = min(size - head, 2 - (size - head) % 2)
+    stream = partial(rng.integers, 0, 2**32, dtype=np.uint32)
+    words = [stream(1)] if head else []
+    words += [bg.random_raw((size - head - tail) // 2).astype("<u8", copy=False).view("<u4")]
+    return np.concatenate([*words, stream(tail)])
+
+
+def _redraw_below(bound: int) -> int:
+    """2**32 mod bound: a 32-bit draw below `bound` redraws w while w*bound % 2**32 < it."""
+    if not 0 < bound < 2**32:  # NumPy draws larger bounds from 64-bit words
+        raise ValueError(f"a 32-bit bounded draw needs a bound in 1..2**32-1 (got {bound})")
+    return 2**32 % bound
 
 
 def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,11 +130,8 @@ def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def draw_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
-    """Uniform ordered pair (i, j), i != j, from one draw, without rejection.
-
-    A batch of t draws consumes the generator exactly like t calls here, so
-    run() reproduces this scalar stream.
-    """
+    """Uniform ordered pair (i, j), i != j, from one draw, without rejection:
+    the scalar oracle that the tests hold `run`'s batched draws to."""
     if n < 2:
         raise ValueError("need n >= 2 to pick two distinct rows")
     i, j = _decode(rng.integers(0, n * (n - 1), size=1), n)
@@ -147,21 +165,14 @@ def _lazy_moves(rng: np.random.Generator, npairs: int, t: int) -> tuple[list, li
     Each step draws a coin, ``rng.integers(0, 2)``, and when it is 0 a pair,
     ``rng.integers(0, npairs)``.  Both are bounded draws from 32-bit words w:
     the coin is w >> 31, and the pair is m >> 32 for m = w * npairs, with w
-    skipped while m mod 2**32 < 2**32 mod npairs (Lemire).  The words come in
-    batches of as many as there are steps to go, current step included; each
-    step takes at least one, so the generator ends where scalar draws leave it.
+    skipped while m mod 2**32 < 2**32 mod npairs (Lemire).  A `_words32` batch
+    has a word per step to go, each step taking one or more, so none is extra.
     """
+    threshold = _redraw_below(npairs)
     steps, draws = [], []
-    if npairs >= 2**32:  # 64-bit pair draws
-        for s in range(t):
-            if not int(rng.integers(0, 2)):
-                steps.append(s)
-                draws.append(int(rng.integers(0, npairs)))
-        return steps, draws
-    threshold = 2**32 % npairs
     s, moving = 0, False
     while s < t:
-        for w in rng.integers(0, 2**32, size=t - s, dtype=np.uint32).tolist():
+        for w in _words32(rng, t - s).tolist():
             if moving:
                 m = w * npairs
                 if m & 0xFFFFFFFF >= threshold:
@@ -183,12 +194,13 @@ def run(n: int, t: int, seed: int, lazy: bool = False) -> tuple[Trajectory, BitM
     pairs in one batch.  When lazy, each step first flips a fair coin and
     holds with probability 1/2; a held step records (-1, -1) and leaves the
     state unchanged.  Lazy draws are parsed from batches of 32-bit words by
-    `_lazy_moves`, with the values and final state of per-step draws.
+    `_lazy_moves`, with the values and final state of per-step draws.  n is
+    at most 65,534, which keeps n(n-1) < 2**32 and the moves TVWK records.
     """
     if t < 0:
         raise ValueError("step count must be non-negative")
-    if n < 2 and t > 0:
-        raise ValueError("need n >= 2 to pick two distinct rows")
+    if n > _MAX_N or n < 2 and t > 0:
+        raise ValueError(f"need 2 <= n <= {_MAX_N}, for distinct rows and TVWK records (got {n})")
     rng = derive_rng(seed, STREAM_WALK)
     if not lazy:
         moves = np.stack(_decode(rng.integers(0, n * (n - 1), size=t), n), axis=1)
@@ -213,7 +225,7 @@ def save_trajectory(path, traj: Trajectory) -> None:
     laziness flag (u8), then one (i: u16 LE, j: u16 LE) record per step;
     held steps are stored as (0xFFFF, 0xFFFF).
     """
-    if traj.n > 0xFFFE:
+    if traj.n > _MAX_N:
         raise ValueError("dimension exceeds the u16 move encoding")
     header = (
         _TRAJ_MAGIC

@@ -21,7 +21,8 @@ packed full matrices and column slices, or unpacked k = 1 vectors.  The
 Monte-Carlo frequencies walk group indices through the exact layer's
 successor keys, one table read per step, without knowing the key layout.
 Both take the same values and leave the same final generator state, drawn a
-chunk at a time by `_move_draws`, in the chain's pair-table move order.
+chunk at a time by `_move_draws`, in the chain's pair-table move order:
+non-lazy pairs from ``Generator.integers``, lazy ones from `chain._words32`.
 
 Trials are split into fixed-size blocks with per-block derived generator
 streams: merging is associative over block index, so results are identical
@@ -32,13 +33,12 @@ probing public keys of the authentication protocol against uniform.
 from __future__ import annotations
 
 import math
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import _pair_tables
+from .chain import _pair_tables, _redraw_below, _words32
 from .exactgroup import ANALYZE_DIMENSIONS, GroupTable, _successor_keys
 from .gf2core import WORD_BITS, derive_rng, rank_words_batch, sample_uniform_invertible_batch
 
@@ -63,6 +63,7 @@ STATISTICS = ("weight", "trace", "corner_rank")
 # Trials per block; fixed so that per-block generator streams, and hence all
 # outputs, are independent of the thread count.
 _BLOCK = 2500
+_CHUNK_PAIRS = 2**14  # pair draws per `_move_draws` chunk; it fixes no value
 
 _STREAM_MC = 6
 _STREAM_STAT_CHAIN = 7
@@ -162,44 +163,35 @@ def _identity_words(n: int, count: int, k: int) -> np.ndarray:
 def _move_draws(rng: np.random.Generator, npairs: int, t: int, count: int, lazy: bool):
     """Pair draws, and hold coins when lazy, of `count` walks over t steps.
 
-    Yields (pairs, coins) chunks of k = max(1, 2**13 // count) steps, (k,
-    count) arrays (the last may be shorter; coins is None unless lazy), with
-    the values and final generator state of per-step ``rng.integers(0,
-    npairs, count)`` then, when lazy, ``rng.integers(0, 2, count)``.  Such a
-    bounded draw maps a 32-bit word w to (w * bound) >> 32 and redraws while
-    (w * bound) mod 2**32 < 2**32 mod bound (Lemire), and PCG64 hands out each
-    64-bit output as its low, then its high half.  So a lazy chunk is replayed
-    from raw outputs, where bound 2 never redraws.  A chunk with a pair redraw,
-    a buffered half word at its start, or another generator is drawn per step
-    from the state saved before it.
+    Yields (pairs, coins) chunks of k = max(1, _CHUNK_PAIRS // count) steps,
+    (k, count) arrays (the last may be shorter; coins is None unless lazy),
+    with the values and final generator state of per-step ``rng.integers(0,
+    npairs, count)`` then, when lazy, ``rng.integers(0, 2, count)``.  A lazy
+    chunk is parsed from the (k, 2, count) view of the next 2k·count words of
+    `chain._words32`; bound 2 never redraws.  At the first step whose pair
+    words redraw (Lemire), the parse drops them, appends as many and checks
+    again: the step's other words stay pair words as later ones move back.
     """
-    bg = rng.bit_generator
-    k = max(1, 2**13 // count)
-    replay = lazy and type(bg) is np.random.PCG64 and sys.byteorder == "little" and npairs < 2**32
-    threshold = 2**32 % npairs
-    last = None  # the final coin word of a replayed chunk
+    threshold = _redraw_below(npairs)
+    k = max(1, _CHUNK_PAIRS // count)
     for start in range(0, t, k):
         rows = min(k, t - start)
         if not lazy:
             yield rng.integers(0, npairs, size=(rows, count)), None
             continue
-        saved = bg.state if replay else None
-        if replay and not saved["has_uint32"]:
-            words = bg.random_raw(rows * count).view(np.uint32).reshape(rows, 2, count)
-            m = words[:, 0].astype(np.uint64)
-            m *= npairs
-            if m.astype(np.uint32).min() >= threshold:
-                last = int(words[-1, 1, -1])
-                m >>= 32
-                yield m.view(np.int64), (words[:, 1] >> 31).astype(np.int64)
-                continue
-            bg.state = saved
-        last = None
-        pairs, coins = zip(*[(rng.integers(0, npairs, count), rng.integers(0, 2, count))
-                             for _ in range(rows)])
-        yield np.array(pairs), np.array(coins)
-    if last is not None:  # the buffered high half, as a per-step draw leaves it
-        bg.state = {**bg.state, "uinteger": last}
+        words = _words32(rng, 2 * rows * count)
+        view = words.reshape(rows, 2, count)
+        m = view[:, 0] * np.uint64(npairs)
+        s = 0  # no pair word of the steps before s redraws
+        while m[s:].astype(np.uint32).min() < threshold:
+            low = np.flatnonzero(m[s:].astype(np.uint32) < threshold)
+            s += int(low[0]) // count  # the first step with a redraw
+            cut = low[low // count == low[0] // count] % count  # its redrawn pair words
+            rest = words[2 * count * s:]
+            rest[:] = np.concatenate([np.delete(rest, cut), _words32(rng, len(cut))])
+            m[s:] = view[s:, 0] * np.uint64(npairs)
+        m >>= np.uint64(32)
+        yield m.view(np.int64), (view[:, 1] >> 31).astype(np.int64)
 
 
 def _walk_rows(state: np.ndarray, t: int, rng: np.random.Generator, lazy: bool) -> None:

@@ -30,8 +30,6 @@ __all__ = [
     "sample_uniform_invertible_batch",
     "matvec",
     "matvec_cost",
-    "encode_key",
-    "decode_key",
     "random_bit_words",
     "derive_rng",
     "save_matrix",
@@ -468,15 +466,16 @@ def matvec_cost(n: int, word_bits: int = WORD_BITS) -> OpCount:
 def encode_key(x: BitMatrix) -> int:
     """Canonical integer key: bit (i*n + j) of the key is entry (i, j).
 
-    Bijective on n x n matrices; arbitrary-precision, although exhaustive
-    enumeration only ever uses n <= 5 (25 bits).
+    Bijective on n x n matrices; arbitrary-precision.  A test oracle:
+    test_gf2core pins its layout, and acceptance criterion 8's thread-count
+    check compares public keys by it.
     """
     flat = x.to_bits().reshape(-1)
     return int.from_bytes(np.packbits(flat, bitorder="little").tobytes(), "little")
 
 
 def decode_key(key: int, n: int) -> BitMatrix:
-    """Inverse of encode_key for a given dimension."""
+    """Inverse of encode_key for a given dimension; test_exactgroup's key oracle."""
     if key < 0 or key >= 1 << (n * n):
         raise ValueError("key out of range for dimension")
     nbytes = (n * n + 7) // 8

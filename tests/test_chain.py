@@ -22,6 +22,13 @@ run_params = st.tuples(
 )
 
 
+def same_state(a, b) -> bool:
+    """Equal bit-generator states (Philox's holds arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
 class TestRun:
     def test_zero_steps_is_identity(self):
         traj, final = c.run(5, 0, seed=9)
@@ -140,11 +147,11 @@ class TestKeyStream:
         assert traj.moves.tolist() == want
 
     @pytest.mark.parametrize("buffered", [False, True])
-    @pytest.mark.parametrize("npairs", [6, 1024 * 1023, 46342 * 46341, 65537 * 65536])
+    @pytest.mark.parametrize("npairs", [6, 1024 * 1023, 46342 * 46341])
     @pytest.mark.parametrize("t", [0, 2000])
     def test_lazy_moves_match_scalar_draws(self, t, npairs, buffered):
         """Values and final generator state; 46342 * 46341 > 2**31 skips about
-        half its words, and 65537 * 65536 > 2**32 draws 64-bit pairs."""
+        half its words."""
         rng, ref = np.random.default_rng(12), np.random.default_rng(12)
         if buffered:
             rng.integers(0, 2**32, dtype=np.uint32)
@@ -156,6 +163,38 @@ class TestKeyStream:
                 draws.append(int(ref.integers(0, npairs)))
         assert c._lazy_moves(rng, npairs, t) == (steps, draws)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("npairs", [2**32, 65537 * 65536])
+    def test_lazy_bound_from_2_32_raises(self, npairs):
+        """NumPy draws such a bound from 64-bit words; the 32-bit parse would
+        reject every word and never end."""
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            c._lazy_moves(rng, npairs, 5)
+        assert rng.bit_generator.state == before
+
+    def test_run_rejects_n_past_the_tvwk_limit(self):
+        with pytest.raises(ValueError, match="65534"):
+            c.run(65535, 1, 0)
+
+    @pytest.mark.parametrize(
+        "bitgen", [np.random.PCG64, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM]
+    )
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_words32_match_single_draws(self, bitgen, buffered):
+        """Each size's words, then the full state and the next words, equal
+        those of one 32-bit draw at a time."""
+        for size in [0, 1, 2, 3, 4, 5, 1000, 1001]:
+            rng, ref = np.random.Generator(bitgen(size)), np.random.Generator(bitgen(size))
+            if buffered:
+                rng.integers(0, 2**32, dtype=np.uint32)
+                ref.integers(0, 2**32, dtype=np.uint32)
+            words = c._words32(rng, size)
+            want = [ref.integers(0, 2**32, dtype=np.uint32) for _ in range(size)]
+            assert words.dtype == np.uint32 and words.tolist() == want, (bitgen, size)
+            assert same_state(rng.bit_generator.state, ref.bit_generator.state), (bitgen, size)
+            assert c._words32(rng, 3).tolist() == ref.integers(0, 2**32, 3, np.uint32).tolist()
 
     def test_golden_protocol_keygen(self, tmp_path, capsys):
         # sha256 of the files written by

@@ -81,6 +81,20 @@ class TestWalk:
         code, _, err = run(capsys, "walk", "--n", "4", "--t", "-1")
         assert code == 2 and "--t" in err
 
+    @pytest.mark.parametrize("command", [
+        ("walk", "--save-trajectory", "{out}"),
+        ("protocol", "keygen", "--out", "{out}"),
+    ])
+    def test_n_past_the_tvwk_limit_fails_first(self, capsys, tmp_path, command):
+        """Refused before the walk: no result line, no trajectory file, and no
+        public key without its secret."""
+        out = tmp_path / "out"
+        argv = [a.format(out=out) for a in command] + ["--n", "65535", "--t", "1"]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and "65534" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestExact:
     def test_n3_mixing_times(self, capsys, tmp_path):

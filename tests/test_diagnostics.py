@@ -218,15 +218,23 @@ def per_step_draws(rng, npairs, t, count, lazy):
     return pairs, coins
 
 
+def same_state(a, b) -> bool:
+    """Equal bit-generator states (Philox's holds arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
 class CountingRng:
-    """A generator's bit generator and `integers`, counting the `integers` calls."""
+    """A generator's bit generator and `integers`, counting the bounded
+    `integers` calls; full-range uint32 calls are the 32-bit word stream."""
 
     def __init__(self, rng):
         self.rng, self.bit_generator, self.calls = rng, rng.bit_generator, 0
 
-    def integers(self, *args, **kwargs):
-        self.calls += 1
-        return self.rng.integers(*args, **kwargs)
+    def integers(self, low, high, *args, **kwargs):
+        self.calls += (low, high, kwargs.get("dtype")) != (0, 2**32, np.uint32)
+        return self.rng.integers(low, high, *args, **kwargs)
 
 
 class TestMoveDraws:
@@ -236,22 +244,24 @@ class TestMoveDraws:
     @pytest.mark.parametrize("lazy", [False, True])
     def test_chunks_equal_per_step_draws(self, lazy, npairs, count, t, buffered):
         """Values and final generator state, with and without a buffered half
-        word at entry; 46342 * 46341 > 2**31 redraws about half its words."""
-        rng, ref = np.random.default_rng(31), np.random.default_rng(31)
-        if buffered:
-            rng.integers(0, 2**32, dtype=np.uint32)
-            ref.integers(0, 2**32, dtype=np.uint32)
-            assert rng.bit_generator.state["has_uint32"] == 1
-        chunks = list(dg._move_draws(rng, npairs, t, count, lazy))
-        want_pairs, want_coins = per_step_draws(ref, npairs, t, count, lazy)
-        k = max(1, 2**13 // count)
-        assert [len(p) for p, _ in chunks] == [min(k, t - a) for a in range(0, t, k)]
-        assert np.array_equal(np.concatenate([p for p, _ in chunks]), want_pairs)
-        if lazy:
-            assert np.array_equal(np.concatenate([c for _, c in chunks]), want_coins)
-        else:
-            assert all(c is None for _, c in chunks)
-        assert rng.bit_generator.state == ref.bit_generator.state
+        word at entry, on three bit generators; 46342 * 46341 > 2**31 redraws
+        about half its words."""
+        for bitgen in (np.random.PCG64, np.random.Philox, np.random.SFC64):
+            rng, ref = np.random.Generator(bitgen(31)), np.random.Generator(bitgen(31))
+            if buffered:
+                rng.integers(0, 2**32, dtype=np.uint32)
+                ref.integers(0, 2**32, dtype=np.uint32)
+                assert rng.bit_generator.state["has_uint32"] == 1
+            chunks = list(dg._move_draws(rng, npairs, t, count, lazy))
+            want_pairs, want_coins = per_step_draws(ref, npairs, t, count, lazy)
+            k = max(1, dg._CHUNK_PAIRS // count)
+            assert [len(p) for p, _ in chunks] == [min(k, t - a) for a in range(0, t, k)]
+            assert np.array_equal(np.concatenate([p for p, _ in chunks]), want_pairs), bitgen
+            if lazy:
+                assert np.array_equal(np.concatenate([c for _, c in chunks]), want_coins), bitgen
+            else:
+                assert all(c is None for _, c in chunks)
+            assert same_state(rng.bit_generator.state, ref.bit_generator.state), bitgen
 
     def test_lazy_replay_makes_no_bounded_draws(self):
         rng = CountingRng(np.random.default_rng(4))
@@ -262,6 +272,16 @@ class TestMoveDraws:
         assert np.array_equal(np.concatenate(pairs), want_pairs)
         assert np.array_equal(np.concatenate(coins), want_coins)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("npairs", [2**32, 65537 * 65536])
+    def test_lazy_bound_from_2_32_raises(self, npairs):
+        """NumPy draws such a bound from 64-bit words; the 32-bit parse would
+        reject every word and never end."""
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            list(dg._move_draws(rng, npairs, 5, 3, True))
+        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("lazy", [False, True])
     def test_no_steps_draw_nothing(self, lazy):
