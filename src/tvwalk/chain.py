@@ -106,9 +106,13 @@ def _words32(rng: np.random.Generator, size: int) -> np.ndarray:
     """The next `size` words of the generator's 32-bit stream, as uint32: a
     buffered half word, whole ``random_raw`` outputs (low half first), then
     the last one or two words from NumPy's own 32-bit draws, which leave
-    ``has_uint32`` and ``uinteger`` as single draws do; nothing writes the state."""
+    ``has_uint32`` and ``uinteger`` as single draws do; nothing writes the state.
+    MT19937, whose 32-bit draws buffer no half word, is rejected before any draw."""
     bg = rng.bit_generator
-    head = min(size, bg.state["has_uint32"])  # a KeyError on MT19937, which buffers none
+    state = bg.state
+    if "has_uint32" not in state:
+        raise ValueError(f"lazy draws need a 64-bit bit generator, not {type(bg).__name__}")
+    head = min(size, state["has_uint32"])
     tail = min(size - head, 2 - (size - head) % 2)
     stream = partial(rng.integers, 0, 2**32, dtype=np.uint32)
     words = [stream(1)] if head else []
@@ -168,6 +172,8 @@ def _lazy_moves(rng: np.random.Generator, npairs: int, t: int) -> tuple[list, li
     skipped while m mod 2**32 < 2**32 mod npairs (Lemire).  A `_words32` batch
     has a word per step to go, each step taking one or more, so none is extra.
     """
+    if t == 0:  # before the bound check: a 1 x 1 walk has no pairs to draw from
+        return [], []
     threshold = _redraw_below(npairs)
     steps, draws = [], []
     s, moving = 0, False

@@ -2,11 +2,13 @@
 
 Every subcommand takes its randomness from one ``--seed``; internal
 sub-streams are derived as (seed, stream-id, block-id) so results do not
-depend on ``--threads``.  Every CSV starts with a ``#``-prefixed echo of
-the configuration that determines its contents (the thread count is not
-part of it), and re-running a command with the same configuration
-reproduces the file byte for byte at any thread count.  Floats are written
-with ``repr``, which round-trips exactly.
+depend on ``--threads``, the number of worker processes ``cutoff`` forks
+for its trial blocks (default: one per available core).  Every CSV starts
+with a ``#``-prefixed echo of the configuration that determines its
+contents (the worker count is not part of it), and re-running a command
+with the same configuration reproduces the file byte for byte at any
+worker count.  Floats are written with ``repr``, which round-trips
+exactly.
 
 Exit codes: 0 on success, 1 when protocol verification rejects, 2 on
 invalid configuration or input (with a one-line diagnostic on stderr), 3
@@ -452,8 +454,9 @@ def _build_parser(argv=(), config=None) -> tuple[argparse.ArgumentParser, set[st
         p = subparser(owner, name, **kwargs)
         option(p, "--seed", type=int, default=0, help="master seed (default 0)")
         option(
-            p, "--threads", type=int, default=1,
-            help="worker threads; never changes results (default 1)",
+            p, "--threads", type=int, default=diagnostics._available_cores(),
+            help="worker processes, read only by cutoff; never changes results "
+            "(default: the available cores, %(default)s)",
         )
         option(p, "--out", default=".", help="output directory for CSVs (default .)")
         option(p, "--config", default=None, help="flat key=value file with flag defaults")

@@ -25,15 +25,21 @@ chunk at a time by `_move_draws`, in the chain's pair-table move order:
 non-lazy pairs from ``Generator.integers``, lazy ones from `chain._words32`.
 
 Trials are split into fixed-size blocks with per-block derived generator
-streams: merging is associative over block index, so results are identical
-for any thread count.  These statistic distinguishers are also the hook for
-probing public keys of the authentication protocol against uniform.
+streams, and block results are merged in block order, so results are
+identical for any worker count.  With ``threads`` above 1 the blocks run in
+a pool of forked worker processes, at most one per block and per available
+core; the pool is closed and joined before the call returns.  Each step's
+NumPy calls on a 2,500-walk block are too short to overlap between threads
+under the interpreter lock, which is why the workers are processes.  These
+statistic distinguishers are also the hook for probing public keys of the
+authentication protocol against uniform.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +67,7 @@ __all__ = [
 STATISTICS = ("weight", "trace", "corner_rank")
 
 # Trials per block; fixed so that per-block generator streams, and hence all
-# outputs, are independent of the thread count.
+# outputs, are independent of the worker count.
 _BLOCK = 2500
 _CHUNK_PAIRS = 2**14  # pair draws per `_move_draws` chunk; it fixes no value
 
@@ -136,11 +142,55 @@ class CutoffPoint:
     seed: int
 
 
-def _map_blocks(n_blocks: int, worker, threads: int) -> list:
-    if threads <= 1 or n_blocks <= 1:
-        return [worker(b) for b in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(n_blocks)))
+def _available_cores() -> int:
+    """Cores this process may run on: its CPU affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The block function of the `_map_blocks` call whose pool is forking: the
+# workers inherit it and call it through `_run_block`, so no closure is pickled.
+_forked_block = None
+_fork_lock = threading.Lock()
+
+
+def _run_block(b: int):
+    return _forked_block(b)
+
+
+def _map_blocks(n_blocks: int, block, threads: int) -> list:
+    """[block(b) for b in range(n_blocks)], computed by min(threads, n_blocks,
+    available cores) forked worker processes when that is above 1 and the
+    platform can fork; otherwise one block after another in this process."""
+    global _forked_block
+    workers = min(threads, n_blocks, _available_cores())
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with _fork_lock:
+                _forked_block = block
+                try:
+                    pool = multiprocessing.get_context("fork").Pool(workers)
+                finally:
+                    _forked_block = None
+            try:
+                results = pool.map(_run_block, range(n_blocks), chunksize=1)
+            except BaseException:
+                pool.terminate()
+                raise
+            else:
+                pool.close()
+            finally:
+                pool.join()
+            return results
+    return [block(b) for b in range(n_blocks)]
+
+
+def _merge(results: list[tuple]) -> list[np.ndarray]:
+    """Per-block tuples of count arrays, summed position by position."""
+    return [np.sum(parts, axis=0) for parts in zip(*results)]
 
 
 def _block_sizes(trials: int) -> list[int]:
@@ -318,28 +368,23 @@ def statistic_tv(
     sizes = _block_sizes(trials)
     bins = _statistic_max(statistic, n) + 1
 
-    def chain_block(b: int) -> np.ndarray:
-        rng = derive_rng(seed, _STREAM_STAT_CHAIN, b)
-        state = _walk_full(n, t, sizes[b], rng, lazy)
-        return np.bincount(_statistic_values(statistic, state, n), minlength=bins)
-
-    def ref_block(b: int) -> tuple[np.ndarray, np.ndarray]:
+    def block(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Each block contributes a half-sample split so the noise floor is
-        # defined even for a single block and is thread-count independent.
-        rng = derive_rng(seed, _STREAM_STAT_REF, b)
-        words = sample_uniform_invertible_batch(n, sizes[b], rng)
-        vals = _statistic_values(statistic, words, n)
+        # defined even for a single block and is worker-count independent.
+        # The reference words are freed before the walk allocates its state;
+        # holding both made a serial call fault about 40 % more pages.
+        words = sample_uniform_invertible_batch(n, sizes[b], derive_rng(seed, _STREAM_STAT_REF, b))
+        ref = _statistic_values(statistic, words, n)
+        del words
+        state = _walk_full(n, t, sizes[b], derive_rng(seed, _STREAM_STAT_CHAIN, b), lazy)
         mid = sizes[b] // 2
         return (
-            np.bincount(vals[:mid], minlength=bins),
-            np.bincount(vals[mid:], minlength=bins),
+            np.bincount(_statistic_values(statistic, state, n), minlength=bins),
+            np.bincount(ref[:mid], minlength=bins),
+            np.bincount(ref[mid:], minlength=bins),
         )
 
-    chain_hists = _map_blocks(len(sizes), chain_block, threads)
-    ref_halves = _map_blocks(len(sizes), ref_block, threads)
-    chain_hist = np.sum(chain_hists, axis=0)
-    ref_a = np.sum([h[0] for h in ref_halves], axis=0)
-    ref_b = np.sum([h[1] for h in ref_halves], axis=0)
+    chain_hist, ref_a, ref_b = _merge(_map_blocks(len(sizes), block, threads))
     ref_hist = ref_a + ref_b
     floor = _hist_tv(ref_a, ref_b)
     return TvEstimate(
@@ -378,7 +423,7 @@ def cutoff_experiment(
     The time grid is given in units of n log n and spans the fall of the
     curve around the transition at 1.5 n log n.  Each block of trials owns
     derived generator streams (reference draw first, then the walk), so the
-    curve is reproducible for any thread count.
+    curve is reproducible for any worker count.
     """
     if n < CUTOFF_MIN_N:
         raise ValueError(f"cutoff diagnostics need n >= {CUTOFF_MIN_N}")
@@ -418,10 +463,7 @@ def cutoff_experiment(
             hists[gi] = np.bincount(_weight_full(state), minlength=bins)
         return hists, ref_half_a, ref_half_b
 
-    results = _map_blocks(len(sizes), block, threads)
-    chain_hists = np.sum([r[0] for r in results], axis=0)
-    ref_a = np.sum([r[1] for r in results], axis=0)
-    ref_b = np.sum([r[2] for r in results], axis=0)
+    chain_hists, ref_a, ref_b = _merge(_map_blocks(len(sizes), block, threads))
     ref_total = ref_a + ref_b
     floor = _hist_tv(ref_a, ref_b)
     return [

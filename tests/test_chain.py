@@ -35,6 +35,13 @@ class TestRun:
         assert final == g.BitMatrix.identity(5)
         assert traj.steps == 0 and traj.work_steps == 0
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_zero_steps_agree_lazy_or_not(self, n):
+        """Down to n = 1, whose lazy walk has no pairs to bound its draws."""
+        (plain, end_plain), (lazy, end_lazy) = c.run(n, 0, 3), c.run(n, 0, 3, lazy=True)
+        assert end_plain == end_lazy == g.BitMatrix.identity(n)
+        assert plain.steps == lazy.steps == 0 and lazy.lazy and not plain.lazy
+
     @given(run_params)
     @settings(max_examples=50, deadline=None)
     def test_replay_reproduces_endpoint(self, params):
@@ -195,6 +202,15 @@ class TestKeyStream:
             assert words.dtype == np.uint32 and words.tolist() == want, (bitgen, size)
             assert same_state(rng.bit_generator.state, ref.bit_generator.state), (bitgen, size)
             assert c._words32(rng, 3).tolist() == ref.integers(0, 2**32, 3, np.uint32).tolist()
+
+    def test_mt19937_rejected_before_any_draw(self):
+        """Its 32-bit draws buffer no half word, so `_words32` cannot follow them."""
+        rng = np.random.Generator(np.random.MT19937(1))
+        before = rng.bit_generator.state
+        for call in (lambda: c._words32(rng, 5), lambda: c._lazy_moves(rng, 6, 5)):
+            with pytest.raises(ValueError, match="MT19937"):
+                call()
+            assert same_state(rng.bit_generator.state, before)
 
     def test_golden_protocol_keygen(self, tmp_path, capsys):
         # sha256 of the files written by

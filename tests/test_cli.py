@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tvwalk
-from tvwalk import chain, cli, exactgroup, funineq
+from tvwalk import chain, cli, diagnostics, exactgroup, funineq
 from tvwalk import gf2core as g
 from tvwalk.chain import load_trajectory, replay
 from tvwalk.cli import cli_dispatch
@@ -469,6 +469,20 @@ class TestReproducibility:
         files = [(d / "cutoff.csv").read_bytes() for d in dirs]
         assert files[0] == files[1] == files[2]
         assert b"threads" not in files[0]
+
+    def test_worker_count_changes_no_stdout_byte(self, capsys, tmp_path):
+        argv = ("cutoff", "--n", "16", "--trials", "5000", "--seed", "4", "--out", str(tmp_path))
+        outputs = []
+        for extra in ((), ("--threads", "1"), ("--threads", "2")):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0
+            outputs.append((out, (tmp_path / "cutoff.csv").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_threads_default_is_the_available_cores(self, capsys, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_available_cores", lambda: 3)
+        code, out, _ = run(capsys, "cutoff", "--help")
+        assert code == 0 and "(default: the available cores, 3)" in " ".join(out.split())
 
     def test_seed_changes_sampled_output(self, capsys, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"

@@ -1,6 +1,8 @@
 """Sampling diagnostics: statistic TV estimates, cutoff curves, MC counts."""
 
 import hashlib
+import multiprocessing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -350,6 +352,55 @@ class TestMcStateFrequencies:
         successor table of about 4 * 10^8 entries."""
         with pytest.raises(ValueError, match="n in 2..4"):
             dg.mc_state_frequencies(n, 1, 1000, seed=0, gt=None)
+
+
+class TestWorkerPool:
+    def test_no_worker_outlives_a_call(self):
+        curve = dg.cutoff_experiment(16, 5000, 3, threads=2)
+        assert multiprocessing.active_children() == []
+        assert curve == dg.cutoff_experiment(16, 5000, 3, threads=1)
+
+    def test_worker_error_reaches_the_caller_and_ends_the_pool(self):
+        """The block function is a closure, which a pickling pool could not send."""
+        offset = 10
+
+        def block(b):
+            if b == 1:
+                raise ValueError(f"block {b + offset}")
+            return b
+
+        with pytest.raises(ValueError, match="block 11"):
+            dg._map_blocks(3, block, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_capped_by_blocks_and_available_cores(self, monkeypatch):
+        """A planned pool of min(threads, blocks, cores) processes; the fake pool
+        runs the blocks here, with the block function a fork would inherit."""
+        planned = []
+
+        class Pool:
+            def __init__(self, processes):
+                planned.append(processes)
+                self.inherited = dg._forked_block
+
+            def map(self, fn, blocks, chunksize):
+                monkeypatch.setattr(dg, "_forked_block", self.inherited)
+                return [fn(b) for b in blocks]
+
+            def close(self):
+                planned.append("closed")
+
+            def join(self):
+                planned.append("joined")
+
+        monkeypatch.setattr(dg, "_available_cores", lambda: 2)
+        fork = SimpleNamespace(Pool=Pool)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: fork)
+        assert dg._map_blocks(400, lambda b: 3 * b, 10_000) == [3 * b for b in range(400)]
+        assert planned == [2, "closed", "joined"]
+        assert dg._map_blocks(1, lambda b: b, 10_000) == [0]  # one block: no pool
+        assert dg._map_blocks(5, lambda b: b, 1) == list(range(5))  # one worker: no pool
+        assert planned == [2, "closed", "joined"]
 
 
 @pytest.mark.parametrize(
