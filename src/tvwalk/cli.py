@@ -2,13 +2,13 @@
 
 Every subcommand takes its randomness from one ``--seed``; internal
 sub-streams are derived as (seed, stream-id, block-id) so results do not
-depend on ``--threads``, the number of worker processes ``cutoff`` forks
-for its trial blocks (default: one per available core).  Every CSV starts
-with a ``#``-prefixed echo of the configuration that determines its
-contents (the worker count is not part of it), and re-running a command
-with the same configuration reproduces the file byte for byte at any
-worker count.  Floats are written with ``repr``, which round-trips
-exactly.
+depend on ``--threads``, an option of ``cutoff`` alone: the number of
+worker processes it forks for its trial blocks (default: one per available
+core).  Every CSV starts with a ``#``-prefixed echo of the configuration
+that determines its contents (the worker count is not part of it), and
+re-running a command with the same configuration reproduces the file byte
+for byte at any worker count.  Floats are written with ``repr``, which
+round-trips exactly.
 
 Exit codes: 0 on success, 1 when protocol verification rejects, 2 on
 invalid configuration or input (with a one-line diagnostic on stderr), 3
@@ -263,6 +263,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cutoff(args) -> int:
+    _require_range("threads", args.threads, 1)
     grid = diagnostics.DEFAULT_CUTOFF_GRID if args.grid is None else tuple(args.grid)
     points = diagnostics.cutoff_experiment(
         args.n, args.trials, args.seed, k=args.k, grid=grid, threads=args.threads
@@ -453,11 +454,6 @@ def _build_parser(argv=(), config=None) -> tuple[argparse.ArgumentParser, set[st
         nonlocal built
         p = subparser(owner, name, **kwargs)
         option(p, "--seed", type=int, default=0, help="master seed (default 0)")
-        option(
-            p, "--threads", type=int, default=diagnostics._available_cores(),
-            help="worker processes, read only by cutoff; never changes results "
-            "(default: the available cores, %(default)s)",
-        )
         option(p, "--out", default=".", help="output directory for CSVs (default .)")
         option(p, "--config", default=None, help="flat key=value file with flag defaults")
         p.set_defaults(func=handler)
@@ -503,6 +499,11 @@ def _build_parser(argv=(), config=None) -> tuple[argparse.ArgumentParser, set[st
     option(p, "--n", type=int, required=True)
     option(p, "--trials", type=int, required=True)
     option(p, "--k", type=int, default=1, help="number of projected columns (default 1)")
+    option(
+        p, "--threads", type=int, default=diagnostics._available_cores(),
+        help="worker processes, at least 1; never changes results "
+        "(default: the available cores, %(default)s)",
+    )
     option(
         p,
         "--grid",
@@ -592,7 +593,6 @@ def cli_dispatch(argv) -> int:
         return code if isinstance(code, int) else 0
 
     try:
-        _require_range("threads", args.threads, 1)
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,14 +24,17 @@ Both take the same values and leave the same final generator state, drawn a
 chunk at a time by `_move_draws`, in the chain's pair-table move order:
 non-lazy pairs from ``Generator.integers``, lazy ones from `chain._words32`.
 
-Trials are split into fixed-size blocks with per-block derived generator
-streams, and block results are merged in block order, so results are
+One runner, `_run_blocks`, serves all three Monte-Carlo functions: it
+splits the trials into fixed-size blocks with per-block derived generator
+streams and sums the blocks' count arrays in block order, so results are
 identical for any worker count.  With ``threads`` above 1 the blocks run in
 a pool of forked worker processes, at most one per block and per available
-core; the pool is closed and joined before the call returns.  Each step's
-NumPy calls on a 2,500-walk block are too short to overlap between threads
-under the interpreter lock, which is why the workers are processes.  These
-statistic distinguishers are also the hook for probing public keys of the
+core; each worker receives the block function as the pool initializer's
+argument, so the calling process writes no module state, and the pool is
+closed and joined before the call returns.  Each step's NumPy calls on a
+2,500-walk block are too short to overlap between threads under the
+interpreter lock, which is why the workers are processes.  These statistic
+distinguishers are also the hook for probing public keys of the
 authentication protocol against uniform.
 """
 
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +62,6 @@ __all__ = [
     "statistic_tv",
     "cutoff_experiment",
     "crossover_locator",
-    "monotone_decreasing_envelope",
     "mc_state_frequencies",
 ]
 
@@ -149,34 +150,39 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-# The block function of the `_map_blocks` call whose pool is forking: the
-# workers inherit it and call it through `_run_block`, so no closure is pickled.
-_forked_block = None
-_fork_lock = threading.Lock()
+# The block function of the pool's call, set in each forked worker by
+# `_install`; the parent process never writes it.
+_block = None
 
 
-def _run_block(b: int):
-    return _forked_block(b)
+def _install(block) -> None:
+    global _block
+    _block = block
 
 
-def _map_blocks(n_blocks: int, block, threads: int) -> list:
-    """[block(b) for b in range(n_blocks)], computed by min(threads, n_blocks,
-    available cores) forked worker processes when that is above 1 and the
-    platform can fork; otherwise one block after another in this process."""
-    global _forked_block
-    workers = min(threads, n_blocks, _available_cores())
+def _call_block(job: tuple[int, int]):
+    return _block(*job)
+
+
+def _run_blocks(trials: int, block, threads: int) -> list[np.ndarray]:
+    """block(b, size) for each block of `_BLOCK` trials (the last one shorter),
+    its tuples of count arrays summed position by position in block order.
+
+    The blocks run in min(threads, blocks, available cores) forked worker
+    processes when that is above 1 and the platform can fork, otherwise one
+    after another in this process.  A fork inherits the pool's initargs
+    instead of pickling them, so `block` may be a closure.
+    """
+    jobs = [(b, min(_BLOCK, trials - start)) for b, start in enumerate(range(0, trials, _BLOCK))]
+    workers = min(threads, len(jobs), _available_cores())
+    results = None
     if workers > 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            with _fork_lock:
-                _forked_block = block
-                try:
-                    pool = multiprocessing.get_context("fork").Pool(workers)
-                finally:
-                    _forked_block = None
+            pool = multiprocessing.get_context("fork").Pool(workers, _install, (block,))
             try:
-                results = pool.map(_run_block, range(n_blocks), chunksize=1)
+                results = pool.map(_call_block, jobs, chunksize=1)
             except BaseException:
                 pool.terminate()
                 raise
@@ -184,20 +190,16 @@ def _map_blocks(n_blocks: int, block, threads: int) -> list:
                 pool.close()
             finally:
                 pool.join()
-            return results
-    return [block(b) for b in range(n_blocks)]
-
-
-def _merge(results: list[tuple]) -> list[np.ndarray]:
-    """Per-block tuples of count arrays, summed position by position."""
+    if results is None:
+        results = [block(b, size) for b, size in jobs]
     return [np.sum(parts, axis=0) for parts in zip(*results)]
 
 
-def _block_sizes(trials: int) -> list[int]:
-    sizes = [_BLOCK] * (trials // _BLOCK)
-    if trials % _BLOCK:
-        sizes.append(trials % _BLOCK)
-    return sizes
+def _halves(ref: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Histograms of the two halves of a block's reference sample: their TV
+    distance is the noise floor, defined even for a single block."""
+    mid = len(ref) // 2
+    return np.bincount(ref[:mid], minlength=bins), np.bincount(ref[mid:], minlength=bins)
 
 
 def _identity_words(n: int, count: int, k: int) -> np.ndarray:
@@ -365,26 +367,18 @@ def statistic_tv(
         raise ValueError("time must be non-negative")
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
-    sizes = _block_sizes(trials)
     bins = _statistic_max(statistic, n) + 1
 
-    def block(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Each block contributes a half-sample split so the noise floor is
-        # defined even for a single block and is worker-count independent.
+    def block(b: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # The reference words are freed before the walk allocates its state;
         # holding both made a serial call fault about 40 % more pages.
-        words = sample_uniform_invertible_batch(n, sizes[b], derive_rng(seed, _STREAM_STAT_REF, b))
-        ref = _statistic_values(statistic, words, n)
+        words = sample_uniform_invertible_batch(n, size, derive_rng(seed, _STREAM_STAT_REF, b))
+        ref = _halves(_statistic_values(statistic, words, n), bins)
         del words
-        state = _walk_full(n, t, sizes[b], derive_rng(seed, _STREAM_STAT_CHAIN, b), lazy)
-        mid = sizes[b] // 2
-        return (
-            np.bincount(_statistic_values(statistic, state, n), minlength=bins),
-            np.bincount(ref[:mid], minlength=bins),
-            np.bincount(ref[mid:], minlength=bins),
-        )
+        state = _walk_full(n, t, size, derive_rng(seed, _STREAM_STAT_CHAIN, b), lazy)
+        return np.bincount(_statistic_values(statistic, state, n), minlength=bins), *ref
 
-    chain_hist, ref_a, ref_b = _merge(_map_blocks(len(sizes), block, threads))
+    chain_hist, ref_a, ref_b = _run_blocks(trials, block, threads)
     ref_hist = ref_a + ref_b
     floor = _hist_tv(ref_a, ref_b)
     return TvEstimate(
@@ -435,19 +429,14 @@ def cutoff_experiment(
         raise ValueError(f"the time grid needs values in [0, {CUTOFF_GRID_MAX:g}] n log n")
     nlogn = n * math.log(n)
     t_grid = sorted({int(round(s * nlogn)) for s in grid})
-    sizes = _block_sizes(trials)
     bins = n * k + 1
 
-    def block(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        count = sizes[b]
+    def block(b: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ref_rng = derive_rng(seed, _STREAM_CUTOFF_REF, b)
         if k == 1:
             ref_w = _stationary_weights_k1(n, count, ref_rng)
         else:
             ref_w = _weight_full(sample_uniform_invertible_batch(n, count, ref_rng, k))
-        mid = count // 2
-        ref_half_a = np.bincount(ref_w[:mid], minlength=bins)
-        ref_half_b = np.bincount(ref_w[mid:], minlength=bins)
         walk_rng = derive_rng(seed, _STREAM_CUTOFF_CHAIN, b)
         # k = 1 slice of the identity start: e_1 as unpacked bits.
         if k == 1:
@@ -461,9 +450,9 @@ def cutoff_experiment(
             _walk_rows(state, t_target - t_now, walk_rng, False)
             t_now = t_target
             hists[gi] = np.bincount(_weight_full(state), minlength=bins)
-        return hists, ref_half_a, ref_half_b
+        return hists, *_halves(ref_w, bins)
 
-    chain_hists, ref_a, ref_b = _merge(_map_blocks(len(sizes), block, threads))
+    chain_hists, ref_a, ref_b = _run_blocks(trials, block, threads)
     ref_total = ref_a + ref_b
     floor = _hist_tv(ref_a, ref_b)
     return [
@@ -481,23 +470,18 @@ def cutoff_experiment(
     ]
 
 
-def monotone_decreasing_envelope(values: np.ndarray) -> np.ndarray:
-    """Running-minimum regularization; a no-op on nonincreasing input."""
-    return np.minimum.accumulate(np.asarray(values, dtype=np.float64))
-
-
 def crossover_locator(curve: list[CutoffPoint]) -> float:
     """Time (in n log n units) where the cutoff curve crosses 1/2.
 
-    The curve is regularized to be nonincreasing, then the crossing is
-    located by linear interpolation; a curve that does not bracket 1/2 is
-    reported as such.
+    The curve is regularized to be nonincreasing (its running minimum), then
+    the crossing is located by linear interpolation; a curve that does not
+    bracket 1/2 is reported as such.
     """
     xs = np.array([p.t_over_nlogn for p in curve])
     ys = np.array([p.tv_estimate for p in curve])
     if xs.size < 2:
         raise NoBracketError("need at least two curve points")
-    reg = monotone_decreasing_envelope(ys)
+    reg = np.minimum.accumulate(ys)
     if reg[0] <= 0.5 or reg[-1] > 0.5:
         raise NoBracketError("curve does not bracket the 1/2 level")
     idx = int(np.argmax(reg <= 0.5))
@@ -534,14 +518,12 @@ def mc_state_frequencies(
         raise ValueError("need at least one trial")
     if t < 0:
         raise ValueError("time must be non-negative")
-    sizes = _block_sizes(trials)
     table = _successors(gt, lazy)
 
-    def block(b: int) -> np.ndarray:
-        rng = derive_rng(seed, _STREAM_MC, b)
-        state = np.zeros(sizes[b], dtype=np.intp)  # the identity sits at index 0
-        _walk_table(state, table, n * (n - 1), t, rng, lazy)
-        return np.bincount(state // (len(table) // gt.size), minlength=gt.size)
+    def block(b: int, size: int) -> tuple[np.ndarray]:
+        state = np.zeros(size, dtype=np.intp)  # the identity sits at index 0
+        _walk_table(state, table, n * (n - 1), t, derive_rng(seed, _STREAM_MC, b), lazy)
+        return (np.bincount(state // (len(table) // gt.size), minlength=gt.size),)
 
-    counts = _map_blocks(len(sizes), block, threads)
-    return np.sum(counts, axis=0)
+    (counts,) = _run_blocks(trials, block, threads)
+    return counts

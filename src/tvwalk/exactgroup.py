@@ -163,14 +163,6 @@ class SpectralReport:
     full_spectrum: bool
     n_states: int
 
-    @property
-    def lambda2(self) -> float:
-        return float(self.eigenvalues[1])
-
-    @property
-    def lambda_min(self) -> float:
-        return float(self.eigenvalues[-1])
-
 
 def _successor_keys(keys: np.ndarray, n: int) -> np.ndarray:
     """The (len(keys), n(n-1)) uint64 successors of packed row-major keys.

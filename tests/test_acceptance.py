@@ -217,13 +217,17 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
         (("spectrum", "--n", "2"), "spectrum.csv"),
         (("lsi", "--n", "2", "--restarts", "2", "--iters", "100"), "lsi.csv"),
         (("check", "--suite", "all", "--n", "2", "--trials", "100"), "inequality_suite.csv"),
-        (("cutoff", "--n", "16", "--trials", "1000", "--grid", "0.75,1.5,3.0"), "cutoff.csv"),
+        (
+            ("cutoff", "--n", "16", "--trials", "1000", "--grid", "0.75,1.5,3.0",
+             "--threads", "2"),
+            "cutoff.csv",
+        ),
     ]
     identical = []
     for argv, filename in jobs:
         dir_a, dir_b = tmp_path / f"a_{filename}", tmp_path / f"b_{filename}"
-        code_a = cli_dispatch([*argv, "--seed", "11", "--threads", "2", "--out", str(dir_a)])
-        code_b = cli_dispatch([*argv, "--seed", "11", "--threads", "2", "--out", str(dir_b)])
+        code_a = cli_dispatch([*argv, "--seed", "11", "--out", str(dir_a)])
+        code_b = cli_dispatch([*argv, "--seed", "11", "--out", str(dir_b)])
         identical.append(
             code_a == 0
             and code_b == 0

@@ -449,15 +449,15 @@ class TestReproducibility:
             (("lsi", "--n", "2", "--restarts", "2", "--iters", "100"), "lsi.csv"),
             (("check", "--suite", "key", "--n", "2", "--trials", "40"), "inequality_suite.csv"),
             (
-                ("cutoff", "--n", "16", "--trials", "1000", "--grid", "1.0,2.0"),
+                ("cutoff", "--n", "16", "--trials", "1000", "--grid", "1.0,2.0", "--threads", "2"),
                 "cutoff.csv",
             ),
         ],
     )
     def test_rerun_is_byte_identical(self, capsys, tmp_path, argv, filename):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        assert run(capsys, *argv, "--seed", "5", "--threads", "2", "--out", str(dir_a))[0] == 0
-        assert run(capsys, *argv, "--seed", "5", "--threads", "2", "--out", str(dir_b))[0] == 0
+        assert run(capsys, *argv, "--seed", "5", "--out", str(dir_a))[0] == 0
+        assert run(capsys, *argv, "--seed", "5", "--out", str(dir_b))[0] == 0
         assert (dir_a / filename).read_bytes() == (dir_b / filename).read_bytes()
 
     def test_thread_count_changes_no_byte(self, capsys, tmp_path):
@@ -538,6 +538,14 @@ class TestConfigFile:
         cfg.write_text("restarts=3\n")
         code, _, err = run(capsys, "order", "--config", str(cfg), "--n", "2")
         assert code == 2 and "restarts" in err
+
+    def test_threads_key_only_for_cutoff(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=2\n")
+        code, _, err = run(capsys, "order", "--config", str(cfg), "--n", "2")
+        assert code == 2 and "threads" in err
+        argv = ("cutoff", "--config", str(cfg), "--n", "16", "--trials", "1000", "--grid", "1.0")
+        assert run(capsys, *argv, "--out", str(tmp_path))[0] == 0
 
     def test_value_outside_choices_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -756,7 +764,7 @@ class TestMalformedInput:
             ("cutoff", "--n", "16", "--trials", "1000", "--grid", "-1.5"),
             ("cutoff", "--n", "16", "--trials", "1000", "--grid", ","),
             ("cutoff", "--n", "16", "--trials", "1000", "--grid", "1e12"),
-            ("order", "--n", "3", "--threads", "0"),
+            ("cutoff", "--n", "16", "--trials", "1000", "--threads", "0"),
             ("cutoff", "--n", "16", "--trials", "1000", "--threads", "-3"),
             ("protocol", "verify", "--key", "{key}", "--challenge", "a5",
              "--response", "{correct} bit_ops=-1 word_ops=0 role=dishonest", "--deadline", "99"),
@@ -797,6 +805,19 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    def test_threads_is_an_option_of_cutoff_alone(self, capsys):
+        leaves = [("order",), ("walk",), ("exact",), ("spectrum",), ("lsi",), ("check",),
+                  ("cutoff",), ("bounds",), ("protocol", "keygen"), ("protocol", "prove"),
+                  ("protocol", "verify"), ("protocol", "report")]
+        with_threads = []
+        for leaf in leaves:
+            code, out, _ = run(capsys, *leaf, "--help")
+            assert code == 0
+            if "--threads" in out:
+                with_threads.append(leaf)
+        assert with_threads == [("cutoff",)]
+        assert run(capsys, "order", "--n", "3", "--threads", "2")[0] == 2
 
 
 class TestParserPath:

@@ -1,6 +1,7 @@
 """Sampling diagnostics: statistic TV estimates, cutoff curves, MC counts."""
 
 import hashlib
+import math
 import multiprocessing
 from types import SimpleNamespace
 
@@ -115,8 +116,6 @@ class TestCutoffExperiment:
         assert pts[-1].tv_estimate < 0.2
 
     def test_grid_is_sorted_deduplicated_absolute_times(self):
-        import math
-
         pts = dg.cutoff_experiment(16, 1000, seed=4, grid=(1.0, 1.0, 0.5))
         times = [p.t for p in pts]
         assert times == sorted(set(times)) and len(times) == 2
@@ -144,6 +143,27 @@ class TestCutoffExperiment:
         with pytest.raises(ValueError):
             dg.cutoff_experiment(16, 2000, seed=0, k=17)
 
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_k1_matches_exact_birth_death_chain(self, n):
+        """The first column's weight w is a birth-death chain: up with
+        probability w(n-w)/(n(n-1)), down with w(w-1)/(n(n-1)), from w = 1;
+        its stationary law is Binomial(n, 1/2) given w >= 1.  The estimate
+        sits within 1.5 noise floors of the exact TV at every grid point."""
+        pts = dg.cutoff_experiment(n, 10_000, seed=99)
+        w = np.arange(n + 1)
+        up, down = w * (n - w) / (n * (n - 1)), w * (w - 1) / (n * (n - 1))
+        stationary = np.array([math.comb(n, v) for v in w], dtype=np.float64)
+        stationary[0] = 0.0
+        stationary /= stationary.sum()
+        law = np.zeros(n + 1)
+        law[1] = 1.0
+        t_now = 0
+        for p in pts:
+            for _ in range(p.t - t_now):
+                law = law * (1.0 - up - down) + np.roll(law * up, 1) + np.roll(law * down, -1)
+            t_now = p.t
+            exact = 0.5 * float(np.abs(law - stationary).sum())
+            assert abs(p.tv_estimate - exact) <= 1.5 * p.noise_floor, (p.t, exact)
 
     def test_step_budget_admits_default_grid_and_its_own_bound(self):
         assert max(dg.DEFAULT_CUTOFF_GRID) <= dg.CUTOFF_GRID_MAX
@@ -176,13 +196,17 @@ class TestCrossover:
         crossing = dg.crossover_locator(curve_points(zip(xs, ys)))
         assert abs(crossing - 1.5) <= 0.25
 
-    def test_envelope_no_op_on_nonincreasing(self):
-        vals = [1.0, 0.9, 0.2, 0.05]
-        assert dg.monotone_decreasing_envelope(vals).tolist() == vals
+    def test_nonincreasing_curve_crosses_by_plain_interpolation(self):
+        xs = [0.5, 1.0, 1.5, 2.0, 2.5]
+        ys = [1.0, 0.9, 0.6, 0.2, 0.05]
+        crossing = dg.crossover_locator(curve_points(zip(xs, ys)))
+        assert crossing == pytest.approx(float(np.interp(0.5, ys[::-1], xs[::-1])), rel=1e-12)
 
-    def test_envelope_flattens_bumps(self):
-        out = dg.monotone_decreasing_envelope([1.0, 0.4, 0.6, 0.3])
-        assert out.tolist() == [1.0, 0.4, 0.4, 0.3]
+    def test_bump_after_crossing_is_flattened(self):
+        """The running minimum keeps a late bump above 1/2 from unbracketing
+        the curve, and the crossing stays where the fall first reached 1/2."""
+        crossing = dg.crossover_locator(curve_points([(0.5, 1.0), (1.0, 0.4), (1.5, 0.6)]))
+        assert crossing == pytest.approx(0.5 + 0.5 * 0.5 / 0.6, rel=1e-12)
 
     def test_no_bracket_raised_both_sides(self):
         with pytest.raises(dg.NoBracketError):
@@ -354,38 +378,56 @@ class TestMcStateFrequencies:
             dg.mc_state_frequencies(n, 1, 1000, seed=0, gt=None)
 
 
+def block_index(b, size):
+    """One count array per block: a one-hot of the block index."""
+    return (np.eye(400, dtype=np.int64)[b],)
+
+
 class TestWorkerPool:
     def test_no_worker_outlives_a_call(self):
         curve = dg.cutoff_experiment(16, 5000, 3, threads=2)
         assert multiprocessing.active_children() == []
+        assert dg._block is None  # only the forked workers set it
         assert curve == dg.cutoff_experiment(16, 5000, 3, threads=1)
+
+    def test_blocks_split_trials_by_2500(self):
+        seen = []
+
+        def block(b, size):
+            seen.append((b, size))
+            return (np.array([size]),)
+
+        assert [a.tolist() for a in dg._run_blocks(7501, block, 1)] == [[7501]]
+        assert seen == [(0, 2500), (1, 2500), (2, 2500), (3, 1)]
 
     def test_worker_error_reaches_the_caller_and_ends_the_pool(self):
         """The block function is a closure, which a pickling pool could not send."""
         offset = 10
 
-        def block(b):
+        def block(b, size):
             if b == 1:
                 raise ValueError(f"block {b + offset}")
-            return b
+            return (np.array([size]),)
 
         with pytest.raises(ValueError, match="block 11"):
-            dg._map_blocks(3, block, 2)
+            dg._run_blocks(3 * 2500, block, 2)
         assert multiprocessing.active_children() == []
+        assert dg._block is None
 
     def test_workers_capped_by_blocks_and_available_cores(self, monkeypatch):
         """A planned pool of min(threads, blocks, cores) processes; the fake pool
-        runs the blocks here, with the block function a fork would inherit."""
+        runs the blocks here, after the initializer a forked worker would run."""
         planned = []
 
         class Pool:
-            def __init__(self, processes):
+            def __init__(self, processes, initializer, initargs):
                 planned.append(processes)
-                self.inherited = dg._forked_block
+                self.start = lambda: initializer(*initargs)
 
-            def map(self, fn, blocks, chunksize):
-                monkeypatch.setattr(dg, "_forked_block", self.inherited)
-                return [fn(b) for b in blocks]
+            def map(self, fn, jobs, chunksize):
+                monkeypatch.setattr(dg, "_block", None)  # restored after the test
+                self.start()
+                return [fn(job) for job in jobs]
 
             def close(self):
                 planned.append("closed")
@@ -396,10 +438,11 @@ class TestWorkerPool:
         monkeypatch.setattr(dg, "_available_cores", lambda: 2)
         fork = SimpleNamespace(Pool=Pool)
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: fork)
-        assert dg._map_blocks(400, lambda b: 3 * b, 10_000) == [3 * b for b in range(400)]
+        (counts,) = dg._run_blocks(400 * 2500, block_index, 10_000)
+        assert counts.tolist() == [1] * 400  # every block once
         assert planned == [2, "closed", "joined"]
-        assert dg._map_blocks(1, lambda b: b, 10_000) == [0]  # one block: no pool
-        assert dg._map_blocks(5, lambda b: b, 1) == list(range(5))  # one worker: no pool
+        assert dg._run_blocks(2500, block_index, 10_000)[0].sum() == 1  # one block: no pool
+        assert dg._run_blocks(5 * 2500, block_index, 1)[0].sum() == 5  # one worker: no pool
         assert planned == [2, "closed", "joined"]
 
 

@@ -259,7 +259,7 @@ class TestSpectrum:
     def test_n3_frozen(self):
         rep = eg.spectral_report(eg.analyze(3)[1])
         assert rep.gap == pytest.approx(0.26429773960448266, abs=1e-12)
-        assert rep.lambda_min == pytest.approx(-2 / 3, abs=1e-9)
+        assert rep.eigenvalues[-1] == pytest.approx(-2 / 3, abs=1e-9)
         assert rep.period == 1
         assert rep.full_spectrum
         assert rep.absolute_gap == pytest.approx(rep.gap, abs=1e-12)  # |lambda_2| > |lambda_min| here
@@ -267,8 +267,8 @@ class TestSpectrum:
     def test_n4_extremes_via_sparse_solver(self):
         rep = eg.spectral_report(eg.analyze(4)[1])
         assert not rep.full_spectrum
-        assert rep.lambda2 == pytest.approx(0.8143334893882305, abs=1e-6)
-        assert rep.lambda_min == pytest.approx(-0.6014158805023594, abs=1e-6)
+        assert rep.eigenvalues[1] == pytest.approx(0.8143334893882305, abs=1e-6)
+        assert rep.eigenvalues[-1] == pytest.approx(-0.6014158805023594, abs=1e-6)
         assert rep.gap == pytest.approx(0.18566651061176953, abs=1e-6)
         assert rep.period == 1
 
