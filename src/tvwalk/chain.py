@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .gf2core import WORD_BITS, BitMatrix, derive_rng
+from .gf2core import BitMatrix, _from_row_bytes, derive_rng
 
 __all__ = [
     "Trajectory",
@@ -158,9 +158,9 @@ def _endpoint(n: int, moves: np.ndarray) -> BitMatrix:
     """Identity with the given non-held moves applied, as packed words."""
     rows = [1 << r for r in range(n)]
     _apply_moves(rows, moves[:, 0], moves[:, 1])
-    w = (n + WORD_BITS - 1) // WORD_BITS
-    raw = b"".join(r.to_bytes(8 * w, "little") for r in rows)
-    return BitMatrix(n, np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(n, w))
+    nbytes = (n + 7) // 8
+    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    return BitMatrix(n, _from_row_bytes(np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes), n))
 
 
 def _lazy_moves(rng: np.random.Generator, npairs: int, t: int) -> tuple[list, list]:
@@ -240,16 +240,9 @@ def save_trajectory(path, traj: Trajectory) -> None:
         + traj.steps.to_bytes(8, "little")
         + bytes([1 if traj.lazy else 0])
     )
-    records = traj.moves
-    if traj.lazy:
-        records = np.where(records == _HOLD, _HOLD_RECORD, records)
-    records = records.astype("<u2")
+    records = np.where(traj.moves == _HOLD, _HOLD_RECORD, traj.moves) if traj.lazy else traj.moves
     with open(path, "wb") as fh:
-        fh.write(header + records.tobytes())
-
-
-def _hold_records(moves: np.ndarray) -> np.ndarray:
-    return (moves[:, 0] == _HOLD_RECORD) & (moves[:, 1] == _HOLD_RECORD)
+        fh.write(header + records.astype("<u2").tobytes())
 
 
 def load_trajectory(path) -> Trajectory:
@@ -274,13 +267,8 @@ def load_trajectory(path) -> Trajectory:
         raise ValueError("TVWK payload length mismatch")
     lazy = bool(raw[17])
     moves = np.frombuffer(raw, dtype="<u2", offset=_TRAJ_HEADER).reshape(t, 2).astype(np.int64)
-    if lazy:
-        moves[_hold_records(moves)] = _HOLD
+    # A hold record, one all-ones u32, names one row twice, so it is never a move:
+    # mapped at either laziness, Trajectory rejects it in a non-lazy file itself.
+    moves[np.frombuffer(raw, dtype="<u4", offset=_TRAJ_HEADER) == 0xFFFFFFFF] = _HOLD
     moves.flags.writeable = False  # the trajectory owns these moves
-    try:
-        return Trajectory(n, 0, moves, lazy)
-    except ValueError:
-        # Unmapped, a hold record fails the row check; name it as Trajectory would.
-        if not lazy and _hold_records(moves).any():
-            raise ValueError("held step in a non-lazy trajectory") from None
-        raise
+    return Trajectory(n, 0, moves, lazy)

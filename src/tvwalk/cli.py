@@ -64,11 +64,7 @@ def _out_path(args, filename: str) -> str:
 
 
 def _config_echo(args, **extra) -> dict:
-    base = {"command": args.command, "seed": args.seed}
-    if getattr(args, "action", None):
-        base["command"] = f"{args.command}-{args.action}"
-    base.update(extra)
-    return base
+    return {"command": args.command, "seed": args.seed, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +74,7 @@ def _config_echo(args, **extra) -> dict:
 
 
 def _vector_to_hex(v: gf2core.BitVector) -> str:
-    nbytes = (v.n + 7) // 8
-    return v.words.astype("<u8").tobytes()[:nbytes].hex()
+    return gf2core._row_bytes(v).tobytes().hex()
 
 
 def _vector_from_hex(text: str, n: int) -> gf2core.BitVector:
@@ -87,10 +82,7 @@ def _vector_from_hex(text: str, n: int) -> gf2core.BitVector:
     nbytes = (n + 7) // 8
     if len(data) != nbytes:
         raise ValueError(f"challenge must be {nbytes} bytes ({2 * nbytes} hex digits) for n={n}")
-    nwords = (n + 63) // 64
-    buf = data + b"\x00" * (8 * nwords - nbytes)
-    words = np.frombuffer(buf, dtype="<u8").astype(np.uint64)
-    return gf2core.BitVector(n, words)
+    return gf2core.BitVector(n, gf2core._from_row_bytes(np.frombuffer(data, dtype=np.uint8), n))
 
 
 def _parse_response_line(text: str, n: int) -> protocol.Response:

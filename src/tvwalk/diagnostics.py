@@ -48,7 +48,13 @@ import numpy as np
 
 from .chain import _pair_tables, _redraw_below, _words32
 from .exactgroup import ANALYZE_DIMENSIONS, GroupTable, _successor_keys
-from .gf2core import WORD_BITS, derive_rng, rank_words_batch, sample_uniform_invertible_batch
+from .gf2core import (
+    WORD_BITS,
+    _identity_words,
+    derive_rng,
+    rank_words_batch,
+    sample_uniform_invertible_batch,
+)
 
 __all__ = [
     "STATISTICS",
@@ -64,8 +70,6 @@ __all__ = [
     "crossover_locator",
     "mc_state_frequencies",
 ]
-
-STATISTICS = ("weight", "trace", "corner_rank")
 
 # Trials per block; fixed so that per-block generator streams, and hence all
 # outputs, are independent of the worker count.
@@ -202,16 +206,6 @@ def _halves(ref: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
     return np.bincount(ref[:mid], minlength=bins), np.bincount(ref[mid:], minlength=bins)
 
 
-def _identity_words(n: int, count: int, k: int) -> np.ndarray:
-    """`count` copies of the first k columns of the n x n identity,
-    word-packed: row r holds bit r when r < k."""
-    w = (k + WORD_BITS - 1) // WORD_BITS
-    state = np.zeros((count, n, w), dtype=np.uint64)
-    idx = np.arange(k)
-    state[:, idx, idx // WORD_BITS] = np.uint64(1) << (idx % WORD_BITS).astype(np.uint64)
-    return state
-
-
 def _move_draws(rng: np.random.Generator, npairs: int, t: int, count: int, lazy: bool):
     """Pair draws, and hold coins when lazy, of `count` walks over t steps.
 
@@ -315,27 +309,17 @@ def _trace_full(state: np.ndarray, n: int) -> np.ndarray:
     return (diag & np.uint64(1)).sum(axis=1, dtype=np.int64)
 
 
-def _corner_rank_full(state: np.ndarray, n: int) -> np.ndarray:
-    m = (n + 1) // 2
-    return rank_words_batch(state[:, :m], m)
-
-
-def _statistic_values(name: str, state: np.ndarray, n: int) -> np.ndarray:
-    if name == "weight":
-        return _weight_full(state)
-    if name == "trace":
-        return _trace_full(state, n)
-    if name == "corner_rank":
-        return _corner_rank_full(state, n)
-    raise ValueError(f"unknown statistic {name!r}; choose from {STATISTICS}")
-
-
-def _statistic_max(name: str, n: int) -> int:
-    if name == "weight":
-        return n * n
-    if name == "trace":
-        return n
-    return (n + 1) // 2
+# name: (its values on a (count, n, W) packed state, its largest value), by n.
+# The corner rank looks rank_words_batch up when called, not when defined.
+_STATISTICS = {
+    "weight": (lambda state, n: _weight_full(state), lambda n: n * n),
+    "trace": (_trace_full, lambda n: n),
+    "corner_rank": (
+        lambda state, n: rank_words_batch(state[:, : (n + 1) // 2], (n + 1) // 2),
+        lambda n: (n + 1) // 2,
+    ),
+}
+STATISTICS = tuple(_STATISTICS)
 
 
 def _hist_tv(a: np.ndarray, b: np.ndarray) -> float:
@@ -367,16 +351,17 @@ def statistic_tv(
         raise ValueError("time must be non-negative")
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
-    bins = _statistic_max(statistic, n) + 1
+    values, largest = _STATISTICS[statistic]
+    bins = largest(n) + 1
 
     def block(b: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # The reference words are freed before the walk allocates its state;
         # holding both made a serial call fault about 40 % more pages.
         words = sample_uniform_invertible_batch(n, size, derive_rng(seed, _STREAM_STAT_REF, b))
-        ref = _halves(_statistic_values(statistic, words, n), bins)
+        ref = _halves(values(words, n), bins)
         del words
         state = _walk_full(n, t, size, derive_rng(seed, _STREAM_STAT_CHAIN, b), lazy)
-        return np.bincount(_statistic_values(statistic, state, n), minlength=bins), *ref
+        return np.bincount(values(state, n), minlength=bins), *ref
 
     chain_hist, ref_a, ref_b = _run_blocks(trials, block, threads)
     ref_hist = ref_a + ref_b

@@ -67,10 +67,7 @@ def _n_words(n: int) -> int:
 
 def _pad_mask(n: int) -> np.uint64:
     """Mask keeping only the valid bits of the last word of an n-bit row."""
-    rem = n % WORD_BITS
-    if rem == 0:
-        return np.uint64(0xFFFFFFFFFFFFFFFF)
-    return np.uint64((1 << rem) - 1)
+    return np.uint64((1 << (n % WORD_BITS or WORD_BITS)) - 1)
 
 
 def _check_canonical(n: int, words: np.ndarray) -> None:
@@ -114,7 +111,43 @@ class OpCount:
     word_ops: int
 
 
-class BitVector:
+class _Packed:
+    """n-bit rows packed along the last axis of ``words``: the one storage
+    of BitVector and BitMatrix, checked canonical on construction."""
+
+    __slots__ = ("n", "words")
+
+    def __init__(self, n: int, words: np.ndarray):
+        if n < 1:
+            raise ValueError("dimension must be positive")
+        _check_canonical(n, words)
+        self.n = n
+        self.words = words
+
+    @classmethod
+    def from_bits(cls, bits):
+        bits = np.asarray(bits, dtype=np.uint8)
+        n = bits.shape[-1]
+        return cls(n, _from_row_bytes(np.packbits(bits, axis=-1, bitorder="little"), n))
+
+    def to_bits(self) -> np.ndarray:
+        return np.unpackbits(_row_bytes(self), axis=-1, bitorder="little")[..., : self.n]
+
+    def popcount(self) -> int:
+        return int(np.bitwise_count(self.words).sum())
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self.n == other.n
+            and bool(np.array_equal(self.words, other.words))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.words.tobytes()))
+
+
+class BitVector(_Packed):
     """Packed vector of n bits.
 
     Parameters
@@ -126,47 +159,13 @@ class BitVector:
         canonical padding (bits >= n are zero).
     """
 
-    __slots__ = ("n", "words")
-
-    def __init__(self, n: int, words: np.ndarray):
-        if n < 1:
-            raise ValueError("dimension must be positive")
-        _check_canonical(n, words)
-        self.n = n
-        self.words = words
-
-    @classmethod
-    def from_bits(cls, bits) -> "BitVector":
-        bits = np.asarray(bits, dtype=np.uint8)
-        n = bits.shape[0]
-        packed = np.packbits(bits, bitorder="little")
-        words = np.zeros(_n_words(n), dtype=np.uint64)
-        words_view = words.view(np.uint8)
-        words_view[: packed.size] = packed
-        return cls(n, words)
-
-    def to_bits(self) -> np.ndarray:
-        raw = np.unpackbits(self.words.view(np.uint8), bitorder="little")
-        return raw[: self.n]
-
-    def popcount(self) -> int:
-        return int(np.bitwise_count(self.words).sum())
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and self.n == other.n
-            and bool(np.array_equal(self.words, other.words))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.words.tobytes()))
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"BitVector({''.join(str(b) for b in self.to_bits())})"
 
 
-class BitMatrix:
+class BitMatrix(_Packed):
     """Packed n x n matrix over Z_2, row-major.
 
     Parameters
@@ -177,56 +176,50 @@ class BitMatrix:
         uint64 array of shape (n, ceil(n/64)); row i is a packed BitVector.
     """
 
-    __slots__ = ("n", "words")
+    __slots__ = ()
 
     def __init__(self, n: int, words: np.ndarray):
-        if n < 1:
-            raise ValueError("dimension must be positive")
+        super().__init__(n, words)
         if words.shape[0] != n:
             raise ValueError("need exactly n rows")
-        _check_canonical(n, words)
-        self.n = n
-        self.words = words
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        words = np.zeros((n, _n_words(n)), dtype=np.uint64)
-        idx = np.arange(n)
-        words[idx, idx // WORD_BITS] = _ONE << (idx % WORD_BITS).astype(np.uint64)
-        return cls(n, words)
+        return cls(n, _identity_words(n, 1, n)[0])
 
     @classmethod
     def from_bits(cls, bits) -> "BitMatrix":
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
             raise ValueError("need a square 0/1 array")
-        n = bits.shape[0]
-        words = np.zeros((n, _n_words(n)), dtype=np.uint64)
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        view = words.view(np.uint8)[:, : packed.shape[1]]
-        view[:] = packed
-        return cls(n, words)
-
-    def to_bits(self) -> np.ndarray:
-        raw = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
-        return raw[:, : self.n]
-
-    def popcount(self) -> int:
-        return int(np.bitwise_count(self.words).sum())
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self.n == other.n
-            and bool(np.array_equal(self.words, other.words))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.words.tobytes()))
+        return super().from_bits(bits)
 
     def __repr__(self) -> str:
         lines = ["".join(str(b) for b in r) for r in self.to_bits()]
         return "BitMatrix([" + ", ".join(lines) + "])"
+
+
+def _identity_words(n: int, count: int, k: int) -> np.ndarray:
+    """`count` copies of the first k columns of the n x n identity,
+    word-packed: row r holds bit r when r < k."""
+    state = np.zeros((count, n, _n_words(k)), dtype=np.uint64)
+    idx = np.arange(k)
+    state[:, idx, idx // WORD_BITS] = _ONE << (idx % WORD_BITS).astype(np.uint64)
+    return state
+
+
+def _row_bytes(x: _Packed) -> np.ndarray:
+    """Each row's ceil(n/8) bytes, LSB-first within each byte: the leading
+    bytes of its little-endian words, the row layout of GF2M files and hex."""
+    return np.ascontiguousarray(x.words, dtype="<u8").view(np.uint8)[..., : (x.n + 7) // 8]
+
+
+def _from_row_bytes(rows: np.ndarray, n: int) -> np.ndarray:
+    """uint64 words of uint8 rows laid out as by _row_bytes; canonical when
+    the bytes' bits past n are zero."""
+    words = np.zeros(rows.shape[:-1] + (_n_words(n),), dtype="<u8")
+    words.view(np.uint8)[..., : rows.shape[-1]] = rows
+    return words.astype(np.uint64, copy=False)
 
 
 def rank(x: BitMatrix) -> int:
@@ -492,9 +485,8 @@ def save_matrix(path, x: BitMatrix) -> None:
     leading bytes of each row's little-endian words.
     """
     header = _MATRIX_MAGIC + bytes([_MATRIX_VERSION]) + x.n.to_bytes(4, "little")
-    rows = x.words.astype("<u8", copy=False).view(np.uint8)[:, : (x.n + 7) // 8]
     with open(path, "wb") as fh:
-        fh.write(header + rows.tobytes())
+        fh.write(header + _row_bytes(x).tobytes())
 
 
 def load_matrix(path) -> BitMatrix:
@@ -521,6 +513,4 @@ def load_matrix(path) -> BitMatrix:
     rows = np.frombuffer(body, dtype=np.uint8).reshape(n, row_bytes)
     if n % 8 and (rows[:, -1] >> n % 8).any():  # padding sits in a row's last byte only
         raise ValueError("GF2M padding bits past column n must be zero")
-    words = np.zeros((n, _n_words(n)), dtype="<u8")
-    words.view(np.uint8)[:, :row_bytes] = rows
-    return BitMatrix(n, words.astype(np.uint64, copy=False))
+    return BitMatrix(n, _from_row_bytes(rows, n))

@@ -334,6 +334,18 @@ class TestTrajectoryFile:
         with pytest.raises(ValueError, match="held step in a non-lazy trajectory"):
             c.load_trajectory(path)
 
+    def test_hold_rejected_in_non_lazy_file_past_u16_rows(self, tmp_path):
+        # At n = 70,000 row 0xFFFF exists, so only the repeated row tells the
+        # record from a move; it is still named as a held step.
+        path = tmp_path / "bad.tvwk"
+        data = (
+            b"TVWK" + bytes([1]) + (70_000).to_bytes(4, "little") + (1).to_bytes(8, "little")
+            + bytes([0]) + (0xFFFF).to_bytes(2, "little") * 2
+        )
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="held step in a non-lazy trajectory"):
+            c.load_trajectory(path)
+
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.tvwk"
         path.write_bytes(b"XXXX" + bytes(14))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvwalk import cli
 from tvwalk import gf2core as g
 from tvwalk.chain import Trajectory, _apply_moves, replay, run
 from tvwalk.exactgroup import order_ratio
@@ -500,6 +501,23 @@ class TestContainers:
         assert a == b and hash(a) == hash(b)
         assert len({random_matrix(5, s) for s in range(20)} | {random_matrix(5, 3)}) == 20
 
+    def test_vector_never_equals_matrix(self):
+        words = np.ones((1, 1), dtype=np.uint64)  # also valid as a 1-bit vector's words
+        v, x = g.BitVector(1, words), g.BitMatrix(1, words)
+        assert v != x and x != v
+        assert g.BitVector.from_bits([1]) != g.BitMatrix.identity(1)
+
+    def test_strided_words_convert(self):
+        words = np.zeros((2, 3), dtype=np.uint64)
+        words[:, 0] = [5, 1]
+        v = g.BitVector(65, words[:, 0])  # a column view: strided words
+        assert v.to_bits().nonzero()[0].tolist() == [0, 2, 64]
+        assert v == g.BitVector.from_bits(v.to_bits())
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 130])
+    def test_identity_bits(self, n):
+        assert np.array_equal(g.BitMatrix.identity(n).to_bits(), np.eye(n, dtype=np.uint8))
+
 
 class TestMatrixFile:
     def test_round_trip(self, tmp_path):
@@ -546,6 +564,18 @@ class TestMatrixFile:
         packed = np.packbits(x.to_bits(), axis=1, bitorder="little")
         assert path.read_bytes()[9:] == packed.tobytes()
         assert g.load_matrix(path) == x
+
+    @pytest.mark.parametrize("n", [1, 9, 65, 100])
+    def test_hex_is_the_row_layout(self, tmp_path, n):
+        x = random_matrix(n, n)
+        path = tmp_path / "m.gf2m"
+        g.save_matrix(path, x)
+        row_bytes = (n + 7) // 8
+        payload = path.read_bytes()[9:]
+        for r in range(n):
+            row = payload[r * row_bytes : (r + 1) * row_bytes]
+            assert cli._vector_to_hex(g.BitVector(n, x.words[r])) == row.hex()
+            assert cli._vector_from_hex(row.hex(), n) == g.BitVector(n, x.words[r])
 
     @pytest.mark.parametrize("n", [1, 9, 11, 63, 65])
     def test_rejects_padding_bits_in_first_and_last_rows(self, tmp_path, n):
