@@ -18,6 +18,10 @@ An optional ``--config path`` reads a flat ``key=value`` file whose keys
 are the long option names of the chosen subcommand; values given on the
 command line win over the file.  File values are converted and checked as
 command-line values are, and a bad one is reported with its key.
+
+Each command, a leaf of the parser tree, is declared once in ``_leaves``.  A
+command builds only its leaf's parser, which reports its own usage errors;
+the whole tree is built only for help and usage errors above the leaves.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -388,158 +393,153 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-class _Unbuilt:
-    """Stands in for a subparser that argv does not name: every call is a no-op."""
+# One command: its name path below tvwalk, handler, help line, options as
+# (flag, add_argument keywords), and sources, flags of which exactly one is given.
+_Leaf = namedtuple("_Leaf", "path handler help options sources", defaults=((),))
+_COMMON = (
+    ("--seed", dict(type=int, default=0, help="master seed (default 0)")),
+    ("--out", dict(default=".", help="output directory for CSVs (default .)")),
+    ("--config", dict(help="flat key=value file with flag defaults")),
+)
+_GROUP_HELP = {"protocol": "timed challenge-response authentication"}
 
-    def __getattr__(self, attr):
-        return lambda *args, **kwargs: self
+
+def _leaves() -> tuple[_Leaf, ...]:
+    """Every command, in help order; declared per dispatch, as the default of
+    --threads is the number of cores available now."""
+    exact_n = f"n <= {exactgroup.ANALYZE_DIMENSIONS[-1]}"
+    lsi_n = "n in {" + ",".join(map(str, funineq.LSI_DIMENSIONS)) + "}"
+    cutoff_n = f"n >= {diagnostics.CUTOFF_MIN_N}"
+    n, lazy = ("--n", dict(type=int, required=True)), ("--lazy", dict(action="store_true"))
+    return (
+        _Leaf(("order",), _cmd_order, "group order and its ratio to all binary matrices", (
+            ("--n", dict(type=int, required=True, help="matrix dimension")),
+        )),
+        _Leaf(("walk",), _cmd_walk, "run one seeded walk and summarize the endpoint", (
+            n,
+            ("--t", dict(type=int, required=True, help="number of steps")),
+            ("--lazy", dict(action="store_true", help="hold each step with probability 1/2")),
+            ("--save-trajectory", dict(help="write the move record here")),
+            ("--save-matrix", dict(help="write the final matrix here")),
+        )),
+        _Leaf(("exact",), _cmd_exact, f"exact distance curve and mixing times ({exact_n})", (
+            n,
+            ("--eps", dict(type=float, default=0.25, help="distance threshold (default 0.25)")),
+            ("--tmax", dict(type=int, help="curve horizon (default: t2_mix + 5)")),
+            lazy,
+        )),
+        _Leaf(("spectrum",), _cmd_spectrum, f"eigenvalue report of the walk ({exact_n})", (n,)),
+        _Leaf(("lsi",), _cmd_lsi, f"log-Sobolev constant lower bound ({lsi_n})", (
+            n,
+            ("--restarts", dict(type=int, default=50)),
+            ("--iters", dict(type=int, default=1500)),
+        )),
+        _Leaf(("check",), _cmd_check, "randomized zero-violation inequality suites", (
+            ("--suite", dict(required=True, choices=(*funineq.SUITE_NAMES, "all"),
+                             help="which inequality to stress")),
+            ("--n", dict(type=int, default=2, help="group dimension (default 2)")),
+            ("--trials", dict(type=int, required=True, help="random functions per suite")),
+            ("--d", dict(type=int, default=8, help="hypercube dimension (default 8)")),
+        )),
+        _Leaf(("cutoff",), _cmd_cutoff, f"k-column projection cutoff curve ({cutoff_n})", (
+            n,
+            ("--trials", dict(type=int, required=True)),
+            ("--k", dict(type=int, default=1, help="number of projected columns (default 1)")),
+            ("--threads", dict(type=int, default=diagnostics._available_cores(),
+                               help="worker processes, at least 1; never changes results "
+                               "(default: the available cores, %(default)s)")),
+            ("--grid", dict(type=_float_list, help="comma-separated times in units of "
+                            "n log n (default: built-in grid)")),
+        )),
+        _Leaf(("bounds",), _cmd_bounds, "counting lower bound and the mixing upper bound", (
+            n,
+            ("--eps", dict(type=float, default=0.25)),
+            ("--restarts", dict(type=int, default=8, help="constant-estimation restarts")),
+            ("--iters", dict(type=int, default=600, help="constant-estimation iterations")),
+        )),
+        _Leaf(("protocol", "keygen"), _cmd_protocol, "walk out a key pair and save both halves", (
+            n,
+            ("--t", dict(type=int, required=True)),
+            lazy,
+            ("--key", dict(help="public key path (default OUT/key.gf2m)")),
+            ("--secret", dict(help="secret move-record path (default OUT/secret.tvwk)")),
+        )),
+        _Leaf(("protocol", "prove"), _cmd_protocol, "answer a challenge, honestly or not", (
+            ("--secret", dict(help="answer honestly from this move record")),
+            ("--key", dict(help="answer dishonestly from this public key")),
+            ("--challenge", dict(required=True, help="hex challenge vector (ceil(n/8) bytes)")),
+        ), sources=("--secret", "--key")),
+        _Leaf(("protocol", "verify"), _cmd_protocol, "check an answer against the deadline", (
+            ("--key", dict(required=True, help="public key path")),
+            ("--challenge", dict(required=True, help="hex challenge vector")),
+            ("--response", dict(help="response line from `prove`")),
+            ("--response-file", dict(help="file holding the response line")),
+            ("--deadline", dict(type=int, required=True, help="bit-operation budget")),
+        )),
+        _Leaf(("protocol", "report"), _cmd_protocol, "honest vs dishonest cost table", (
+            ("--n", dict(type=_int_list, required=True, help="comma-separated dimensions")),
+            ("--t", dict(type=int, required=True, help="honest move count")),
+            ("--word-bits", dict(type=int, default=64, help="machine word width (default 64)")),
+        )),
+    )
 
 
-def _build_parser(argv=(), config=None) -> tuple[argparse.ArgumentParser, set[str]]:
-    """The parser, built only along the path that argv names, and the config
-    keys that no built option takes.
+def _build_parser(leaf=None, config=None) -> tuple[argparse.ArgumentParser, set[str]]:
+    """The parser of one leaf, or the whole tree when leaf is None, and the
+    config keys that no built option takes.
 
-    Above the leaves only -h is an option, so argparse picks a subparser by
-    argv's next token alone and never reads its siblings, left unbuilt.  A
-    token that names none of them builds no leaf, and then the whole tree is
-    built, as for no argv: help and usage errors read it.  A config value is
-    converted and checked as on the command line, which still wins over it.
+    A leaf's parser is the one ``add_parser`` makes for it in the tree, so it
+    parses, helps and fails as the tree does below the leaf's name, except
+    that it reports leftover arguments itself.  A config value is converted
+    and checked as on the command line, which still wins over it.
     """
     config = config or {}
-    path, unbuilt, untaken, built = iter(argv), _Unbuilt(), set(config), False
+    untaken = set(config)
 
-    def option(p, flag: str, **kwargs) -> None:
-        key = flag.lstrip("-").replace("-", "_")
-        if p is not unbuilt and key in config:
-            raw, choices = config[key], kwargs.get("choices")
-            try:
-                if kwargs.get("action") == "store_true":
-                    if raw.lower() not in _TRUE_WORDS | _FALSE_WORDS:
-                        raise ValueError(f"not a boolean: {raw!r}")
-                    value = raw.lower() in _TRUE_WORDS
-                else:
-                    value = kwargs.get("type", str)(raw)
-                if choices is not None and value not in choices:
-                    listed = ", ".join(map(repr, choices))
-                    raise ValueError(f"invalid choice: {value!r} (choose from {listed})")
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
-            kwargs.update(default=value, required=False)
-            untaken.discard(key)
-        p.add_argument(flag, **kwargs)
+    def build(p: argparse.ArgumentParser, leaf: _Leaf) -> None:
+        if leaf.sources:
+            src = p.add_mutually_exclusive_group(
+                required=not any(flag[2:].replace("-", "_") in config for flag in leaf.sources)
+            )
+        for flag, kwargs in _COMMON + leaf.options:
+            key = flag[2:].replace("-", "_")
+            if key in config:
+                raw, choices = config[key], kwargs.get("choices")
+                try:
+                    if kwargs.get("action") == "store_true":
+                        if raw.lower() not in _TRUE_WORDS | _FALSE_WORDS:
+                            raise ValueError(f"not a boolean: {raw!r}")
+                        value = raw.lower() in _TRUE_WORDS
+                    else:
+                        value = kwargs.get("type", str)(raw)
+                    if choices is not None and value not in choices:
+                        listed = ", ".join(map(repr, choices))
+                        raise ValueError(f"invalid choice: {value!r} (choose from {listed})")
+                except ValueError as exc:
+                    raise ValueError(f"config key {key!r}: {exc}") from None
+                kwargs = {**kwargs, "default": value, "required": False}
+                untaken.discard(key)
+            (src if flag in leaf.sources else p).add_argument(flag, **kwargs)
+        p.set_defaults(func=leaf.handler, **dict(zip(("command", "action"), leaf.path)))
 
+    if leaf is not None:
+        parser = argparse.ArgumentParser(prog=" ".join(("tvwalk", *leaf.path)))
+        build(parser, leaf)
+        return parser, untaken
     parser = argparse.ArgumentParser(
         prog="tvwalk",
         description="Random transvection walk on invertible binary matrices: "
         "simulation, exact mixing analysis, functional-inequality checks, "
         "cutoff diagnostics, and a timed authentication protocol.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-    tokens = {sub: next(path, None)}  # subparsers action -> argv's token at its level
-
-    def subparser(owner, name: str, **kwargs):
-        if owner is unbuilt or tokens[owner] not in (None, name):
-            return unbuilt
-        return owner.add_parser(name, **kwargs)
-
-    def leaf(name: str, owner, handler, **kwargs):
-        nonlocal built
-        p = subparser(owner, name, **kwargs)
-        option(p, "--seed", type=int, default=0, help="master seed (default 0)")
-        option(p, "--out", default=".", help="output directory for CSVs (default .)")
-        option(p, "--config", default=None, help="flat key=value file with flag defaults")
-        p.set_defaults(func=handler)
-        built = built or p is not unbuilt
-        return p
-
-    exact_n = f"n <= {exactgroup.ANALYZE_DIMENSIONS[-1]}"
-    lsi_n = "n in {" + ",".join(map(str, funineq.LSI_DIMENSIONS)) + "}"
-    cutoff_n = f"n >= {diagnostics.CUTOFF_MIN_N}"
-
-    p = leaf("order", sub, _cmd_order, help="group order and its ratio to all binary matrices")
-    option(p, "--n", type=int, required=True, help="matrix dimension")
-
-    p = leaf("walk", sub, _cmd_walk, help="run one seeded walk and summarize the endpoint")
-    option(p, "--n", type=int, required=True)
-    option(p, "--t", type=int, required=True, help="number of steps")
-    option(p, "--lazy", action="store_true", help="hold each step with probability 1/2")
-    option(p, "--save-trajectory", default=None, help="write the move record here")
-    option(p, "--save-matrix", default=None, help="write the final matrix here")
-
-    p = leaf("exact", sub, _cmd_exact, help=f"exact distance curve and mixing times ({exact_n})")
-    option(p, "--n", type=int, required=True)
-    option(p, "--eps", type=float, default=0.25, help="distance threshold (default 0.25)")
-    option(p, "--tmax", type=int, default=None, help="curve horizon (default: t2_mix + 5)")
-    option(p, "--lazy", action="store_true")
-
-    p = leaf("spectrum", sub, _cmd_spectrum, help=f"eigenvalue report of the walk ({exact_n})")
-    option(p, "--n", type=int, required=True)
-
-    p = leaf("lsi", sub, _cmd_lsi, help=f"log-Sobolev constant lower bound ({lsi_n})")
-    option(p, "--n", type=int, required=True)
-    option(p, "--restarts", type=int, default=50)
-    option(p, "--iters", type=int, default=1500)
-
-    p = leaf("check", sub, _cmd_check, help="randomized zero-violation inequality suites")
-    suites = (*funineq.SUITE_NAMES, "all")
-    option(p, "--suite", required=True, choices=suites, help="which inequality to stress")
-    option(p, "--n", type=int, default=2, help="group dimension (default 2)")
-    option(p, "--trials", type=int, required=True, help="random functions per suite")
-    option(p, "--d", type=int, default=8, help="hypercube dimension (default 8)")
-
-    p = leaf("cutoff", sub, _cmd_cutoff, help=f"k-column projection cutoff curve ({cutoff_n})")
-    option(p, "--n", type=int, required=True)
-    option(p, "--trials", type=int, required=True)
-    option(p, "--k", type=int, default=1, help="number of projected columns (default 1)")
-    option(
-        p, "--threads", type=int, default=diagnostics._available_cores(),
-        help="worker processes, at least 1; never changes results "
-        "(default: the available cores, %(default)s)",
-    )
-    option(
-        p,
-        "--grid",
-        type=_float_list,
-        default=None,
-        help="comma-separated times in units of n log n (default: built-in grid)",
-    )
-
-    p = leaf("bounds", sub, _cmd_bounds, help="counting lower bound and the mixing upper bound")
-    option(p, "--n", type=int, required=True)
-    option(p, "--eps", type=float, default=0.25)
-    option(p, "--restarts", type=int, default=8, help="constant-estimation restarts")
-    option(p, "--iters", type=int, default=600, help="constant-estimation iterations")
-
-    proto = subparser(sub, "protocol", help="timed challenge-response authentication")
-    proto_sub = proto.add_subparsers(dest="action", required=True, metavar="ACTION")
-    tokens[proto_sub] = next(path, None)
-
-    p = leaf("keygen", proto_sub, _cmd_protocol, help="walk out a key pair and save both halves")
-    option(p, "--n", type=int, required=True)
-    option(p, "--t", type=int, required=True)
-    option(p, "--lazy", action="store_true")
-    option(p, "--key", default=None, help="public key path (default OUT/key.gf2m)")
-    option(p, "--secret", default=None, help="secret move-record path (default OUT/secret.tvwk)")
-
-    p = leaf("prove", proto_sub, _cmd_protocol, help="answer a challenge, honestly or not")
-    src = p.add_mutually_exclusive_group(required="secret" not in config and "key" not in config)
-    option(src, "--secret", default=None, help="answer honestly from this move record")
-    option(src, "--key", default=None, help="answer dishonestly from this public key")
-    option(p, "--challenge", required=True, help="hex challenge vector (ceil(n/8) bytes)")
-
-    p = leaf("verify", proto_sub, _cmd_protocol, help="check an answer against the deadline")
-    option(p, "--key", required=True, help="public key path")
-    option(p, "--challenge", required=True, help="hex challenge vector")
-    option(p, "--response", default=None, help="response line from `prove`")
-    option(p, "--response-file", default=None, help="file holding the response line")
-    option(p, "--deadline", type=int, required=True, help="bit-operation budget")
-
-    p = leaf("report", proto_sub, _cmd_protocol, help="honest vs dishonest cost table")
-    option(p, "--n", type=_int_list, required=True, help="comma-separated dimensions")
-    option(p, "--t", type=int, required=True, help="honest move count")
-    option(p, "--word-bits", type=int, default=64, help="machine word width (default 64)")
-
-    return (parser, untaken) if built else _build_parser((), config)
+    subs = {(): parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")}
+    for leaf in _leaves():
+        above = leaf.path[:-1]
+        if above not in subs:
+            group = subs[()].add_parser(above[0], help=_GROUP_HELP[above[0]])
+            subs[above] = group.add_subparsers(dest="action", required=True, metavar="ACTION")
+        build(subs[above].add_parser(leaf.path[-1], help=leaf.help), leaf)
+    return parser, untaken
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -560,6 +560,22 @@ _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
+def _leaf_named(argv) -> _Leaf | None:
+    return next((lf for lf in _leaves() if tuple(argv[: len(lf.path)]) == lf.path), None)
+
+
+def _may_name_config(argv) -> bool:
+    """Whether argparse could read a token as --config: one before any bare --
+    whose part before = is a prefix of --config (--, only with an =)."""
+    for token in argv:
+        if token == "--":
+            return False
+        head, eq, _ = token.partition("=")
+        if head.startswith("--") and "--config".startswith(head) and (eq or head != "--"):
+            return True
+    return False
+
+
 def cli_dispatch(argv) -> int:
     """Parse argv, run the mapped operation, and return the exit code."""
     argv = list(argv)
@@ -567,11 +583,14 @@ def cli_dispatch(argv) -> int:
         # The root parser has no --config and would read FILE as a subcommand.
         print("error: missing subcommand: tvwalk SUBCOMMAND --config FILE", file=sys.stderr)
         return 2
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config", default=None)
+    leaf = _leaf_named(argv)
     try:
-        path = pre.parse_known_args(argv)[0].config
-        parser, untaken = _build_parser(argv, _read_config_file(path) if path else {})
+        path = None
+        if _may_name_config(argv):
+            pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+            pre.add_argument("--config", default=None)
+            path = pre.parse_known_args(argv)[0].config
+        parser, untaken = _build_parser(leaf, _read_config_file(path) if path else {})
         if untaken:
             raise ValueError(f"unknown config keys: {', '.join(sorted(untaken))}")
     except (OSError, ValueError, argparse.ArgumentError) as exc:
@@ -579,7 +598,7 @@ def cli_dispatch(argv) -> int:
         return 2
 
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[len(leaf.path) :] if leaf else argv)
     except SystemExit as exc:  # argparse: 2 on usage error, 0 on --help
         code = exc.code
         return code if isinstance(code, int) else 0

@@ -116,10 +116,14 @@ class _Packed:
     of BitVector and BitMatrix, checked canonical on construction."""
 
     __slots__ = ("n", "words")
+    _ndim: int  # the number of axes of ``words``
 
     def __init__(self, n: int, words: np.ndarray):
         if n < 1:
             raise ValueError("dimension must be positive")
+        if words.ndim != self._ndim:
+            name = type(self).__name__
+            raise ValueError(f"{name} needs {self._ndim}-D words, got {words.ndim}-D")
         _check_canonical(n, words)
         self.n = n
         self.words = words
@@ -160,6 +164,7 @@ class BitVector(_Packed):
     """
 
     __slots__ = ()
+    _ndim = 1
 
     def __repr__(self) -> str:
         return f"BitVector({''.join(str(b) for b in self.to_bits())})"
@@ -177,6 +182,7 @@ class BitMatrix(_Packed):
     """
 
     __slots__ = ()
+    _ndim = 2
 
     def __init__(self, n: int, words: np.ndarray):
         super().__init__(n, words)

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, CSV reproducibility, config files, exits."""
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tvwalk
 from tvwalk import chain, cli, diagnostics, exactgroup, funineq
@@ -30,6 +33,11 @@ def csv_body(path):
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+LEAVES = [("order",), ("walk",), ("exact",), ("spectrum",), ("lsi",), ("check",), ("cutoff",),
+          ("bounds",), ("protocol", "keygen"), ("protocol", "prove"), ("protocol", "verify"),
+          ("protocol", "report")]
 
 
 class TestOrder:
@@ -807,11 +815,8 @@ class TestUsage:
         assert run(capsys, "frobnicate")[0] == 2
 
     def test_threads_is_an_option_of_cutoff_alone(self, capsys):
-        leaves = [("order",), ("walk",), ("exact",), ("spectrum",), ("lsi",), ("check",),
-                  ("cutoff",), ("bounds",), ("protocol", "keygen"), ("protocol", "prove"),
-                  ("protocol", "verify"), ("protocol", "report")]
         with_threads = []
-        for leaf in leaves:
+        for leaf in LEAVES:
             code, out, _ = run(capsys, *leaf, "--help")
             assert code == 0
             if "--threads" in out:
@@ -822,7 +827,8 @@ class TestUsage:
 
 class TestParserPath:
     """cli_dispatch answers help and usage errors exactly as the whole parser
-    tree does, which the builder returns when argv names no subcommand."""
+    tree does, which _build_parser returns when argv names no leaf, except
+    leftover arguments: the leaf that was given them reports them."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -840,7 +846,6 @@ class TestParserPath:
             ("walk", "--n", "x", "--t", "1"),
             ("protocol", "prove", "--secret", "a", "--key", "b", "--challenge", "01"),
             ("check", "--suite", "nope", "--trials", "5"),
-            ("order", "--n", "3", "--bogus"),
         ],
     )
     def test_matches_whole_tree(self, capsys, monkeypatch, argv):
@@ -851,6 +856,156 @@ class TestParserPath:
             parser.parse_args(list(argv))
         captured = capsys.readouterr()
         assert got == (exc.value.code, captured.out, captured.err)
+
+    @pytest.mark.parametrize("extra", [("--bogus",), ("--threads", "2")])
+    def test_leaf_reports_leftover_arguments(self, capsys, monkeypatch, extra):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, "order", "--n", "3", *extra) == (
+            2,
+            "",
+            "usage: tvwalk order [-h] [--seed SEED] [--out OUT] [--config CONFIG] --n N\n"
+            f"tvwalk order: error: unrecognized arguments: {' '.join(extra)}\n",
+        )
+
+
+@pytest.fixture
+def keys(tmp_path_factory, capsys):
+    """An n = 8 key pair on disk, for the prove and verify leaves."""
+    out = tmp_path_factory.mktemp("keys")
+    assert run(capsys, "protocol", "keygen", "--n", "8", "--t", "20", "--out", str(out))[0] == 0
+    return out
+
+
+def valid_argv(leaf, out, keys):
+    """A quick, valid command line of each leaf."""
+    key, secret = str(keys / "key.gf2m"), str(keys / "secret.tvwk")
+    return {
+        ("order",): ["order", "--n", "3"],
+        ("walk",): ["walk", "--n", "4", "--t", "10"],
+        ("exact",): ["exact", "--n", "2", "--out", out],
+        ("spectrum",): ["spectrum", "--n", "2", "--out", out],
+        ("lsi",): ["lsi", "--n", "2", "--restarts", "1", "--iters", "3", "--out", out],
+        ("check",): ["check", "--suite", "key", "--n", "2", "--trials", "2", "--out", out],
+        ("cutoff",): ["cutoff", "--n", "16", "--trials", "100", "--grid", "1.0",
+                      "--threads", "1", "--out", out],
+        ("bounds",): ["bounds", "--n", "5"],
+        ("protocol", "keygen"): ["protocol", "keygen", "--n", "8", "--t", "20", "--out", out],
+        ("protocol", "prove"): ["protocol", "prove", "--secret", secret, "--challenge", "a5"],
+        ("protocol", "verify"): ["protocol", "verify", "--key", key, "--challenge", "a5",
+                                 "--response", "y=00 bit_ops=0 word_ops=0 role=honest",
+                                 "--deadline", "20"],
+        ("protocol", "report"): ["protocol", "report", "--n", "8", "--t", "10"],
+    }[leaf]
+
+
+class TestLeafParser:
+    """A command that names a leaf builds that leaf's parser alone, and answers
+    exactly as the whole tree does, save for leftover arguments."""
+
+    @staticmethod
+    def fast_and_tree(capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        fast = run(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_leaf_named", lambda argv: None)
+            tree = run(capsys, *argv)
+        return fast, tree
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_matches_whole_tree(self, capsys, monkeypatch, tmp_path, keys, leaf):
+        valid = valid_argv(leaf, str(tmp_path), keys)
+        cfg, bad = tmp_path / "run.cfg", tmp_path / "bad.cfg"
+        cfg.write_text("seed=3\n")
+        bad.write_text("frobnicate=1\n")
+        cases = [
+            valid,
+            [*leaf, "-h"],
+            [*leaf],
+            [*valid, "--seed", "x"],
+            [*valid, "--config", str(cfg)],
+            [*valid, f"--config={cfg}"],
+            [*valid, "--conf", str(cfg)],
+            [*valid, "--c", str(cfg)],
+            [*valid, "--seed", "--", f"--config={bad}"],
+        ]
+        if leaf == ("check",):
+            cases.append(["check", "--suite", "nope", "--trials", "2"])
+        if leaf == ("protocol", "prove"):
+            cases.append([*valid, "--key", str(keys / "key.gf2m")])
+            cases.append(["protocol", "prove", "--challenge", "a5"])
+        for argv in cases:
+            fast, tree = self.fast_and_tree(capsys, monkeypatch, argv)
+            assert fast == tree, argv
+
+    @staticmethod
+    def parsers_built(capsys, monkeypatch, *argv):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(argparse.ArgumentParser, "__init__", counting_init)
+            code = run(capsys, *argv)[0]
+        return code, len(built)
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_leaf_builds_one_parser(self, capsys, monkeypatch, leaf):
+        assert self.parsers_built(capsys, monkeypatch, *leaf, "--help") == (0, 1)
+
+    def test_config_token_adds_the_pre_parser(self, capsys, monkeypatch, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=3\n")
+        argv = ("order", "--n", "3")
+        assert self.parsers_built(capsys, monkeypatch, *argv) == (0, 1)
+        assert self.parsers_built(capsys, monkeypatch, *argv, "--conf", str(cfg)) == (0, 2)
+
+    def test_root_help_builds_the_whole_tree(self, capsys, monkeypatch):
+        # the root, the protocol level and every leaf
+        assert self.parsers_built(capsys, monkeypatch, "--help") == (0, 2 + len(LEAVES))
+
+
+CONFIG_LIKE = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", "-", "--", "---"]),
+        st.sampled_from(["", "c", "co", "conf", "config", "configs", "x", "C"]),
+        st.sampled_from(["", "=", "=F", " F", "=--config"]),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (("order", "--config", "F"), True),
+        (("order", "--config=F"), True),
+        (("order", "--conf", "F"), True),
+        (("order", "--c", "F"), True),
+        (("order", "--=F"), True),
+        (("order", "--", "--config", "F"), False),
+        (("order", "--", "--config=F"), False),
+        (("order", "--configs", "F"), False),
+        (("order", "-c", "F"), False),
+        (("order", "--n", "3"), False),
+    ],
+)
+def test_config_token_examples(argv, names):
+    assert cli._may_name_config(argv) is names
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(CONFIG_LIKE, st.text(max_size=10)), max_size=6))
+def test_no_config_token_means_no_config(argv):
+    """Where _may_name_config is false, the --config pre-parser it gates
+    would have returned None without raising."""
+    if cli._may_name_config(argv):
+        return
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config", default=None)
+    assert pre.parse_known_args(argv)[0].config is None
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -502,9 +502,19 @@ class TestContainers:
         assert len({random_matrix(5, s) for s in range(20)} | {random_matrix(5, 3)}) == 20
 
     def test_vector_never_equals_matrix(self):
-        words = np.ones((1, 1), dtype=np.uint64)  # also valid as a 1-bit vector's words
-        v, x = g.BitVector(1, words), g.BitMatrix(1, words)
+        v = g.BitVector(1, np.ones(1, dtype=np.uint64))
+        x = g.BitMatrix(1, np.ones((1, 1), dtype=np.uint64))  # the same one bit
         assert v != x and x != v
+
+    @pytest.mark.parametrize("shape", [(), (2, 1), (1, 1, 1)])
+    def test_vector_rejects_words_of_another_rank(self, shape):
+        with pytest.raises(ValueError, match="BitVector needs 1-D words"):
+            g.BitVector(1, np.ones(shape, dtype=np.uint64))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1, 1)])
+    def test_matrix_rejects_words_of_another_rank(self, shape):
+        with pytest.raises(ValueError, match="BitMatrix needs 2-D words"):
+            g.BitMatrix(1, np.ones(shape, dtype=np.uint64))
         assert g.BitVector.from_bits([1]) != g.BitMatrix.identity(1)
 
     def test_strided_words_convert(self):
