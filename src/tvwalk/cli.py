@@ -160,15 +160,15 @@ def _cmd_walk(args) -> int:
 def _cmd_exact(args) -> int:
     dims = exactgroup.ANALYZE_DIMENSIONS
     _require_range("n", args.n, dims[0], dims[-1])
-    gt, ts = exactgroup.analyze(args.n)
+    _, ts = exactgroup.analyze(args.n)
     lazy = args.lazy
     if not lazy and ts.period == 2:
         lazy = True
         print("note: the walk is periodic at this dimension; using the lazy kernel")
-    t_tv, t_l2 = exactgroup.mixing_times(ts, gt, args.eps, lazy)
+    t_tv, t_l2 = exactgroup.mixing_times(ts, args.eps, lazy)
     tmax = args.tmax if args.tmax is not None else t_l2 + 5
     _require_range("tmax", tmax, 0)
-    curve = exactgroup.mixing_curve(ts, gt, tmax, lazy)
+    curve = exactgroup.mixing_curve(ts, tmax, lazy)
     path = _out_path(args, "exact_curve.csv")
     _emit_csv(
         path,
@@ -205,9 +205,9 @@ def _cmd_spectrum(args) -> int:
 def _cmd_lsi(args) -> int:
     dims = funineq.LSI_DIMENSIONS
     _require_range("n", args.n, dims[0], dims[-1])
-    gt, ts = exactgroup.analyze(args.n)
+    _, ts = exactgroup.analyze(args.n)
     est = funineq.estimate_lsi_constant(
-        ts, gt, restarts=args.restarts, iters=args.iters, seed=args.seed
+        ts, restarts=args.restarts, iters=args.iters, seed=args.seed
     )
     path = _out_path(args, "lsi.csv")
     _emit_csv(
@@ -298,10 +298,10 @@ def _cmd_bounds(args) -> int:
             f"available for n <= {funineq.LSI_DIMENSIONS[-1]}"
         )
         return 0
-    gt, ts = exactgroup.analyze(args.n)
+    _, ts = exactgroup.analyze(args.n)
     report = exactgroup.spectral_report(ts)
     est = funineq.estimate_lsi_constant(
-        ts, gt, restarts=args.restarts, iters=args.iters, seed=args.seed, report=report
+        ts, restarts=args.restarts, iters=args.iters, seed=args.seed, report=report
     )
     if report.period == 1:
         kernel, cls, inv_abs_gap = "nonlazy", est.estimate, 1.0 / report.absolute_gap

@@ -19,7 +19,7 @@ sample is drawn directly rather than by long runs.
 One batched kernel, `_walk_rows`, advances (count, n, ...) arrays of rows:
 packed full matrices and column slices, or unpacked k = 1 vectors.  The
 Monte-Carlo frequencies walk group indices through the exact layer's
-successor keys, one table read per step, without knowing the key layout.
+successor table, one table read per step, without knowing the key layout.
 Both take the same values and leave the same final generator state, drawn a
 chunk at a time by `_move_draws`, in the chain's pair-table move order:
 non-lazy pairs from ``Generator.integers``, lazy ones from `chain._words32`.
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import _pair_tables, _redraw_below, _words32
-from .exactgroup import ANALYZE_DIMENSIONS, GroupTable, _successor_keys
+from .exactgroup import ANALYZE_DIMENSIONS, GroupTable
 from .gf2core import (
     WORD_BITS,
     _identity_words,
@@ -270,7 +270,7 @@ def _successors(gt: GroupTable, lazy: bool) -> np.ndarray:
     """Flat successor table of row width w = n(n-1): entry x*w + u is w times the
     index of x with row j(u) added to row i(u).  Lazy rows double w, their first
     half holding x (coin 0).  `index_of` raises on any successor outside the group."""
-    moved = gt.index_of(_successor_keys(gt.keys, gt.n))
+    moved = gt.successors()
     if lazy:
         moved = np.hstack([np.arange(gt.size)[:, None].repeat(moved.shape[1], 1), moved])
     return (moved * moved.shape[1]).astype(np.intp).reshape(-1)
@@ -345,6 +345,8 @@ def statistic_tv(
     reference draw.  The estimate lower-bounds the true TV distance in
     expectation, up to sampling error of the order of the noise floor.
     """
+    if n < 2:
+        raise ValueError("the walk needs n >= 2")
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a usable histogram")
     if t < 0:
@@ -489,9 +491,9 @@ def mc_state_frequencies(
     """Monte-Carlo counts of final states over the enumerated group.
 
     Runs `trials` chains to time t from the identity, each held as its group
-    index and moved through a successor table built from the group's keys.
+    index and moved through the group's successor table (``gt.successors``).
     It must match the exact law within binomial tolerance; it shares the
-    successor keys, not the law iteration, with the exact layer, and
+    successor table, not the law iteration, with the exact layer, and
     ``test_table_walk_matches_row_kernel`` holds the table to the row kernel,
     which shares neither.  n is in ANALYZE_DIMENSIONS.
     """

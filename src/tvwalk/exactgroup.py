@@ -108,10 +108,10 @@ class GroupTable:
             raise KeyError("key does not belong to the enumerated group")
         return idx
 
-    @property
-    def pi(self) -> float:
-        """Stationary probability of any single state (uniform law)."""
-        return 1.0 / self.size
+    def successors(self) -> np.ndarray:
+        """The (size, n(n-1)) int32 table whose entry [x, u] is the index of
+        state x moved by move u, in ``chain._pair_tables`` order."""
+        return self.index_of(_successor_keys(self.keys, self.n))
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class TransitionStructure:
 
     ``n`` is the dimension and ``size`` the group order.  ``adjacency[x]``
     is the sorted list of the n(n-1) neighbours of state x, one per move;
-    which move reaches which neighbour is not kept (``_successor_keys``
+    which move reaches which neighbour is not kept (``GroupTable.successors``
     gives that in move order).  It is held neighbour-major (Fortran order)
     as intp so gathers index with it directly.  ``_laws`` reads that order:
     its row sum over ``p[adjacency]`` adds whole neighbour columns one after
@@ -219,8 +219,6 @@ def enumerate_group(n: int) -> GroupTable:
 
 def enumerate_group_reference(n: int) -> list[int]:
     """Scalar queue BFS; independent route used to pin the canonical order."""
-    if n == 1:
-        return [1]
     from collections import deque
 
     moves = list(itertools.permutations(range(n), 2))  # lexicographic (i, j), i != j
@@ -249,7 +247,7 @@ def build_transition(gt: GroupTable) -> TransitionStructure:
     # Fortran order: a row sum over neighbours then adds whole neighbour
     # columns one after another, which fixes the bits of every law (a
     # C-ordered copy would sum pairwise).
-    adjacency = np.sort(gt.index_of(_successor_keys(gt.keys, n)), axis=1)
+    adjacency = np.sort(gt.successors(), axis=1)
     adjacency = np.asfortranarray(adjacency, dtype=np.intp)
     return TransitionStructure(n=n, size=gt.size, adjacency=adjacency, period=_period(adjacency))
 
@@ -281,30 +279,34 @@ def distribution_at(ts: TransitionStructure, t: int, lazy: bool = False) -> np.n
     return next(itertools.islice(_laws(ts, lazy), t, None))
 
 
-def tv_distance(p: np.ndarray, gt: GroupTable) -> float:
-    """Total-variation distance to uniform: half the l1 distance."""
-    return 0.5 * float(np.abs(p - gt.pi).sum())
+def tv_distance(p: np.ndarray) -> float:
+    """Total-variation distance to the uniform law on len(p) states: half the l1 distance."""
+    return 0.5 * float(np.abs(p - 1.0 / len(p)).sum())
 
 
-def l2_distance(p: np.ndarray, gt: GroupTable) -> float:
-    """pi-weighted l2 norm of the density minus one.
+def l2_distance(p: np.ndarray) -> float:
+    """pi-weighted l2 norm of the density minus one, pi uniform on len(p) states.
 
-    With uniform pi this is sqrt(sum (p_x N - 1)^2 / N); it dominates twice
-    the total-variation distance, which yields the standard relation
+    This is sqrt(sum (p_x N - 1)^2 / N); it dominates twice the
+    total-variation distance, which yields the standard relation
     t_mix(eps) <= t2_mix(2 eps) between the two mixing times.
     """
-    dens = p * gt.size - 1.0
-    return float(math.sqrt(np.square(dens).sum() / gt.size))
+    return float(math.sqrt(np.square(p * len(p) - 1.0).sum() / len(p)))
+
+
+def _distances(ts: TransitionStructure, lazy: bool):
+    """The rows (t, tv, l2) for t = 0, 1, ... from the identity start."""
+    for t, p in enumerate(_laws(ts, lazy)):
+        yield t, tv_distance(p), l2_distance(p)
 
 
 def mixing_curve(
-    ts: TransitionStructure, gt: GroupTable, tmax: int, lazy: bool = False
+    ts: TransitionStructure, tmax: int, lazy: bool = False
 ) -> list[tuple[int, float, float]]:
     """Exact (t, tv, l2) rows for t = 0..tmax from the identity start."""
-    rows = []
-    for t, p in zip(range(tmax + 1), _laws(ts, lazy)):
-        rows.append((t, tv_distance(p, gt), l2_distance(p, gt)))
-    return rows
+    if tmax < 0:
+        raise ValueError("tmax must be non-negative")
+    return list(itertools.islice(_distances(ts, lazy), tmax + 1))
 
 
 def _period(adjacency: np.ndarray) -> int:
@@ -328,9 +330,7 @@ def _period(adjacency: np.ndarray) -> int:
     return 2
 
 
-def mixing_times(
-    ts: TransitionStructure, gt: GroupTable, eps: float, lazy: bool = False
-) -> tuple[int, int]:
+def mixing_times(ts: TransitionStructure, eps: float, lazy: bool = False) -> tuple[int, int]:
     """(t_mix, t2_mix): first times tv <= eps and l2 <= eps from identity.
 
     By right-translation invariance the identity start achieves the max
@@ -343,13 +343,12 @@ def mixing_times(
         raise NonConvergentError(
             "periodic (bipartite) walk does not converge; use the lazy kernel"
         )
-    t_tv: int | None = None
-    t_l2: int | None = None
-    cap = max(1000, 200 * ts.n * ts.n * max(1, int(math.log(gt.size))))
-    for t, p in zip(range(cap + 1), _laws(ts, lazy)):
-        if t_tv is None and tv_distance(p, gt) <= eps:
+    t_tv = t_l2 = None
+    cap = max(1000, 200 * ts.n * ts.n * max(1, int(math.log(ts.size))))
+    for t, tv, l2 in itertools.islice(_distances(ts, lazy), cap + 1):
+        if t_tv is None and tv <= eps:
             t_tv = t
-        if t_l2 is None and l2_distance(p, gt) <= eps:
+        if t_l2 is None and l2 <= eps:
             t_l2 = t
         if t_tv is not None and t_l2 is not None:
             return t_tv, t_l2

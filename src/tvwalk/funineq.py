@@ -1,10 +1,11 @@
 """Functional inequalities on the enumerated walk: entropy, Dirichlet forms,
 numerically checkable bounds, and log-Sobolev constant estimation.
 
-Everything here works on real-valued functions aligned to GroupTable
-indices under the uniform stationary law.  The randomized suites check the
-chain of bounds that controls the walk's log-Sobolev constant, each written
-once as a batched (lhs, rhs) evaluator in ``_SUITE_TERMS``:
+Everything here works on real-valued functions on the walk's states under
+the uniform stationary law; only the extension and row-decomposition suites
+read the states' matrix labels (``GroupTable``).  The randomized suites
+check the chain of bounds that controls the walk's log-Sobolev constant,
+each written once as a batched (lhs, rhs) evaluator in ``_SUITE_TERMS``:
 
 * entropy of f^2 against the key bound n(n-1) E(f,f) + n var(f);
 * the entropy transfer from the group to the full matrix space via the
@@ -39,7 +40,6 @@ from .exactgroup import (
     SpectralReport,
     TransitionStructure,
     _dense_kernel,
-    _successor_keys,
     analyze,
     spectral_report,
 )
@@ -130,23 +130,25 @@ class SuiteResult:
     min_slack: float
 
 
-def _as_values(f, size: int) -> np.ndarray:
+def _as_values(f, size: int | None = None) -> np.ndarray:
     values = np.asarray(f, dtype=np.float64)
-    if values.shape != (size,):
+    if values.ndim != 1 or not values.size:
+        raise ValueError("function must be a non-empty 1-D array")
+    if size is not None and values.size != size:
         raise ValueError(f"function must have shape ({size},)")
     if not np.isfinite(values).all():
         raise ValueError("function values must be finite")
     return values
 
 
-def entropy_sq(f, gt: GroupTable) -> float:
+def entropy_sq(f) -> float:
     """ent(f^2) under the uniform law: E[f^2 log f^2] - E[f^2] log E[f^2].
 
     Convention 0 * log 0 = 0.  Nonnegative by Jensen; zero exactly when |f|
     is constant.  Compensated summation keeps the small-slack suite checks
     honest.
     """
-    return _entropy_uniform(_as_values(f, gt.size))
+    return _entropy_uniform(_as_values(f))
 
 
 def _entropy_uniform(values: np.ndarray) -> float:
@@ -158,23 +160,24 @@ def _entropy_uniform(values: np.ndarray) -> float:
     return math.fsum(terms) / len(sq) - m2 * math.log(m2)
 
 
-def dirichlet_form(f, ts: TransitionStructure, gt: GroupTable) -> float:
+def dirichlet_form(f, ts: TransitionStructure) -> float:
     """Dirichlet form of the walk: (1/2) sum pi(x) P(x,y) (f(x)-f(y))^2.
 
-    Zero exactly when f is constant, because the walk graph is connected.
+    f has one value per state of `ts`.  Zero exactly when f is constant,
+    because the walk graph is connected.
     """
-    values = _as_values(f, gt.size)
+    values = _as_values(f, ts.size)
     diffs = values[:, None] - values[ts.adjacency]
     total = math.fsum(np.square(diffs).reshape(-1).tolist())
-    return total / (2.0 * gt.size * ts.degree)
+    return total / (2.0 * ts.size * ts.degree)
 
 
-def variance(f, gt: GroupTable) -> float:
+def variance(f) -> float:
     """Variance under the uniform law."""
-    values = _as_values(f, gt.size)
-    mean = math.fsum(values.tolist()) / gt.size
+    values = _as_values(f)
+    mean = math.fsum(values.tolist()) / len(values)
     dev = values - mean
-    return math.fsum((dev * dev).tolist()) / gt.size
+    return math.fsum((dev * dev).tolist()) / len(values)
 
 
 def _extension_values(values: np.ndarray, gt: GroupTable) -> np.ndarray:
@@ -317,8 +320,8 @@ def _edge_sums(batch: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _dirichlet_rows(batch: np.ndarray, adjacency: np.ndarray, degree: int) -> np.ndarray:
-    return _edge_sums(batch, adjacency) / (2.0 * batch.shape[1] * degree)
+def _dirichlet_rows(batch: np.ndarray, ts: TransitionStructure) -> np.ndarray:
+    return _edge_sums(batch, ts.adjacency) / (2.0 * batch.shape[1] * ts.degree)
 
 
 def _var_rows(batch: np.ndarray) -> np.ndarray:
@@ -332,15 +335,15 @@ def _slack_stats(lhs: np.ndarray, rhs: np.ndarray) -> tuple[int, float]:
     return int(bad.sum()), float(slack.min())
 
 
-def _adversarial_group_functions(ts: TransitionStructure, gt: GroupTable) -> np.ndarray:
+def _adversarial_group_functions(ts: TransitionStructure) -> np.ndarray:
     """Stress functions for the near-equality regimes: the indicator of the
     identity, its signed version, and the second eigenvector."""
-    indicator = np.zeros(gt.size)
+    indicator = np.zeros(ts.size)
     indicator[0] = 1.0
-    signed = np.full(gt.size, -1.0)
+    signed = np.full(ts.size, -1.0)
     signed[0] = 1.0
     rows = [indicator, signed]
-    if gt.size <= DENSE_SPECTRUM_LIMIT:
+    if ts.size <= DENSE_SPECTRUM_LIMIT:
         _, vecs = np.linalg.eigh(_dense_kernel(ts))
         rows.append(vecs[:, -2].copy())
     return np.stack(rows)
@@ -363,23 +366,29 @@ def _suite_batches(trials: int, size: int, rng: np.random.Generator):
         done += take
 
 
-# Each suite's (lhs, rhs) per row of a batch; ``domain`` is ``analyze(n)``'s
-# (gt, ts), adjacency C-ordered once per run, or the cube's neighbour table.
+# Each suite's (lhs, rhs) per row of a batch; ``domain`` is what
+# ``_group_domain`` gives the suite, or the cube's neighbour table.
 
 
-def _key_suite(batch: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
+def _group_domain(name: str, n: int):
+    """What group suite `name` reads at dimension n: the group table (and its
+    successors) or the transition structure, adjacency C-ordered for ``_edge_sums``."""
+    gt, ts = analyze(n)
+    if name == "extension":
+        return gt
+    if name == "rowdecomp":
+        return gt, gt.successors()
+    return replace(ts, adjacency=np.ascontiguousarray(ts.adjacency))
+
+
+def _key_suite(batch: np.ndarray, ts: TransitionStructure) -> tuple[np.ndarray, np.ndarray]:
     """ent(f^2) <= n(n-1) E(f,f) + n var(f) on the enumerated group."""
-    gt, ts = domain
-    rhs = (
-        gt.n * (gt.n - 1) * _dirichlet_rows(batch, ts.adjacency, ts.degree)
-        + gt.n * _var_rows(batch)
-    )
-    return _ent_rows(batch), rhs
+    n = ts.n
+    return _ent_rows(batch), n * (n - 1) * _dirichlet_rows(batch, ts) + n * _var_rows(batch)
 
 
-def _extension_suite(batch: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
+def _extension_suite(batch: np.ndarray, gt: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """ent over the group <= (2^(n^2) / |group|) * ent of the extension."""
-    gt, _ = domain
     ambient = 1 << (gt.n * gt.n)
     g = np.empty((batch.shape[0], ambient))
     g[:] = batch.mean(axis=1, keepdims=True)
@@ -390,14 +399,9 @@ def _extension_suite(batch: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]
 def _rowdecomp_suite(batch: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
     """Per function, two rows: ent_mu(g^2) against the sub-additivity sum,
     then against the consolidated row-swap/variance bound (n = 2)."""
-    gt, _ = domain
-    successors = gt.index_of(_successor_keys(gt.keys, gt.n))
-    lhs, rhs = [], []
-    for row in batch:
-        ent_mu, subadd, consolidated = _rowdecomp_terms(row, successors, gt)
-        lhs.extend([ent_mu, ent_mu])
-        rhs.extend([subadd, consolidated])
-    return np.array(lhs), np.array(rhs)
+    gt, successors = domain
+    terms = np.array([_rowdecomp_terms(row, successors, gt) for row in batch])
+    return terms[:, [0, 0]].reshape(-1), terms[:, 1:].reshape(-1)
 
 
 def _hypercube_suite(batch: np.ndarray, nbrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -405,11 +409,9 @@ def _hypercube_suite(batch: np.ndarray, nbrs: np.ndarray) -> tuple[np.ndarray, n
     return _ent_rows(batch), _edge_sums(batch, nbrs) / (2.0 * batch.shape[1])
 
 
-def _kassabov_suite(batch: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
+def _kassabov_suite(batch: np.ndarray, ts: TransitionStructure) -> tuple[np.ndarray, np.ndarray]:
     """var(f) <= 4 (31 sqrt(n) + 700)^2 E(f,f)."""
-    gt, ts = domain
-    rhs = _dirichlet_rows(batch, ts.adjacency, ts.degree) / kassabov_gap_floor(gt.n)
-    return _var_rows(batch), rhs
+    return _var_rows(batch), _dirichlet_rows(batch, ts) / kassabov_gap_floor(ts.n)
 
 
 # The one evaluator of each suite's inequality, keyed in SUITE_NAMES order.
@@ -450,8 +452,7 @@ def run_suite(
         dims = HYPERCUBE_DIMENSIONS
         if d not in dims:
             raise ValueError(f"suite 'hypercube' is defined for d in {dims[0]}..{dims[-1]}")
-        size, dim = 1 << d, d
-        domain = _hypercube_neighbors(d)
+        dim, domain = d, _hypercube_neighbors(d)
         extra = _adversarial_cube_functions(d)
     else:
         if n is None:
@@ -459,14 +460,12 @@ def run_suite(
         dims = SUITE_DIMENSIONS[name]
         if n not in dims:
             raise ValueError(f"suite {name!r} is defined for n in {dims[0]}..{dims[-1]}")
-        gt, ts = analyze(n)
-        size, dim = gt.size, gt.n
-        extra = _adversarial_group_functions(ts, gt)
-        domain = gt, replace(ts, adjacency=np.ascontiguousarray(ts.adjacency))
+        dim, domain = n, _group_domain(name, n)
+        extra = _adversarial_group_functions(analyze(n)[1])
 
     terms = _SUITE_TERMS[name]
     violations, min_slack = 0, math.inf
-    for batch in itertools.chain(_suite_batches(trials, size, rng), [extra]):
+    for batch in itertools.chain(_suite_batches(trials, extra.shape[1], rng), [extra]):
         v, s = _slack_stats(*terms(batch, domain))
         violations += v
         min_slack = min(min_slack, s)
@@ -571,7 +570,6 @@ def _ascend(
 
 def estimate_lsi_constant(
     ts: TransitionStructure,
-    gt: GroupTable,
     restarts: int = 50,
     iters: int = 1500,
     seed: int = 0,
@@ -587,29 +585,26 @@ def estimate_lsi_constant(
     maximum.  The gap is read from `report` when the caller has already
     solved the spectrum of `ts`, and solved here otherwise.  Deterministic
     in (restarts, iters, seed): restarts run in index order and ties keep
-    the earliest winner.  Raises RuntimeError if
-    the winning witness, re-scored by the compensated ``entropy_sq`` and
-    ``dirichlet_form``, misses the best ratio by more than a relative 1e-12.
+    the earliest winner.  Raises RuntimeError if the winning witness,
+    re-scored by the compensated ``entropy_sq`` and ``dirichlet_form``,
+    misses the best ratio by more than a relative 1e-12.
     """
-    if gt.n not in LSI_DIMENSIONS:
+    if ts.n not in LSI_DIMENSIONS:
         raise ValueError(f"estimation is supported for n in {set(LSI_DIMENSIONS)}")
     if restarts < 0 or iters < 1:
         raise ValueError("need restarts >= 0 and iters >= 1")
-    starts = np.zeros((restarts + 1, gt.size))
+    starts = np.zeros((restarts + 1, ts.size))
     starts[0, 0] = 1.0
     rng = derive_rng(seed, _STREAM_LSI)
     for cand in starts[1:]:
-        cand[:] = rng.standard_normal(gt.size)
+        cand[:] = rng.standard_normal(ts.size)
         # A near-constant start has no usable gradient; redraw it.
         while np.linalg.norm(cand - cand.mean()) < 1e-9:
-            cand[:] = rng.standard_normal(gt.size)
+            cand[:] = rng.standard_normal(ts.size)
     ratios, witnesses = _ascend(starts, ts.adjacency, iters)
-    best = 0
-    for i in range(1, len(ratios)):
-        if ratios[i] > ratios[best]:
-            best = i
+    best = int(np.argmax(ratios))  # the first of tied maxima
     best_ratio, best_f = float(ratios[best]), witnesses[best].copy()
-    witness = entropy_sq(best_f, gt) / dirichlet_form(best_f, ts, gt)
+    witness = entropy_sq(best_f) / dirichlet_form(best_f, ts)
     if not math.isclose(witness, best_ratio, rel_tol=_WITNESS_RTOL):
         raise RuntimeError(
             f"LSI witness scores {witness!r} under the compensated oracles, "
@@ -617,7 +612,7 @@ def estimate_lsi_constant(
         )
     floor = 2.0 / (spectral_report(ts) if report is None else report).gap
     return LsiEstimate(
-        n=gt.n,
+        n=ts.n,
         estimate=max(best_ratio, floor),
         best_ratio=best_ratio,
         spectral_floor=floor,

@@ -126,6 +126,8 @@ def separation_report(ns, t: int, word_bits: int = 64) -> list[dict]:
         raise ValueError("need at least one dimension")
     if word_bits < 1:
         raise ValueError(f"word size must be >= 1 bit (got {word_bits})")
+    if t < 0:
+        raise ValueError(f"time must be non-negative (got {t})")
     rows = []
     for n in ns:
         if n < 1:

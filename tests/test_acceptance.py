@@ -103,13 +103,13 @@ def test_criterion_4_monte_carlo_oracle():
 
 
 def test_criterion_5_lsi_estimator():
-    gt2, ts2 = eg.analyze(2)
-    gt3, ts3 = eg.analyze(3)
+    _, ts2 = eg.analyze(2)
+    _, ts3 = eg.analyze(3)
     rep3 = eg.spectral_report(ts3)
-    e2a = fi.estimate_lsi_constant(ts2, gt2, restarts=8, iters=600, seed=0)
-    e2b = fi.estimate_lsi_constant(ts2, gt2, restarts=8, iters=600, seed=0)
-    e3a = fi.estimate_lsi_constant(ts3, gt3, restarts=8, iters=600, seed=0)
-    e3b = fi.estimate_lsi_constant(ts3, gt3, restarts=8, iters=600, seed=0)
+    e2a = fi.estimate_lsi_constant(ts2, restarts=8, iters=600, seed=0)
+    e2b = fi.estimate_lsi_constant(ts2, restarts=8, iters=600, seed=0)
+    e3a = fi.estimate_lsi_constant(ts3, restarts=8, iters=600, seed=0)
+    e3b = fi.estimate_lsi_constant(ts3, restarts=8, iters=600, seed=0)
     floor3 = 2.0 / rep3.gap
     deterministic = (
         e2a.estimate == e2b.estimate
@@ -130,10 +130,10 @@ def test_criterion_5_lsi_estimator():
 
 
 def test_criterion_6_bound_pipeline():
-    gt, ts = eg.analyze(3)
+    _, ts = eg.analyze(3)
     rep = eg.spectral_report(ts)
-    t_mix, t2_mix = eg.mixing_times(ts, gt, 0.25)
-    est = fi.estimate_lsi_constant(ts, gt, restarts=8, iters=600, seed=0)
+    t_mix, t2_mix = eg.mixing_times(ts, 0.25)
+    est = fi.estimate_lsi_constant(ts, restarts=8, iters=600, seed=0)
     upper = fi.mixing_bound(3, 0.25, est.estimate, 1.0 / rep.absolute_gap)
     counting = fi.counting_lower_bound(3, 0.25)
     ok = upper >= t2_mix and counting == 3 and counting <= t_mix

@@ -1008,6 +1008,21 @@ def test_no_config_token_means_no_config(argv):
     assert pre.parse_known_args(argv)[0].config is None
 
 
+def test_exact_command_leaves_scipy_unloaded(tmp_path):
+    """The exact analysis iterates its laws without SciPy, at n = 4 too."""
+    argv = ["exact", "--n", "4", "--out", str(tmp_path)]
+    code = (
+        "import sys; from tvwalk.cli import cli_dispatch; "
+        f"code = cli_dispatch({argv!r}); print(code, 'scipy' in sys.modules)"
+    )
+    src = str(Path(tvwalk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "exact_curve.csv").is_file()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     """Only the Lanczos spectrum needs SciPy; other commands skip its import."""
     code = "import sys, tvwalk.cli; print('scipy' in sys.modules)"

@@ -80,6 +80,16 @@ class TestStatisticTv:
         assert r.chain_sample.count == 3000
         assert r.ref_sample.count == 3000
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_rejects_dimension_below_two_before_drawing(self, n, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking n")
+
+        monkeypatch.setattr(dg, "sample_uniform_invertible_batch", no_draws)
+        monkeypatch.setattr(dg, "_walk_full", no_draws)
+        with pytest.raises(ValueError, match=r"^the walk needs n >= 2$"):
+            dg.statistic_tv(n, 5, "weight", 1000, 0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             dg.statistic_tv(8, 0, "weight", 999, seed=0)
@@ -95,7 +105,7 @@ class TestPushforwardFoundation:
         for t in range(30):
             p = distribution_at(ts, t, lazy=True)
             stat = weight_pushforward_tv(p, gt.keys, 10)
-            assert stat <= tv_distance(p, gt) + 1e-12
+            assert stat <= tv_distance(p) + 1e-12
 
     def test_sampled_estimate_matches_population_value(self):
         """At n = 3, t = 3 the plug-in estimate sits within sampling error

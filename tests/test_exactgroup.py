@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -77,10 +78,6 @@ class TestEnumeration:
         gt, _ = eg.analyze(2)
         assert g.decode_key(int(gt.keys[0]), 2) == g.BitMatrix.identity(2)
 
-    def test_pi_uniform(self):
-        gt, _ = eg.analyze(3)
-        assert gt.pi == 1 / 168
-
     def test_order_ratio_matches_order(self):
         for n in (2, 3, 4):
             assert eg.order_ratio(n) == pytest.approx(
@@ -111,7 +108,7 @@ class TestEnumeration:
 class TestKernelStructure:
     @pytest.mark.parametrize("n", [2, 3])
     def test_regular_symmetric_connected(self, n):
-        gt, ts = eg.analyze(n)
+        _, ts = eg.analyze(n)
         assert ts.degree == n * (n - 1)
         rows = np.repeat(np.arange(ts.size), ts.degree)
         cols = ts.adjacency.reshape(-1)
@@ -128,15 +125,17 @@ class TestKernelStructure:
     def test_moves_are_involutions(self):
         gt, ts = eg.analyze(3)
         idx = np.arange(ts.size)
-        for perm in gt.index_of(eg._successor_keys(gt.keys, gt.n)).T:
+        for perm in gt.successors().T:
             assert (perm[perm] == idx).all()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_successor_keys_match_scalar_moves(self, n):
-        """Column u adds row j to row i of each key, (i, j) = _decode(u)."""
+        """Column u of the successor table adds row j to row i of each key,
+        (i, j) = _decode(u)."""
         gt = eg.enumerate_group(n)
-        succ = eg._successor_keys(gt.keys, n)
-        assert succ.shape == (gt.size, n * (n - 1)) and succ.dtype == np.uint64
+        table = gt.successors()
+        assert table.shape == (gt.size, n * (n - 1)) and table.dtype == np.int32
+        succ = gt.keys[table]
         mask = (1 << n) - 1
         for u in range(n * (n - 1)):
             i, j = (int(a[0]) for a in _decode(np.array([u]), n))
@@ -171,34 +170,47 @@ class TestDistributions:
         with pytest.raises(ValueError):
             eg.distribution_at(ts, -1)
 
+    def test_distances_to_uniform_on_len_p_states(self):
+        point = np.array([1.0, 0.0, 0.0, 0.0])
+        assert eg.tv_distance(point) == 0.75
+        assert eg.l2_distance(point) == math.sqrt(3.0)
+        assert eg.tv_distance(np.full(8, 0.125)) == 0.0
+        assert eg.l2_distance(np.full(8, 0.125)) == 0.0
+
+    def test_negative_tmax_rejected(self):
+        _, ts = eg.analyze(2)
+        with pytest.raises(ValueError, match="tmax"):
+            eg.mixing_curve(ts, -1)
+        assert [t for t, _, _ in eg.mixing_curve(ts, 0)] == [0]
+
     def test_tv_at_zero(self):
-        gt, ts = eg.analyze(2)
+        _, ts = eg.analyze(2)
         p = eg.distribution_at(ts, 0)
-        assert eg.tv_distance(p, gt) == pytest.approx(1 - 1 / 6, abs=1e-15)
+        assert eg.tv_distance(p) == pytest.approx(1 - 1 / 6, abs=1e-15)
 
     def test_frozen_curve_point(self):
-        gt, ts = eg.analyze(3)
+        _, ts = eg.analyze(3)
         p = eg.distribution_at(ts, 9)
-        assert eg.tv_distance(p, gt) == pytest.approx(0.09156106429768979, abs=1e-12)
-        assert eg.l2_distance(p, gt) == pytest.approx(0.23247017138851855, abs=1e-12)
+        assert eg.tv_distance(p) == pytest.approx(0.09156106429768979, abs=1e-12)
+        assert eg.l2_distance(p) == pytest.approx(0.23247017138851855, abs=1e-12)
 
     def test_l2_dominates_twice_tv(self):
-        gt, ts = eg.analyze(3)
-        for t, tv, l2 in eg.mixing_curve(ts, gt, 12):
+        _, ts = eg.analyze(3)
+        for t, tv, l2 in eg.mixing_curve(ts, 12):
             assert l2 >= 2 * tv - 1e-12
 
     def test_curve_rows_match_single_queries(self):
-        gt, ts = eg.analyze(3)
-        rows = eg.mixing_curve(ts, gt, 6, lazy=True)
+        _, ts = eg.analyze(3)
+        rows = eg.mixing_curve(ts, 6, lazy=True)
         assert [r[0] for r in rows] == list(range(7))
         for t, tv, l2 in rows:
             p = eg.distribution_at(ts, t, lazy=True)
-            assert tv == pytest.approx(eg.tv_distance(p, gt), abs=1e-14)
-            assert l2 == pytest.approx(eg.l2_distance(p, gt), abs=1e-14)
+            assert tv == pytest.approx(eg.tv_distance(p), abs=1e-14)
+            assert l2 == pytest.approx(eg.l2_distance(p), abs=1e-14)
 
     def test_l2_non_increasing(self):
-        gt, ts = eg.analyze(3)
-        vals = [l2 for _, _, l2 in eg.mixing_curve(ts, gt, 15)]
+        _, ts = eg.analyze(3)
+        vals = [l2 for _, _, l2 in eg.mixing_curve(ts, 15)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -218,31 +230,40 @@ class TestDistributions:
 
 class TestMixingTimes:
     def test_frozen_values(self):
-        gt2, ts2 = eg.analyze(2)
-        gt3, ts3 = eg.analyze(3)
-        assert eg.mixing_times(ts2, gt2, 0.25, lazy=True) == (4, 7)
-        assert eg.mixing_times(ts3, gt3, 0.25) == (6, 9)
-        assert eg.mixing_times(ts3, gt3, 0.25, lazy=True) == (12, 19)
+        _, ts2 = eg.analyze(2)
+        _, ts3 = eg.analyze(3)
+        assert eg.mixing_times(ts2, 0.25, lazy=True) == (4, 7)
+        assert eg.mixing_times(ts3, 0.25) == (6, 9)
+        assert eg.mixing_times(ts3, 0.25, lazy=True) == (12, 19)
 
     def test_frozen_values_n4(self):
-        gt, ts = eg.analyze(4)
-        assert eg.mixing_times(ts, gt, 0.25) == (11, 16)
+        _, ts = eg.analyze(4)
+        assert eg.mixing_times(ts, 0.25) == (11, 16)
 
     def test_periodic_walk_never_mixes(self):
-        gt, ts = eg.analyze(2)
+        _, ts = eg.analyze(2)
         with pytest.raises(eg.NonConvergentError):
-            eg.mixing_times(ts, gt, 0.25)
+            eg.mixing_times(ts, 0.25)
 
     def test_eps_validation(self):
-        gt, ts = eg.analyze(2)
+        _, ts = eg.analyze(2)
         for eps in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
-                eg.mixing_times(ts, gt, eps, lazy=True)
+                eg.mixing_times(ts, eps, lazy=True)
+
+    @pytest.mark.parametrize("n,lazy", [(2, True), (3, False), (4, False)])
+    def test_first_crossings_of_the_curve(self, n, lazy):
+        """mixing_times reads the same (t, tv, l2) rows as mixing_curve."""
+        _, ts = eg.analyze(n)
+        t_tv, t_l2 = eg.mixing_times(ts, 0.25, lazy)
+        curve = eg.mixing_curve(ts, t_l2 + 3, lazy)
+        assert t_tv == next(t for t, tv, _ in curve if tv <= 0.25)
+        assert t_l2 == next(t for t, _, l2 in curve if l2 <= 0.25)
 
     def test_threshold_ordering(self):
-        gt, ts = eg.analyze(3)
-        t_half, _ = eg.mixing_times(ts, gt, 0.5)
-        t_quarter, t2_quarter = eg.mixing_times(ts, gt, 0.25)
+        _, ts = eg.analyze(3)
+        t_half, _ = eg.mixing_times(ts, 0.5)
+        t_quarter, t2_quarter = eg.mixing_times(ts, 0.25)
         assert t_half <= t_quarter <= t2_quarter
 
 

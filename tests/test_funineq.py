@@ -30,47 +30,56 @@ def identity_indicator(size):
 
 class TestFunctionals:
     def test_indicator_oracles_n2(self, g2):
-        gt, ts = g2
+        _, ts = g2
         f = identity_indicator(6)
-        assert fi.entropy_sq(f, gt) == pytest.approx(math.log(6) / 6, abs=1e-15)
-        assert fi.dirichlet_form(f, ts, gt) == pytest.approx(1 / 6, abs=1e-15)
-        assert fi.variance(f, gt) == pytest.approx(5 / 36, abs=1e-15)
+        assert fi.entropy_sq(f) == pytest.approx(math.log(6) / 6, abs=1e-15)
+        assert fi.dirichlet_form(f, ts) == pytest.approx(1 / 6, abs=1e-15)
+        assert fi.variance(f) == pytest.approx(5 / 36, abs=1e-15)
 
     def test_constant_function_vanishes(self, g3):
-        gt, ts = g3
-        f = np.full(gt.size, 2.5)
-        assert fi.entropy_sq(f, gt) == 0.0
-        assert fi.dirichlet_form(f, ts, gt) == pytest.approx(0.0, abs=1e-15)
-        assert fi.variance(f, gt) == pytest.approx(0.0, abs=1e-15)
+        _, ts = g3
+        f = np.full(ts.size, 2.5)
+        assert fi.entropy_sq(f) == 0.0
+        assert fi.dirichlet_form(f, ts) == pytest.approx(0.0, abs=1e-15)
+        assert fi.variance(f) == pytest.approx(0.0, abs=1e-15)
 
     def test_entropy_nonnegative_and_scale_covariant(self, g3):
         gt, _ = g3
         rng = np.random.default_rng(7)
         for _ in range(20):
             f = rng.standard_normal(gt.size)
-            ent = fi.entropy_sq(f, gt)
+            ent = fi.entropy_sq(f)
             assert ent >= 0.0
             # ent((cf)^2) = c^2 ent(f^2)
-            assert fi.entropy_sq(3.0 * f, gt) == pytest.approx(9.0 * ent, rel=1e-12)
+            assert fi.entropy_sq(3.0 * f) == pytest.approx(9.0 * ent, rel=1e-12)
 
     def test_dirichlet_matches_quadratic_form(self, g3):
         """Half-sum route equals <f, (I-P)f> under the uniform law."""
-        gt, ts = g3
+        _, ts = g3
         rng = np.random.default_rng(8)
         for _ in range(10):
-            f = rng.standard_normal(gt.size)
+            f = rng.standard_normal(ts.size)
             pf = f[ts.adjacency].mean(axis=1)
             quad = float(((f - pf) * f).mean())
-            assert fi.dirichlet_form(f, ts, gt) == pytest.approx(quad, abs=1e-12)
+            assert fi.dirichlet_form(f, ts) == pytest.approx(quad, abs=1e-12)
 
     def test_shape_and_finiteness_validation(self, g2):
-        gt, ts = g2
+        _, ts = g2
+        for bad in (np.zeros((2, 3)), np.zeros(0)):
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                fi.entropy_sq(bad)
         with pytest.raises(ValueError):
-            fi.entropy_sq(np.zeros(5), gt)
+            fi.variance(np.array([np.nan] * 6))
         with pytest.raises(ValueError):
-            fi.variance(np.array([np.nan] * 6), gt)
-        with pytest.raises(ValueError):
-            fi.dirichlet_form(np.zeros((2, 3)), ts, gt)
+            fi.dirichlet_form(np.zeros((2, 3)), ts)
+        with pytest.raises(ValueError, match=r"shape \(6,\)"):
+            fi.dirichlet_form(np.zeros(5), ts)
+
+    def test_oracles_read_the_function_alone(self):
+        """entropy_sq and variance hold under the uniform law on len(f) states."""
+        f = identity_indicator(5)
+        assert fi.entropy_sq(f) == pytest.approx(math.log(5) / 5, abs=1e-15)
+        assert fi.variance(f) == pytest.approx(4 / 25, abs=1e-15)
 
 
 def suite_terms(name, f, domain):
@@ -78,13 +87,18 @@ def suite_terms(name, f, domain):
     return fi._SUITE_TERMS[name](np.asarray(f, dtype=float)[None, :], domain)
 
 
+def group_terms(name, f, n):
+    """A group suite's evaluator on one function, over the domain run_suite gives it."""
+    return suite_terms(name, f, fi._group_domain(name, n))
+
+
 def satisfied(lhs, rhs):
     return fi._slack_stats(lhs, rhs)[0] == 0
 
 
 class TestKeyInequality:
-    def test_indicator_frozen(self, g2):
-        lhs, rhs = suite_terms("key", identity_indicator(6), g2)
+    def test_indicator_frozen(self):
+        lhs, rhs = group_terms("key", identity_indicator(6), 2)
         assert lhs[0] == pytest.approx(math.log(6) / 6, abs=1e-15)
         assert rhs[0] == pytest.approx(11 / 18, abs=1e-15)
         assert satisfied(lhs, rhs) and rhs[0] - lhs[0] > 0
@@ -93,31 +107,31 @@ class TestKeyInequality:
         gt, _ = g3
         rng = np.random.default_rng(11)
         for _ in range(25):
-            assert satisfied(*suite_terms("key", rng.standard_normal(gt.size), g3))
+            assert satisfied(*group_terms("key", rng.standard_normal(gt.size), 3))
 
 
 class TestExtensionInequality:
-    def test_indicator_frozen(self, g2):
-        lhs, rhs = suite_terms("extension", identity_indicator(6), g2)
+    def test_indicator_frozen(self):
+        lhs, rhs = group_terms("extension", identity_indicator(6), 2)
         assert lhs[0] == pytest.approx(math.log(6) / 6, abs=1e-15)
         assert rhs[0] == pytest.approx(0.37235304985625706, abs=1e-12)
         assert satisfied(lhs, rhs)
 
 
 class TestRowDecomposition:
-    def test_indicator_frozen(self, g2):
+    def test_indicator_frozen(self):
         # one row for the sub-additivity step, one for the consolidated bound
-        lhs, rhs = suite_terms("rowdecomp", identity_indicator(6), g2)
+        lhs, rhs = group_terms("rowdecomp", identity_indicator(6), 2)
         assert lhs[0] == pytest.approx(0.1396323936960964, abs=1e-12)
         assert rhs[0] == pytest.approx(0.1605214658319893, abs=1e-12)
         assert lhs[1] == lhs[0]
         assert rhs[1] == pytest.approx(11 / 48, abs=1e-12)
         assert satisfied(lhs, rhs)
 
-    def test_random_functions_satisfied(self, g2):
+    def test_random_functions_satisfied(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
-            assert satisfied(*suite_terms("rowdecomp", rng.standard_normal(6), g2))
+            assert satisfied(*group_terms("rowdecomp", rng.standard_normal(6), 2))
 
     def test_only_n2(self):
         assert fi.SUITE_DIMENSIONS["rowdecomp"] == range(2, 3)
@@ -174,33 +188,33 @@ class TestKassabov:
         gt, _ = g3
         rng = np.random.default_rng(19)
         for _ in range(25):
-            assert satisfied(*suite_terms("kassabov", rng.standard_normal(gt.size), g3))
+            assert satisfied(*group_terms("kassabov", rng.standard_normal(gt.size), 3))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_spectral_form(self, n):
         assert spectral_report(analyze(n)[1]).gap >= fi.kassabov_gap_floor(n)
 
 
-def oracle_terms(name, f, domain):
-    """The suite's (lhs, rhs) composed from the compensated oracles."""
+def oracle_terms(name, f, dim):
+    """The suite's (lhs, rhs) at cube dimension d or group dimension n = dim,
+    composed from the compensated oracles."""
     if name == "hypercube":
         # the cube as a walk graph: degree d, 2^d states
-        d = domain.shape[1]
-        cube_ts = SimpleNamespace(adjacency=domain, degree=d)
-        cube_gt = SimpleNamespace(size=1 << d)
-        return [fi._entropy_uniform(f)], [d * fi.dirichlet_form(f, cube_ts, cube_gt)]
-    gt, ts = domain
-    energy = fi.dirichlet_form(f, ts, gt)
-    var = fi.variance(f, gt)
+        nbrs = fi._hypercube_neighbors(dim)
+        cube_ts = SimpleNamespace(adjacency=nbrs, degree=dim, size=1 << dim)
+        return [fi._entropy_uniform(f)], [dim * fi.dirichlet_form(f, cube_ts)]
+    gt, ts = analyze(dim)
+    energy = fi.dirichlet_form(f, ts)
+    var = fi.variance(f)
     if name == "key":
-        return [fi.entropy_sq(f, gt)], [gt.n * (gt.n - 1) * energy + gt.n * var]
+        return [fi.entropy_sq(f)], [gt.n * (gt.n - 1) * energy + gt.n * var]
     if name == "kassabov":
         return [var], [energy / fi.kassabov_gap_floor(gt.n)]
     g = fi._extension_values(f, gt)
     ambient = len(g)
     ent_mu = fi._entropy_uniform(g)
     if name == "extension":
-        return [fi.entropy_sq(f, gt)], [(ambient / gt.size) * ent_mu]
+        return [fi.entropy_sq(f)], [(ambient / gt.size) * ent_mu]
     # rowdecomp: conditional entropies of each row given the other, and the
     # row swaps (the walk's moves) plus per-row variances, averaged under mu
     table = g.reshape(4, 4)
@@ -232,16 +246,15 @@ class TestEvaluatorsMatchOracles:
             domain, size = fi._hypercube_neighbors(dim), 1 << dim
             adversarial = fi._adversarial_cube_functions(dim)
         else:
-            domain = analyze(dim)
-            gt, ts = domain
-            size = gt.size
-            adversarial = fi._adversarial_group_functions(ts, gt)
+            domain = fi._group_domain(name, dim)
+            adversarial = fi._adversarial_group_functions(analyze(dim)[1])
+            size = adversarial.shape[1]
         gaussian = rng.standard_normal((20 if size > 5000 else 200, size))
         rows = np.vstack([gaussian, evaluator_rows(size, seed=dim), adversarial])
         lhs, rhs = fi._SUITE_TERMS[name](rows, domain)
         want_lhs, want_rhs = [], []
         for row in rows:
-            a, b = oracle_terms(name, row, domain)
+            a, b = oracle_terms(name, row, dim)
             want_lhs += a
             want_rhs += b
         for got, want in ((lhs, want_lhs), (rhs, want_rhs)):
@@ -397,8 +410,8 @@ class TestBatchedEvaluators:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_ent_energy_matches_scalar_formulas(self, n):
-        gt, ts = analyze(n)
-        rows = evaluator_rows(gt.size, seed=n)
+        _, ts = analyze(n)
+        rows = evaluator_rows(ts.size, seed=n)
         batched = fi._ent_energy(rows, ts.adjacency)
         for r, row in enumerate(rows):
             single = fi._ent_energy(row[None, :], ts.adjacency)
@@ -409,19 +422,19 @@ class TestBatchedEvaluators:
     @pytest.mark.parametrize("n,copies", [(3, 17), (4, 1)])
     def test_dirichlet_rows_match_broadcast_formula(self, n, copies):
         # n = 3 spans three row blocks of the edge buffer, n = 4 nine
-        gt, ts = analyze(n)
-        rows = np.concatenate([evaluator_rows(gt.size, seed) for seed in range(copies)])
+        _, ts = analyze(n)
+        rows = np.concatenate([evaluator_rows(ts.size, seed) for seed in range(copies)])
         adj = ts.adjacency
         sums = np.square(rows[:, :, None] - rows[:, adj]).sum(axis=(1, 2))
         assert np.array_equal(fi._edge_sums(rows, adj), sums)
         assert np.array_equal(
-            fi._dirichlet_rows(rows, adj, ts.degree), sums / (2.0 * gt.size * ts.degree)
+            fi._dirichlet_rows(rows, ts), sums / (2.0 * ts.size * ts.degree)
         )
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_edge_sums_same_bits_for_c_ordered_adjacency(self, n):
-        gt, ts = analyze(n)
-        rows = np.concatenate([evaluator_rows(gt.size, seed) for seed in range(3)])
+        _, ts = analyze(n)
+        rows = np.concatenate([evaluator_rows(ts.size, seed) for seed in range(3)])
         c_ordered = np.ascontiguousarray(ts.adjacency)
         assert c_ordered.flags.c_contiguous and not c_ordered.flags.f_contiguous
         assert np.array_equal(fi._edge_sums(rows, ts.adjacency), fi._edge_sums(rows, c_ordered))
@@ -446,8 +459,8 @@ class TestLsiEstimate:
         assert np.array_equal(fi._row_dots(a, a), [x.dot(x) for x in a])
 
     def test_n2_floor_dominates(self, g2):
-        gt, ts = g2
-        est = fi.estimate_lsi_constant(ts, gt, restarts=8, iters=600, seed=0)
+        _, ts = g2
+        est = fi.estimate_lsi_constant(ts, restarts=8, iters=600, seed=0)
         # the 6-cycle's log-Sobolev constant is 4; the spectral floor 2/gap
         # reaches it while gradient ascent stalls just below
         assert est.estimate == 4.000000000000001
@@ -456,8 +469,8 @@ class TestLsiEstimate:
         assert est.estimate >= max(math.log(6), 4.0)
 
     def test_n3_witness_beats_floor(self, g3):
-        gt, ts = g3
-        est = fi.estimate_lsi_constant(ts, gt, restarts=8, iters=600, seed=0)
+        _, ts = g3
+        est = fi.estimate_lsi_constant(ts, restarts=8, iters=600, seed=0)
         assert est.best_ratio == pytest.approx(8.611879299994747, abs=1e-9)
         assert est.estimate == est.best_ratio
         assert est.spectral_floor == pytest.approx(7.567223249782492, abs=1e-12)
@@ -482,28 +495,28 @@ class TestLsiEstimate:
     )
     def test_golden_witness(self, n, best_ratio, spectral_floor, digest, restarts, iters, seed):
         # both components and the witness, bit for bit
-        gt, ts = analyze(n)
-        est = fi.estimate_lsi_constant(ts, gt, restarts=restarts, iters=iters, seed=seed)
+        _, ts = analyze(n)
+        est = fi.estimate_lsi_constant(ts, restarts=restarts, iters=iters, seed=seed)
         assert est.best_ratio == best_ratio
         assert est.spectral_floor == spectral_floor
         assert hashlib.sha256(est.argmax.astype("<f8").tobytes()).hexdigest() == digest
 
     def test_deterministic(self, g3):
-        gt, ts = g3
-        a = fi.estimate_lsi_constant(ts, gt, restarts=2, iters=200, seed=3)
-        b = fi.estimate_lsi_constant(ts, gt, restarts=2, iters=200, seed=3)
+        _, ts = g3
+        a = fi.estimate_lsi_constant(ts, restarts=2, iters=200, seed=3)
+        b = fi.estimate_lsi_constant(ts, restarts=2, iters=200, seed=3)
         assert a.estimate == b.estimate
         assert (a.argmax == b.argmax).all()
 
     def test_argmax_reproduces_ratio(self, g3):
-        gt, ts = g3
-        est = fi.estimate_lsi_constant(ts, gt, restarts=2, iters=400, seed=0)
-        ratio = fi.entropy_sq(est.argmax, gt) / fi.dirichlet_form(est.argmax, ts, gt)
+        _, ts = g3
+        est = fi.estimate_lsi_constant(ts, restarts=2, iters=400, seed=0)
+        ratio = fi.entropy_sq(est.argmax) / fi.dirichlet_form(est.argmax, ts)
         assert ratio == pytest.approx(est.best_ratio, abs=1e-9)
 
     @pytest.mark.parametrize("corrupt", ["ratio", "witness"])
     def test_mismatched_witness_raises(self, g2, monkeypatch, corrupt):
-        gt, ts = g2
+        _, ts = g2
         ascend = fi._ascend
 
         def corrupted(values, adjacency, iters):
@@ -514,15 +527,15 @@ class TestLsiEstimate:
 
         monkeypatch.setattr(fi, "_ascend", corrupted)
         with pytest.raises(RuntimeError, match="witness"):
-            fi.estimate_lsi_constant(ts, gt, restarts=1, iters=20)
+            fi.estimate_lsi_constant(ts, restarts=1, iters=20)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("iters", [1, 30])
     def test_stacked_ascent_equals_one_row_ascents(self, n, iters):
-        gt, ts = analyze(n)
+        _, ts = analyze(n)
         rng = np.random.default_rng(n)
         starts = np.vstack(
-            [identity_indicator(gt.size), rng.standard_normal((4, gt.size)), np.ones(gt.size)]
+            [identity_indicator(ts.size), rng.standard_normal((4, ts.size)), np.ones(ts.size)]
         )
         ratios, rows = fi._ascend(starts, ts.adjacency, iters)
         assert ratios[-1] == -math.inf  # the constant row has no energy and stops at once
@@ -533,19 +546,19 @@ class TestLsiEstimate:
 
     def test_indicator_start_ratio(self, g2):
         """Before any ascent the identity indicator gives ent/E = log 6."""
-        gt, ts = g2
+        _, ts = g2
         f = identity_indicator(6)
-        ratio = fi.entropy_sq(f, gt) / fi.dirichlet_form(f, ts, gt)
+        ratio = fi.entropy_sq(f) / fi.dirichlet_form(f, ts)
         assert ratio == pytest.approx(math.log(6), abs=1e-12)
 
     def test_rejects_n4(self):
-        gt, ts = analyze(4)
+        _, ts = analyze(4)
         with pytest.raises(ValueError, match=r"n in \{2, 3\}"):
-            fi.estimate_lsi_constant(ts, gt, restarts=0, iters=1)
+            fi.estimate_lsi_constant(ts, restarts=0, iters=1)
 
     def test_parameter_validation(self, g2):
-        gt, ts = g2
+        _, ts = g2
         with pytest.raises(ValueError):
-            fi.estimate_lsi_constant(ts, gt, restarts=-1)
+            fi.estimate_lsi_constant(ts, restarts=-1)
         with pytest.raises(ValueError):
-            fi.estimate_lsi_constant(ts, gt, iters=0)
+            fi.estimate_lsi_constant(ts, iters=0)

@@ -170,6 +170,10 @@ class TestSeparationReport:
         (row,) = pr.separation_report(64, 10, word_bits=32)
         assert row["dishonest_word_ops"] == 64 * 2
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match=r"non-negative \(got -5\)"):
+            pr.separation_report(64, -5)
+
     def test_empty_dimension_list_rejected(self):
         with pytest.raises(ValueError, match="at least one dimension"):
             pr.separation_report([], 10)
