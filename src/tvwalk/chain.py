@@ -37,6 +37,10 @@ _TRAJ_HEADER = 18  # magic, version, n (u32), step count (u64), lazy flag
 _HOLD = -1  # both columns of a held lazy step
 _HOLD_RECORD = 0xFFFF  # both u16 fields of a held step in a TVWK file
 _MAX_N = 0xFFFE  # largest n whose rows fit a TVWK record's u16 fields
+# Steps whose row indices `_apply_moves` turns into Python ints at a time: a
+# chunk's object array and list are 32 KiB each, below glibc's default 128 KiB
+# mmap threshold, so a replay reuses heap memory instead of mapping fresh pages.
+_MOVE_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +91,7 @@ class Trajectory:
         return len(self.applied())
 
 
-def _decode(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _decode(u: np.ndarray, n: int, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Uniform draws u in [0, n(n-1)) as the row arrays (i, j) of their pairs.
 
     u maps to i = u // (n-1) and j = u mod (n-1), shifted past the diagonal
@@ -95,9 +99,11 @@ def _decode(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     i != j.  Every consumer of pair draws, here and in the diagnostics'
     batched walks, decodes them with this function.  Lazy walks draw u from
     `_words32`; non-lazy pair draws, ``standard_normal``, ``binomial`` and the
-    sampler's uint64 words still come from Generator methods.
+    sampler's uint64 words still come from Generator methods.  ``out=(i, j)``
+    names two integer arrays of u's shape, such as the columns of a move
+    array, to decode into; they are returned.
     """
-    i, j = np.divmod(u, n - 1)
+    i, j = np.divmod(u, n - 1, out=out or (None, None))
     j += j >= i
     return i, j
 
@@ -146,12 +152,15 @@ def _apply_moves(rows: list, i: np.ndarray, j: np.ndarray) -> None:
     """The move kernel: rows[i[s]] ^= rows[j[s]] for each step s in order.
 
     ``rows`` holds Python ints: n-bit rows of a matrix, or single bits of a
-    vector.  Each column becomes a list by a gather from an object array of
-    the row indices, so its entries are the same n ints, not fresh ones.
+    vector.  Each `_MOVE_CHUNK` steps turn their index columns into lists by
+    a gather from an object array of the row indices, so the entries are the
+    same n ints, not fresh ones, and no list spans the whole run.
     """
     index = np.arange(len(rows)).astype(object)
-    for a, b in zip(index[i].tolist(), index[j].tolist()):
-        rows[a] ^= rows[b]
+    for start in range(0, len(i), _MOVE_CHUNK):
+        part = slice(start, start + _MOVE_CHUNK)
+        for a, b in zip(index[i[part]].tolist(), index[j[part]].tolist()):
+            rows[a] ^= rows[b]
 
 
 def _endpoint(n: int, moves: np.ndarray) -> BitMatrix:
@@ -209,7 +218,8 @@ def run(n: int, t: int, seed: int, lazy: bool = False) -> tuple[Trajectory, BitM
         raise ValueError(f"need 2 <= n <= {_MAX_N}, for distinct rows and TVWK records (got {n})")
     rng = derive_rng(seed, STREAM_WALK)
     if not lazy:
-        moves = np.stack(_decode(rng.integers(0, n * (n - 1), size=t), n), axis=1)
+        moves = np.empty((t, 2), dtype=np.int64)
+        _decode(rng.integers(0, n * (n - 1), size=t), n, out=(moves[:, 0], moves[:, 1]))
     else:
         steps, draws = _lazy_moves(rng, n * (n - 1), t)
         moves = np.full((t, 2), _HOLD, dtype=np.int64)
@@ -242,7 +252,8 @@ def save_trajectory(path, traj: Trajectory) -> None:
     )
     records = np.where(traj.moves == _HOLD, _HOLD_RECORD, traj.moves) if traj.lazy else traj.moves
     with open(path, "wb") as fh:
-        fh.write(header + records.astype("<u2").tobytes())
+        fh.write(header)
+        fh.write(np.ascontiguousarray(records, dtype="<u2"))
 
 
 def load_trajectory(path) -> Trajectory:

@@ -160,6 +160,8 @@ def _cmd_walk(args) -> int:
 def _cmd_exact(args) -> int:
     dims = exactgroup.ANALYZE_DIMENSIONS
     _require_range("n", args.n, dims[0], dims[-1])
+    if args.tmax is not None:
+        _require_range("tmax", args.tmax, 0)
     _, ts = exactgroup.analyze(args.n)
     lazy = args.lazy
     if not lazy and ts.period == 2:
@@ -167,7 +169,6 @@ def _cmd_exact(args) -> int:
         print("note: the walk is periodic at this dimension; using the lazy kernel")
     t_tv, t_l2 = exactgroup.mixing_times(ts, args.eps, lazy)
     tmax = args.tmax if args.tmax is not None else t_l2 + 5
-    _require_range("tmax", tmax, 0)
     curve = exactgroup.mixing_curve(ts, tmax, lazy)
     path = _out_path(args, "exact_curve.csv")
     _emit_csv(

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from tvwalk import chain as c
 from tvwalk import cli
 from tvwalk import diagnostics as dg
 from tvwalk import gf2core as g
+from tvwalk import protocol as pr
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -243,6 +246,36 @@ class TestKeyStream:
         )
 
 
+C = c._MOVE_CHUNK
+
+
+class TestMoveKernel:
+    @pytest.mark.parametrize("t", [0, 1, C - 1, C, C + 1, 2 * C + 7])
+    def test_chunked_replay_equals_per_step_replay(self, t):
+        """On n-bit matrix rows and on single bits, with the move columns as
+        the strided views `replay` and `respond_honest` pass; the last step
+        of each chunk and the first of the next must meet in order."""
+        n = 70  # rows past one 64-bit word
+        moves = np.stack(c._decode(np.random.default_rng(t).integers(0, n * (n - 1), t), n), 1)
+        for start in ([1 << r for r in range(n)], [r % 2 for r in range(n)]):
+            rows, want = list(start), list(start)
+            c._apply_moves(rows, moves[:, 0], moves[:, 1])
+            for a, b in moves.tolist():
+                want[a] ^= want[b]
+            assert rows == want
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 1024])
+    def test_decode_into_out_equals_decode(self, n):
+        u = np.concatenate([np.arange(min(n * (n - 1), 5000)),
+                            np.random.default_rng(n).integers(0, n * (n - 1), 5000)])
+        moves = np.empty((len(u), 2), dtype=np.int64)
+        out = (moves[:, 0], moves[:, 1])
+        i, j = c._decode(u, n, out=out)
+        assert i is out[0] and j is out[1]
+        want_i, want_j = c._decode(u, n)
+        assert np.array_equal(moves[:, 0], want_i) and np.array_equal(moves[:, 1], want_j)
+
+
 class TestProjection:
     """The k-column projection, advanced by the diagnostics' batched kernel."""
 
@@ -298,6 +331,19 @@ class TestTrajectoryFile:
         assert c.replay(back) == c.replay(traj)
         # the master seed is not stored in the file
         assert back.seed == 0
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_bytes_survive_round_trip(self, tmp_path, lazy):
+        """The file is the TVWK layout record by record, and saving what was
+        loaded writes the same bytes."""
+        traj, _ = c.run(1024, 2 * C + 7, seed=4, lazy=lazy)
+        first, second = tmp_path / "a.tvwk", tmp_path / "b.tvwk"
+        c.save_trajectory(first, traj)
+        header = b"TVWK\x01" + struct.pack("<IQB", 1024, traj.steps, lazy)
+        records = b"".join(struct.pack("<HH", i & 0xFFFF, j & 0xFFFF) for i, j in traj.moves.tolist())
+        assert first.read_bytes() == header + records
+        c.save_trajectory(second, c.load_trajectory(first))
+        assert second.read_bytes() == first.read_bytes()
 
     @pytest.mark.parametrize("lazy", [False, True])
     def test_loaded_moves_are_read_only(self, tmp_path, lazy):
@@ -387,3 +433,36 @@ class TestTrajectoryFile:
         path.write_bytes(data)
         with pytest.raises(ValueError, match="lazy flag"):
             c.load_trajectory(path)
+
+
+class TestTransientMemory:
+    """Traced peaks at the protocol's n = 1024, t = 10**5: replay, decode and
+    save hold no full-length copy of the moves beyond the trajectory's own."""
+
+    N, T = 1024, 100_000
+
+    @staticmethod
+    def peak_mib(call) -> float:
+        call()  # warm: lazy imports and caches are not the call's transients
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def secret(self):
+        return c.run(self.N, self.T, seed=1)[0]
+
+    def test_respond_honest(self, secret):
+        x = g.BitVector.from_bits(np.random.default_rng(0).integers(0, 2, self.N, dtype=np.uint8))
+        assert self.peak_mib(lambda: pr.respond_honest(secret, pr.Challenge(x))) < 0.5
+
+    def test_non_lazy_run(self):
+        """The trajectory's 1.53 MiB of moves and the 0.76 MiB of draws, with
+        no stacked copy."""
+        assert self.peak_mib(lambda: c.run(self.N, self.T, seed=1)) < 2.6
+
+    def test_save_trajectory(self, secret, tmp_path):
+        assert self.peak_mib(lambda: c.save_trajectory(tmp_path / "s.tvwk", secret)) < 0.5

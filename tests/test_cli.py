@@ -127,6 +127,18 @@ class TestExact:
         assert code == 0
         assert len(csv_body(tmp_path / "exact_curve.csv")) == 6
 
+    @pytest.mark.parametrize("n", ["2", "4"])
+    def test_negative_tmax_rejected_before_any_law(self, capsys, monkeypatch, n):
+        """An explicit --tmax is checked before the mixing-time iteration, and
+        so before n = 2's periodic note."""
+        calls = []
+        mixing_times = exactgroup.mixing_times
+        monkeypatch.setattr(exactgroup, "mixing_times",
+                            lambda *a: calls.append(a) or mixing_times(*a))
+        code, out, err = run(capsys, "exact", "--n", n, "--tmax", "-1")
+        assert (code, out, err) == (2, "", "error: --tmax must be >= 0 (got -1)\n")
+        assert calls == []
+
     def test_n5_rejected(self, capsys):
         code, _, err = run(capsys, "exact", "--n", "5")
         assert code == 2 and err == "error: --n must be in 2..4 (got 5)\n"
