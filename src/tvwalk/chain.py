@@ -35,11 +35,12 @@ _TRAJ_MAGIC = b"TVWK"
 _TRAJ_VERSION = 1
 _TRAJ_HEADER = 18  # magic, version, n (u32), step count (u64), lazy flag
 _HOLD = -1  # both columns of a held lazy step
-_HOLD_RECORD = 0xFFFF  # both u16 fields of a held step in a TVWK file
 _MAX_N = 0xFFFE  # largest n whose rows fit a TVWK record's u16 fields
-# Steps whose row indices `_apply_moves` turns into Python ints at a time: a
-# chunk's object array and list are 32 KiB each, below glibc's default 128 KiB
-# mmap threshold, so a replay reuses heap memory instead of mapping fresh pages.
+# Steps whose row indices `_apply_moves` turns into Python ints at a time, and
+# the most 32-bit words `_lazy_moves` draws and turns into Python ints at a
+# time: a chunk's object array and list are 32 KiB each, below glibc's default
+# 128 KiB mmap threshold, so a replay or a lazy run reuses heap memory instead
+# of mapping fresh pages, and neither holds a list as long as the run.
 _MOVE_CHUNK = 4096
 
 
@@ -88,7 +89,7 @@ class Trajectory:
     @property
     def work_steps(self) -> int:
         """Number of non-held moves; the honest responder's bit-op cost."""
-        return len(self.applied())
+        return int(np.count_nonzero(self.moves[:, 0] != _HOLD)) if self.lazy else self.steps
 
 
 def _decode(u: np.ndarray, n: int, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -172,22 +173,25 @@ def _endpoint(n: int, moves: np.ndarray) -> BitMatrix:
     return BitMatrix(n, _from_row_bytes(np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes), n))
 
 
-def _lazy_moves(rng: np.random.Generator, npairs: int, t: int) -> tuple[list, list]:
-    """The moving steps of t lazy steps and their pair draws, as lists.
+def _lazy_moves(rng: np.random.Generator, npairs: int, t: int):
+    """The moving steps of t lazy steps and their pair draws, as lists, a batch
+    of at most `_MOVE_CHUNK` words at a time.
 
     Each step draws a coin, ``rng.integers(0, 2)``, and when it is 0 a pair,
     ``rng.integers(0, npairs)``.  Both are bounded draws from 32-bit words w:
     the coin is w >> 31, and the pair is m >> 32 for m = w * npairs, with w
     skipped while m mod 2**32 < 2**32 mod npairs (Lemire).  A `_words32` batch
-    has a word per step to go, each step taking one or more, so none is extra.
+    has at most a word per step to go, each step taking one or more, so none
+    is extra; `_words32` gives the same stream however its calls are split.
+    Each batch's (steps, draws) is yielded before the next batch is drawn.
     """
     if t == 0:  # before the bound check: a 1 x 1 walk has no pairs to draw from
-        return [], []
+        return
     threshold = _redraw_below(npairs)
-    steps, draws = [], []
     s, moving = 0, False
     while s < t:
-        for w in _words32(rng, t - s).tolist():
+        steps, draws = [], []
+        for w in _words32(rng, min(t - s, _MOVE_CHUNK)).tolist():
             if moving:
                 m = w * npairs
                 if m & 0xFFFFFFFF >= threshold:
@@ -199,7 +203,7 @@ def _lazy_moves(rng: np.random.Generator, npairs: int, t: int) -> tuple[list, li
                 s += 1
             else:
                 moving = True
-    return steps, draws
+        yield steps, draws
 
 
 def run(n: int, t: int, seed: int, lazy: bool = False) -> tuple[Trajectory, BitMatrix]:
@@ -221,9 +225,9 @@ def run(n: int, t: int, seed: int, lazy: bool = False) -> tuple[Trajectory, BitM
         moves = np.empty((t, 2), dtype=np.int64)
         _decode(rng.integers(0, n * (n - 1), size=t), n, out=(moves[:, 0], moves[:, 1]))
     else:
-        steps, draws = _lazy_moves(rng, n * (n - 1), t)
         moves = np.full((t, 2), _HOLD, dtype=np.int64)
-        moves[steps] = np.stack(_decode(np.array(draws, dtype=np.int64), n), axis=1)
+        for steps, draws in _lazy_moves(rng, n * (n - 1), t):
+            moves[steps] = np.stack(_decode(np.array(draws, dtype=np.int64), n), axis=1)
     moves.flags.writeable = False  # the trajectory owns these moves
     traj = Trajectory(n, seed, moves, lazy)
     return traj, _endpoint(n, traj.applied())
@@ -250,10 +254,11 @@ def save_trajectory(path, traj: Trajectory) -> None:
         + traj.steps.to_bytes(8, "little")
         + bytes([1 if traj.lazy else 0])
     )
-    records = np.where(traj.moves == _HOLD, _HOLD_RECORD, traj.moves) if traj.lazy else traj.moves
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(records, dtype="<u2"))
+        # The integer cast wraps _HOLD = -1 to 0xFFFF, so a held step writes
+        # the hold record without a copy of the moves at their own width.
+        fh.write(np.ascontiguousarray(traj.moves, dtype="<u2"))
 
 
 def load_trajectory(path) -> Trajectory:

@@ -268,9 +268,9 @@ def _walk_rows(state: np.ndarray, t: int, rng: np.random.Generator, lazy: bool) 
 
 def _successors(gt: GroupTable, lazy: bool) -> np.ndarray:
     """Flat successor table of row width w = n(n-1): entry x*w + u is w times the
-    index of x with row j(u) added to row i(u).  Lazy rows double w, their first
-    half holding x (coin 0).  `index_of` raises on any successor outside the group."""
-    moved = gt.successors()
+    index of x with row j(u) added to row i(u), read from the enumeration's
+    ``gt.successors``.  Lazy rows double w, their first half holding x (coin 0)."""
+    moved = gt.successors
     if lazy:
         moved = np.hstack([np.arange(gt.size)[:, None].repeat(moved.shape[1], 1), moved])
     return (moved * moved.shape[1]).astype(np.intp).reshape(-1)

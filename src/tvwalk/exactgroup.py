@@ -1,16 +1,17 @@
 """Exhaustive analysis of the walk on small invertible-matrix groups.
 
-For n <= 5 the group of invertible n x n matrices over Z_2 is enumerated by
-breadth-first search from the identity, using row-major packed integer keys
-(n^2 <= 25 bits).  BFS discovery order is the canonical element order, so
-every table, curve and regression constant is reproducible bit for bit.
+For n <= 4 the group of invertible n x n matrices over Z_2 is enumerated by
+one breadth-first search from the identity, using row-major packed integer
+keys (n^2 <= 16 bits).  BFS discovery order is the canonical element order,
+so every table, curve and regression constant is reproducible bit for bit.
+The search keeps what it computes: the move-ordered successor table of the
+walk graph, and its period, read off the BFS levels.
 
 On the enumerated group the module builds the exact transition structure of
 the walk, iterates distributions, computes total-variation and chi-square
-(pi-weighted l2) distances and mixing times, detects the period by
-two-coloring, and on request extracts the spectrum (dense below 5000 states,
-extremal eigenvalues by Lanczos iteration above), cross-checking the period
-against the bottom eigenvalue.
+(pi-weighted l2) distances and mixing times, and on request extracts the
+spectrum (dense below 5000 states, extremal eigenvalues by Lanczos iteration
+above), cross-checking the period against the bottom eigenvalue.
 """
 
 from __future__ import annotations
@@ -44,16 +45,11 @@ __all__ = [
     "ANALYZE_DIMENSIONS",
 ]
 
-ENUMERATION_CAP = 5  # the breadth-first search alone: about 10^7 elements at n = 5
 ANALYZE_DIMENSIONS = range(2, 5)  # transition structure in memory: 20,160 states at n = 4
 DENSE_SPECTRUM_LIMIT = 5000
 # Largest accepted ||Pv - lambda_2 v|| for the unit Lanczos eigenvector
 # (a healthy n = 4 solve leaves about 4e-16).
 _LANCZOS_RESIDUAL_TOL = 1e-10
-
-# Frontier chunk for the vectorized BFS; bounds peak candidate memory at
-# roughly chunk * n(n-1) packed keys.
-_BFS_CHUNK = 1 << 18
 
 # Distributions are renormalized this often to damp floating-point drift;
 # a total mass further than _DRIFT_TOL from 1 there means a broken kernel.
@@ -89,12 +85,17 @@ class GroupTable:
 
     ``keys[idx]`` is the packed row-major key of element idx; the identity
     sits at index 0.  ``_index[key]`` is the index of each of the 2^(n^2)
-    keys, -1 off the group (256 KiB at n = 4, 128 MiB at n = 5).
+    keys, -1 off the group (256 KiB at n = 4).  ``successors[x, u]`` is the
+    index of state x moved by move u, in ``chain._pair_tables`` order
+    (0.97 MB at n = 4).  ``period`` is 1 or 2: 2 exactly when the walk graph
+    is bipartite.
     """
 
     n: int
     keys: np.ndarray = field(repr=False)  # (size,) uint64, BFS order
     _index: np.ndarray = field(repr=False)  # (2^(n^2),) int32
+    successors: np.ndarray = field(repr=False)  # (size, n(n-1)) int32
+    period: int
 
     @property
     def size(self) -> int:
@@ -108,11 +109,6 @@ class GroupTable:
             raise KeyError("key does not belong to the enumerated group")
         return idx
 
-    def successors(self) -> np.ndarray:
-        """The (size, n(n-1)) int32 table whose entry [x, u] is the index of
-        state x moved by move u, in ``chain._pair_tables`` order."""
-        return self.index_of(_successor_keys(self.keys, self.n))
-
 
 @dataclass(frozen=True)
 class TransitionStructure:
@@ -121,7 +117,7 @@ class TransitionStructure:
     ``n`` is the dimension and ``size`` the group order.  ``adjacency[x]``
     is the sorted list of the n(n-1) neighbours of state x, one per move;
     which move reaches which neighbour is not kept (``GroupTable.successors``
-    gives that in move order).  It is held neighbour-major (Fortran order)
+    holds that in move order).  It is held neighbour-major (Fortran order)
     as intp so gathers index with it directly.  ``_laws`` reads that order:
     its row sum over ``p[adjacency]`` adds whole neighbour columns one after
     another, which fixes the bits of every law; ``funineq._ent_energy``
@@ -129,8 +125,8 @@ class TransitionStructure:
     makes one C-ordered copy per run for ``_edge_sums`` to gather through,
     and ``_sparse_kernel`` copies the rows into CSR indices; each keeps its
     per-row summation order.  The kernel is symmetric with step probability
-    1/(n(n-1)).  ``period`` is 1 or 2: 2 exactly when the walk graph is
-    bipartite.
+    1/(n(n-1)).  ``period`` is the group table's: 2 exactly when the walk
+    graph is bipartite, else 1.
     """
 
     n: int
@@ -184,37 +180,40 @@ def enumerate_group(n: int) -> GroupTable:
 
     Every element is visited exactly once; discovery order (queue order,
     moves scanned in ``_successor_keys`` order per state) is the canonical
-    index order.  Capped at n = 5 (about 10^7 elements); larger n is out of
-    reach for exhaustive analysis.
+    index order.  The search is level-synchronous: once a level's fresh keys
+    are numbered, the index of its candidate keys is its rows of the
+    successor table, and a successor inside the level's own index range is
+    an edge within one level, which closes an odd cycle (period 1); without
+    one, level parity two-colors the graph (period 2).  Limited to the
+    analysed dimensions, n <= 4: at n = 5 the successor table alone would
+    take about 800 MB.
     """
-    if not 1 <= n <= ENUMERATION_CAP:
-        raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_CAP}")
-    identity_key = sum(1 << (i * n + i) for i in range(n))
+    if not 1 <= n <= ANALYZE_DIMENSIONS[-1]:
+        raise ValueError(f"enumeration supports 1 <= n <= {ANALYZE_DIMENSIONS[-1]}")
+    size = group_order(n)
     index = np.full(1 << (n * n), -1, dtype=np.int32)
-    index[identity_key] = 0
-    order: list[np.ndarray] = [np.array([identity_key], dtype=np.uint64)]
-    frontier = order[0]
-    count = 1
-    while frontier.size:
-        new_chunks: list[np.ndarray] = []
-        for lo in range(0, frontier.size, _BFS_CHUNK):
-            chunk = frontier[lo : lo + _BFS_CHUNK]
-            # State-major candidate order keeps discovery order sequential.
-            flat = _successor_keys(chunk, n).reshape(-1)
-            fresh = flat[index[flat] < 0]
-            _, first = np.unique(fresh, return_index=True)
-            uniq = fresh[np.sort(first)]
-            index[uniq] = np.arange(count, count + uniq.size, dtype=np.int32)
-            count += uniq.size
-            new_chunks.append(uniq)
-        frontier = np.concatenate(new_chunks)
-        if frontier.size:
-            order.append(frontier)
-    keys = np.concatenate(order)
-    expected = group_order(n)
-    if keys.size != expected:
-        raise RuntimeError(f"BFS found {keys.size} elements, expected {expected}")
-    return GroupTable(n=n, keys=keys, _index=index)
+    keys = np.empty(size, dtype=np.uint64)
+    successors = np.empty((size, n * (n - 1)), dtype=np.int32)
+    keys[0] = sum(1 << (i * n + i) for i in range(n))
+    index[keys[0]] = 0
+    lo, hi = 0, 1  # index range of the current level
+    period = 2
+    while lo < hi:
+        # State-major candidate order keeps discovery order sequential.
+        candidates = _successor_keys(keys[lo:hi], n)
+        fresh = candidates[np.take(index, candidates) < 0]
+        _, first = np.unique(fresh, return_index=True)
+        uniq = fresh[np.sort(first)]
+        index[uniq] = np.arange(hi, hi + uniq.size, dtype=np.int32)
+        keys[hi : hi + uniq.size] = uniq
+        rows = successors[lo:hi]
+        rows[:] = np.take(index, candidates)
+        if ((rows >= lo) & (rows < hi)).any():
+            period = 1
+        lo, hi = hi, hi + uniq.size
+    if hi != size:
+        raise RuntimeError(f"BFS found {hi} elements, expected {size}")
+    return GroupTable(n=n, keys=keys, _index=index, successors=successors, period=period)
 
 
 def enumerate_group_reference(n: int) -> list[int]:
@@ -240,16 +239,16 @@ def enumerate_group_reference(n: int) -> list[int]:
 
 
 def build_transition(gt: GroupTable) -> TransitionStructure:
-    """Sorted adjacency lists and period of the walk graph."""
+    """Sorted adjacency lists of the walk graph, with the group table's period."""
     n = gt.n
     if n < 2:
         raise ValueError("the walk needs n >= 2")
     # Fortran order: a row sum over neighbours then adds whole neighbour
     # columns one after another, which fixes the bits of every law (a
     # C-ordered copy would sum pairwise).
-    adjacency = np.sort(gt.successors(), axis=1)
+    adjacency = np.sort(gt.successors, axis=1)
     adjacency = np.asfortranarray(adjacency, dtype=np.intp)
-    return TransitionStructure(n=n, size=gt.size, adjacency=adjacency, period=_period(adjacency))
+    return TransitionStructure(n=n, size=gt.size, adjacency=adjacency, period=gt.period)
 
 
 def _laws(ts: TransitionStructure, lazy: bool):
@@ -307,27 +306,6 @@ def mixing_curve(
     if tmax < 0:
         raise ValueError("tmax must be non-negative")
     return list(itertools.islice(_distances(ts, lazy), tmax + 1))
-
-
-def _period(adjacency: np.ndarray) -> int:
-    """2 if a BFS two-coloring succeeds (bipartite graph), 1 at its first odd cycle."""
-    size, degree = adjacency.shape
-    color = np.full(size, -1, dtype=np.int8)
-    color[0] = 0
-    frontier = np.array([0], dtype=np.int64)
-    while frontier.size:
-        nbrs = adjacency[frontier].reshape(-1)
-        src_color = np.repeat(color[frontier], degree)
-        clash = color[nbrs] == src_color
-        if clash.any():
-            return 1
-        fresh_mask = color[nbrs] == -1
-        fresh = nbrs[fresh_mask]
-        color[fresh] = 1 - src_color[fresh_mask]
-        frontier = np.unique(fresh)
-    if (color == -1).any():
-        raise RuntimeError("walk graph is not connected")
-    return 2
 
 
 def mixing_times(ts: TransitionStructure, eps: float, lazy: bool = False) -> tuple[int, int]:
@@ -417,7 +395,7 @@ def spectral_report(ts: TransitionStructure) -> SpectralReport:
     Dense symmetric eigensolve up to 5000 states (a 20160^2 dense matrix
     would need gigabytes); above that only the extremal eigenvalues are
     computed, which is all the gap and the absolute gap require.  The
-    period is the transition structure's two-coloring and must agree with
+    period is the enumeration's level two-coloring and must agree with
     the bottom of the spectrum (-1 iff bipartite).
     """
     if ts.size <= DENSE_SPECTRUM_LIMIT:

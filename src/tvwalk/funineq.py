@@ -190,11 +190,9 @@ def _extension_values(values: np.ndarray, gt: GroupTable) -> np.ndarray:
     return g
 
 
-def _rowdecomp_terms(
-    values: np.ndarray, successors: np.ndarray, gt: GroupTable
-) -> tuple[float, float, float]:
+def _rowdecomp_terms(values: np.ndarray, gt: GroupTable) -> tuple[float, float, float]:
     """(ent_mu(g^2), sub-additivity sum, consolidated rhs) for n = 2;
-    ``successors[x, m]`` is the index of x moved by move m."""
+    ``gt.successors[x, m]`` is the index of x moved by move m."""
     g = _extension_values(values, gt)
     ent_mu = _entropy_uniform(g)
     # Ambient key = row0 + 4 * row1, so a (row1, row0) view is a reshape.
@@ -208,7 +206,7 @@ def _rowdecomp_terms(
     ambient = 1 << (gt.n * gt.n)
     mean_pi = math.fsum(values.tolist()) / gt.size
     swap = 0.0
-    for moved in values[successors].T:  # one fsum per move
+    for moved in values[gt.successors].T:  # one fsum per move
         swap += math.fsum(np.square(values - moved).tolist())
     swap /= 2.0 * ambient
     var_part = gt.n * math.fsum(np.square(values - mean_pi).tolist()) / ambient
@@ -371,13 +369,11 @@ def _suite_batches(trials: int, size: int, rng: np.random.Generator):
 
 
 def _group_domain(name: str, n: int):
-    """What group suite `name` reads at dimension n: the group table (and its
-    successors) or the transition structure, adjacency C-ordered for ``_edge_sums``."""
+    """What group suite `name` reads at dimension n: the group table or the
+    transition structure, adjacency C-ordered for ``_edge_sums``."""
     gt, ts = analyze(n)
-    if name == "extension":
+    if name in ("extension", "rowdecomp"):
         return gt
-    if name == "rowdecomp":
-        return gt, gt.successors()
     return replace(ts, adjacency=np.ascontiguousarray(ts.adjacency))
 
 
@@ -396,11 +392,10 @@ def _extension_suite(batch: np.ndarray, gt: GroupTable) -> tuple[np.ndarray, np.
     return _ent_rows(batch), (ambient / gt.size) * _ent_rows(g)
 
 
-def _rowdecomp_suite(batch: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
+def _rowdecomp_suite(batch: np.ndarray, gt: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """Per function, two rows: ent_mu(g^2) against the sub-additivity sum,
     then against the consolidated row-swap/variance bound (n = 2)."""
-    gt, successors = domain
-    terms = np.array([_rowdecomp_terms(row, successors, gt) for row in batch])
+    terms = np.array([_rowdecomp_terms(row, gt) for row in batch])
     return terms[:, [0, 0]].reshape(-1), terms[:, 1:].reshape(-1)
 
 

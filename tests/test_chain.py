@@ -122,6 +122,11 @@ class TestTrajectory:
         assert traj.steps == 5 and traj.work_steps == 2
         assert traj.applied().tolist() == [[0, 1], [1, 0]]
 
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_work_steps_is_the_applied_count(self, lazy):
+        traj, _ = c.run(5, 300, seed=4, lazy=lazy)
+        assert traj.work_steps == len(traj.applied())
+
     def test_moves_are_read_only_int_pairs(self):
         traj, _ = c.run(5, 20, seed=1)
         assert traj.moves.shape == (20, 2) and traj.moves.dtype == np.int64
@@ -171,7 +176,9 @@ class TestKeyStream:
             if not int(ref.integers(0, 2)):
                 steps.append(s)
                 draws.append(int(ref.integers(0, npairs)))
-        assert c._lazy_moves(rng, npairs, t) == (steps, draws)
+        batches = list(c._lazy_moves(rng, npairs, t))
+        assert [s for b, _ in batches for s in b] == steps
+        assert [d for _, b in batches for d in b] == draws
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("npairs", [2**32, 65537 * 65536])
@@ -181,7 +188,7 @@ class TestKeyStream:
         rng = np.random.default_rng(2)
         before = rng.bit_generator.state
         with pytest.raises(ValueError):
-            c._lazy_moves(rng, npairs, 5)
+            next(c._lazy_moves(rng, npairs, 5))
         assert rng.bit_generator.state == before
 
     def test_run_rejects_n_past_the_tvwk_limit(self):
@@ -210,7 +217,7 @@ class TestKeyStream:
         """Its 32-bit draws buffer no half word, so `_words32` cannot follow them."""
         rng = np.random.Generator(np.random.MT19937(1))
         before = rng.bit_generator.state
-        for call in (lambda: c._words32(rng, 5), lambda: c._lazy_moves(rng, 6, 5)):
+        for call in (lambda: c._words32(rng, 5), lambda: next(c._lazy_moves(rng, 6, 5))):
             with pytest.raises(ValueError, match="MT19937"):
                 call()
             assert same_state(rng.bit_generator.state, before)
@@ -455,6 +462,10 @@ class TestTransientMemory:
     def secret(self):
         return c.run(self.N, self.T, seed=1)[0]
 
+    @pytest.fixture(scope="class")
+    def lazy_secret(self):
+        return c.run(self.N, self.T, seed=1, lazy=True)[0]
+
     def test_respond_honest(self, secret):
         x = g.BitVector.from_bits(np.random.default_rng(0).integers(0, 2, self.N, dtype=np.uint8))
         assert self.peak_mib(lambda: pr.respond_honest(secret, pr.Challenge(x))) < 0.5
@@ -466,3 +477,16 @@ class TestTransientMemory:
 
     def test_save_trajectory(self, secret, tmp_path):
         assert self.peak_mib(lambda: c.save_trajectory(tmp_path / "s.tvwk", secret)) < 0.5
+
+    def test_lazy_run(self):
+        """The moves, the applied copy `_endpoint` replays and one batch of
+        `_MOVE_CHUNK` words as Python ints, with no list as long as the run."""
+        assert self.peak_mib(lambda: c.run(self.N, self.T, seed=1, lazy=True)) < 4
+
+    def test_lazy_save_trajectory(self, lazy_secret, tmp_path):
+        """Only the u16 records: held steps are cast, not masked into a copy."""
+        assert self.peak_mib(lambda: c.save_trajectory(tmp_path / "s.tvwk", lazy_secret)) < 0.5
+
+    def test_lazy_work_steps(self, lazy_secret):
+        """A count of the non-held rows, with no copy of the applied moves."""
+        assert self.peak_mib(lambda: lazy_secret.work_steps) < 0.25

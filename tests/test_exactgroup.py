@@ -94,12 +94,14 @@ class TestEnumeration:
         assert vals[-1] == pytest.approx(0.2887880950866024, abs=1e-12)
 
     def test_enumeration_cap(self):
-        with pytest.raises(ValueError):
-            eg.enumerate_group(eg.ENUMERATION_CAP + 1)
+        """n = 5 is refused before any allocation: its successor table alone
+        would take about 800 MB."""
+        with pytest.raises(ValueError, match="1 <= n <= 4"):
+            eg.enumerate_group(5)
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_analyze_range(self, n):
-        """n = 5 enumerates, but its transition structure is not built."""
+        """n = 1 enumerates but has no walk; n = 5 does not enumerate."""
         assert n not in eg.ANALYZE_DIMENSIONS
         with pytest.raises(ValueError, match="n in 2..4"):
             eg.analyze(n)
@@ -125,7 +127,7 @@ class TestKernelStructure:
     def test_moves_are_involutions(self):
         gt, ts = eg.analyze(3)
         idx = np.arange(ts.size)
-        for perm in gt.successors().T:
+        for perm in gt.successors.T:
             assert (perm[perm] == idx).all()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -133,7 +135,7 @@ class TestKernelStructure:
         """Column u of the successor table adds row j to row i of each key,
         (i, j) = _decode(u)."""
         gt = eg.enumerate_group(n)
-        table = gt.successors()
+        table = gt.successors
         assert table.shape == (gt.size, n * (n - 1)) and table.dtype == np.int32
         succ = gt.keys[table]
         mask = (1 << n) - 1
@@ -141,6 +143,13 @@ class TestKernelStructure:
             i, j = (int(a[0]) for a in _decode(np.array([u]), n))
             want = [key ^ (((key >> j * n) & mask) << i * n) for key in gt.keys.tolist()]
             assert succ[:, u].tolist() == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stored_successors_match_the_keys(self, n):
+        """The table the BFS keeps equals the successor keys looked up afresh."""
+        gt = eg.enumerate_group(n)
+        want = gt.index_of(eg._successor_keys(gt.keys, n))
+        assert gt.successors.dtype == np.int32 and np.array_equal(gt.successors, want)
 
     def test_adjacency_rows_sorted(self):
         _, ts = eg.analyze(3)
