@@ -5,8 +5,8 @@ n(n-1) choices and adds row j to row i modulo 2.  The lazy variant first
 flips a fair coin and holds in place with probability 1/2.  A run records
 its move sequence as a Trajectory, a (t, 2) array of row pairs, which
 replays deterministically; the trajectory is the secret in the
-authentication protocol.  Runs, replays and the protocol's honest
-responder all apply moves through one kernel that XORs Python-int rows.
+authentication protocol.  Runs, replays and the protocol's honest responder
+pass it to one kernel, which skips held steps and XORs Python-int rows.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ _TRAJ_VERSION = 1
 _TRAJ_HEADER = 18  # magic, version, n (u32), step count (u64), lazy flag
 _HOLD = -1  # both columns of a held lazy step
 _MAX_N = 0xFFFE  # largest n whose rows fit a TVWK record's u16 fields
-# Steps whose row indices `_apply_moves` turns into Python ints at a time, and
-# the most 32-bit words `_lazy_moves` draws and turns into Python ints at a
-# time: a chunk's object array and list are 32 KiB each, below glibc's default
-# 128 KiB mmap threshold, so a replay or a lazy run reuses heap memory instead
-# of mapping fresh pages, and neither holds a list as long as the run.
+# Steps that `_apply_moves` masks for holds and turns into Python ints at a
+# time, and the most 32-bit words `_lazy_moves` draws and turns into Python
+# ints at a time: a chunk's object array and list are 32 KiB each, below
+# glibc's default 128 KiB mmap threshold, so a replay or lazy run reuses heap
+# memory, not fresh pages, and holds no list or mask as long as the run.
 _MOVE_CHUNK = 4096
 
 
@@ -49,7 +49,7 @@ class Trajectory:
     """A recorded run: dimension, master seed, moves, and laziness.
 
     ``moves`` is a read-only (t, 2) int64 array with one (i, j) row per
-    step; a held lazy step is the row (-1, -1).  Replaying the applied
+    step; a held lazy step is the row (-1, -1).  Replaying the non-held
     moves from the identity reproduces the final state bit for bit.  An
     int64 array that owns its data and is read-only is kept as given, as
     run() and load_trajectory() hand theirs over; any other is copied.
@@ -69,11 +69,11 @@ class Trajectory:
             moves = moves.reshape(0, 2)
         if moves.ndim != 2 or moves.shape[1] != 2:
             raise ValueError("moves must be a (t, 2) array of row pairs")
-        held = (moves[:, 0] == _HOLD) & (moves[:, 1] == _HOLD)
+        i, j = moves[:, 0], moves[:, 1]
+        held = (i == _HOLD) & (j == _HOLD)
         if held.any() and not self.lazy:
             raise ValueError("held step in a non-lazy trajectory")
-        live = moves[~held] if held.any() else moves  # a boolean copy costs as much as the checks
-        if ((live < 0) | (live >= self.n)).any() or (live[:, 0] == live[:, 1]).any():
+        if not (held | (i != j) & (i >= 0) & (j >= 0) & (i < self.n) & (j < self.n)).all():
             raise ValueError("each move needs two distinct rows in 0..n-1")
         moves.flags.writeable = False
         object.__setattr__(self, "moves", moves)
@@ -81,10 +81,6 @@ class Trajectory:
     @property
     def steps(self) -> int:
         return len(self.moves)
-
-    def applied(self) -> np.ndarray:
-        """The (work_steps, 2) moves that are not held, in order."""
-        return self.moves[self.moves[:, 0] != _HOLD] if self.lazy else self.moves
 
     @property
     def work_steps(self) -> int:
@@ -149,25 +145,29 @@ def draw_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
     return int(i[0]), int(j[0])
 
 
-def _apply_moves(rows: list, i: np.ndarray, j: np.ndarray) -> None:
-    """The move kernel: rows[i[s]] ^= rows[j[s]] for each step s in order.
+def _apply_moves(rows: list, traj: Trajectory) -> None:
+    """The move kernel: rows[i] ^= rows[j] for each non-held move (i, j) of traj, in order.
 
     ``rows`` holds Python ints: n-bit rows of a matrix, or single bits of a
     vector.  Each `_MOVE_CHUNK` steps turn their index columns into lists by
     a gather from an object array of the row indices, so the entries are the
-    same n ints, not fresh ones, and no list spans the whole run.
+    same n ints, not fresh ones, and no list spans the whole run.  A lazy
+    chunk first drops its held rows, by a mask over its first column.
     """
     index = np.arange(len(rows)).astype(object)
-    for start in range(0, len(i), _MOVE_CHUNK):
-        part = slice(start, start + _MOVE_CHUNK)
-        for a, b in zip(index[i[part]].tolist(), index[j[part]].tolist()):
+    for start in range(0, traj.steps, _MOVE_CHUNK):
+        part = traj.moves[start : start + _MOVE_CHUNK]
+        if traj.lazy:
+            part = part[part[:, 0] != _HOLD]
+        for a, b in zip(index[part[:, 0]].tolist(), index[part[:, 1]].tolist()):
             rows[a] ^= rows[b]
 
 
-def _endpoint(n: int, moves: np.ndarray) -> BitMatrix:
-    """Identity with the given non-held moves applied, as packed words."""
+def _endpoint(traj: Trajectory) -> BitMatrix:
+    """Identity with the trajectory's non-held moves applied, as packed words."""
+    n = traj.n
     rows = [1 << r for r in range(n)]
-    _apply_moves(rows, moves[:, 0], moves[:, 1])
+    _apply_moves(rows, traj)
     nbytes = (n + 7) // 8
     raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
     return BitMatrix(n, _from_row_bytes(np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes), n))
@@ -230,12 +230,12 @@ def run(n: int, t: int, seed: int, lazy: bool = False) -> tuple[Trajectory, BitM
             moves[steps] = np.stack(_decode(np.array(draws, dtype=np.int64), n), axis=1)
     moves.flags.writeable = False  # the trajectory owns these moves
     traj = Trajectory(n, seed, moves, lazy)
-    return traj, _endpoint(n, traj.applied())
+    return traj, _endpoint(traj)
 
 
 def replay(traj: Trajectory) -> BitMatrix:
     """Apply the recorded moves to the identity; held steps are skipped."""
-    return _endpoint(traj.n, traj.applied())
+    return _endpoint(traj)
 
 
 def save_trajectory(path, traj: Trajectory) -> None:

@@ -349,6 +349,7 @@ def _cmd_protocol(args) -> int:
         return 0
 
     if args.action == "verify":
+        _require_range("deadline", args.deadline, 0)
         public = gf2core.load_matrix(args.key)
         challenge = protocol.Challenge(_vector_from_hex(args.challenge, public.n))
         if args.response_file:

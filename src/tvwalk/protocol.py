@@ -4,7 +4,7 @@ Key generation runs the walk for t steps from the identity; the final
 matrix is the public key and the recorded move sequence is the secret.  A
 challenge is a bit vector x; the response is y = (public key) x.  The
 holder of the secret answers by replaying the moves as single-bit updates
-on x (one bit operation per non-held move, t in total), while anyone else
+on x (one bit operation per non-held move, at most t), while anyone else
 must multiply by the public matrix at a cost of n^2 bit operations
 (n * ceil(n/w) word operations on w-bit words).  The verifier accepts only
 a correct answer whose declared cost meets the deadline, so whenever
@@ -89,10 +89,9 @@ def respond_honest(secret: Trajectory, c: Challenge) -> Response:
     """
     if c.x.n != secret.n:
         raise ValueError("challenge dimension mismatch")
-    moves = secret.applied()
     bits = c.x.to_bits().tolist()
-    _apply_moves(bits, moves[:, 0], moves[:, 1])
-    return Response(y=BitVector.from_bits(bits), ops=OpCount(len(moves), 0), role="honest")
+    _apply_moves(bits, secret)
+    return Response(y=BitVector.from_bits(bits), ops=OpCount(secret.work_steps, 0), role="honest")
 
 
 def respond_dishonest(public: BitMatrix, c: Challenge) -> Response:

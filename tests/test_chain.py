@@ -120,12 +120,25 @@ class TestTrajectory:
         moves = np.array([[0, 1], [-1, -1], [1, 0], [-1, -1], [-1, -1]])
         traj = c.Trajectory(2, 0, moves, lazy=True)
         assert traj.steps == 5 and traj.work_steps == 2
-        assert traj.applied().tolist() == [[0, 1], [1, 0]]
+        # the non-held moves, in order: (0, 1) then (1, 0) differ from the reverse
+        assert c.replay(traj) == c.replay(c.Trajectory(2, 0, [[0, 1], [1, 0]]))
+        assert c.replay(traj) != c.replay(c.Trajectory(2, 0, [[1, 0], [0, 1]]))
 
     @pytest.mark.parametrize("lazy", [False, True])
     def test_work_steps_is_the_applied_count(self, lazy):
         traj, _ = c.run(5, 300, seed=4, lazy=lazy)
-        assert traj.work_steps == len(traj.applied())
+        assert traj.work_steps == np.count_nonzero(traj.moves[:, 0] != -1)
+
+    @pytest.mark.parametrize(
+        "moves, lazy",
+        [([[0, 1], [-1, -1], [0, 3]], True), ([[-1, -1], [3, 0]], True),
+         ([[-1, -1], [0, 1]], False), ([[0, 1], [-1, -1]], False)],
+    )
+    def test_rejects_bad_rows_beside_holds(self, moves, lazy):
+        """An out-of-range move next to a hold of a lazy trajectory, and a
+        hold in a non-lazy one."""
+        with pytest.raises(ValueError, match="distinct rows" if lazy else "held step"):
+            c.Trajectory(3, 0, np.array(moves), lazy)
 
     def test_moves_are_read_only_int_pairs(self):
         traj, _ = c.run(5, 20, seed=1)
@@ -259,17 +272,25 @@ C = c._MOVE_CHUNK
 class TestMoveKernel:
     @pytest.mark.parametrize("t", [0, 1, C - 1, C, C + 1, 2 * C + 7])
     def test_chunked_replay_equals_per_step_replay(self, t):
-        """On n-bit matrix rows and on single bits, with the move columns as
-        the strided views `replay` and `respond_honest` pass; the last step
-        of each chunk and the first of the next must meet in order."""
+        """On n-bit matrix rows and on single bits, for a trajectory with no
+        holds, whose last step of a chunk and first of the next must meet in
+        order, and for a lazy one that holds at random and on both sides of
+        the first boundary (steps C - 1 and C, between moves at C - 2 and
+        C + 1), checked against a per-step loop that skips the holds."""
         n = 70  # rows past one 64-bit word
-        moves = np.stack(c._decode(np.random.default_rng(t).integers(0, n * (n - 1), t), n), 1)
-        for start in ([1 << r for r in range(n)], [r % 2 for r in range(n)]):
-            rows, want = list(start), list(start)
-            c._apply_moves(rows, moves[:, 0], moves[:, 1])
-            for a, b in moves.tolist():
-                want[a] ^= want[b]
-            assert rows == want
+        rng = np.random.default_rng(t)
+        moves = np.stack(c._decode(rng.integers(0, n * (n - 1), t), n), 1)
+        held = rng.integers(0, 2, t).astype(bool)
+        held[C - 2 : C + 2] = [False, True, True, False][: max(0, t - C + 2)]
+        lazy_moves = np.where(held[:, None], -1, moves)
+        for traj in (c.Trajectory(n, 0, moves), c.Trajectory(n, 0, lazy_moves, lazy=True)):
+            for start in ([1 << r for r in range(n)], [r % 2 for r in range(n)]):
+                rows, want = list(start), list(start)
+                c._apply_moves(rows, traj)
+                for a, b in traj.moves.tolist():
+                    if a != -1:
+                        want[a] ^= want[b]
+                assert rows == want
 
     @pytest.mark.parametrize("n", [2, 3, 64, 1024])
     def test_decode_into_out_equals_decode(self, n):
@@ -466,9 +487,26 @@ class TestTransientMemory:
     def lazy_secret(self):
         return c.run(self.N, self.T, seed=1, lazy=True)[0]
 
-    def test_respond_honest(self, secret):
+    @pytest.fixture(scope="class")
+    def challenge(self):
         x = g.BitVector.from_bits(np.random.default_rng(0).integers(0, 2, self.N, dtype=np.uint8))
-        assert self.peak_mib(lambda: pr.respond_honest(secret, pr.Challenge(x))) < 0.5
+        return pr.Challenge(x)
+
+    def test_respond_honest(self, secret, challenge):
+        assert self.peak_mib(lambda: pr.respond_honest(secret, challenge)) < 0.5
+
+    def test_lazy_respond_honest(self, lazy_secret, challenge):
+        """The kernel's per-chunk hold mask and a count of the non-held rows,
+        with no copy of the non-held moves."""
+        assert self.peak_mib(lambda: pr.respond_honest(lazy_secret, challenge)) < 0.25
+
+    def test_lazy_replay(self, lazy_secret):
+        """The n-row state and per-chunk masks and lists, as a non-lazy replay."""
+        assert self.peak_mib(lambda: c.replay(lazy_secret)) < 0.6
+
+    def test_lazy_trajectory_checks(self, lazy_secret):
+        """Validation masks over the two columns, with no copy of the live moves."""
+        assert self.peak_mib(lambda: c.Trajectory(self.N, 1, lazy_secret.moves, True)) < 0.5
 
     def test_non_lazy_run(self):
         """The trajectory's 1.53 MiB of moves and the 0.76 MiB of draws, with
@@ -479,9 +517,10 @@ class TestTransientMemory:
         assert self.peak_mib(lambda: c.save_trajectory(tmp_path / "s.tvwk", secret)) < 0.5
 
     def test_lazy_run(self):
-        """The moves, the applied copy `_endpoint` replays and one batch of
-        `_MOVE_CHUNK` words as Python ints, with no list as long as the run."""
-        assert self.peak_mib(lambda: c.run(self.N, self.T, seed=1, lazy=True)) < 4
+        """The moves, the trajectory's validation masks and one batch of
+        `_MOVE_CHUNK` words as Python ints, with no list as long as the run:
+        `_endpoint` replays the moves in place, a chunk at a time."""
+        assert self.peak_mib(lambda: c.run(self.N, self.T, seed=1, lazy=True)) < 2.5
 
     def test_lazy_save_trajectory(self, lazy_secret, tmp_path):
         """Only the u16 records: held steps are cast, not masked into a copy."""

@@ -691,6 +691,25 @@ class TestProtocolFlow:
         )
         assert code == 0 and out.startswith("accept")
 
+    @pytest.mark.parametrize("in_file", [False, True])
+    def test_negative_deadline_exits_2(self, capsys, tmp_path, in_file):
+        """A deadline below 0 is malformed input, not a rejection (exit 1),
+        on the command line or from a config file."""
+        run(capsys, "protocol", "keygen", "--n", "8", "--t", "20", "--out", str(tmp_path))
+        _, line, _ = run(
+            capsys, "protocol", "prove", "--secret", str(tmp_path / "secret.tvwk"),
+            "--challenge", "a5",
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("deadline=-1\n")
+        deadline = ("--config", str(cfg)) if in_file else ("--deadline", "-1")
+        code, out, err = run(
+            capsys, "protocol", "verify", *deadline, "--key", str(tmp_path / "key.gf2m"),
+            "--challenge", "a5", "--response", line.strip(),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --deadline must be >= 0 (got -1)\n"
+
     def test_forged_answer_rejected(self, capsys, tmp_path):
         run(capsys, "protocol", "keygen", "--n", "8", "--t", "20", "--out", str(tmp_path))
         code, out, _ = run(

@@ -91,7 +91,7 @@ class TestMove:
         rng = np.random.default_rng(seed)
         xv = g.matvec(draw_matrix(n, rng), draw_vector(n, rng))
         bits = xv.to_bits().tolist()
-        _apply_moves(bits, np.array([i]), np.array([j]))
+        _apply_moves(bits, Trajectory(n, 0, [[i, j]]))
         assert g.matvec(one_move(n, i, j), xv) == g.BitVector.from_bits(bits)
 
     @given(pair_strategy())
@@ -99,7 +99,7 @@ class TestMove:
         n, i, j, seed = tns
         bits = draw_vector(n, np.random.default_rng(seed)).to_bits().tolist()
         before = list(bits)
-        _apply_moves(bits, np.array([i, i]), np.array([j, j]))
+        _apply_moves(bits, Trajectory(n, 0, [[i, j], [i, j]]))
         assert bits == before
 
 
