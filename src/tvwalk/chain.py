@@ -3,14 +3,16 @@
 One step picks an ordered pair of distinct rows (i, j) uniformly among the
 n(n-1) choices and adds row j to row i modulo 2.  The lazy variant first
 flips a fair coin and holds in place with probability 1/2.  A run records
-its move sequence as a Trajectory, a (t, 2) array of row pairs, which
-replays deterministically; the trajectory is the secret in the
-authentication protocol.  Runs, replays and the protocol's honest responder
-pass it to one kernel, which skips held steps and XORs Python-int rows.
+its move sequence as a Trajectory: the (t, 2) uint16 records of a TVWK
+file, (0xFFFF, 0xFFFF) for a held step, in memory as on disk.  It replays
+deterministically, and is the secret in the authentication protocol.  Runs,
+replays and the protocol's honest responder pass it to one kernel, which
+skips held steps and XORs Python-int rows.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import partial
 
@@ -33,9 +35,9 @@ STREAM_WALK = 1
 
 _TRAJ_MAGIC = b"TVWK"
 _TRAJ_VERSION = 1
-_TRAJ_HEADER = 18  # magic, version, n (u32), step count (u64), lazy flag
-_HOLD = -1  # both columns of a held lazy step
-_MAX_N = 0xFFFE  # largest n whose rows fit a TVWK record's u16 fields
+_TRAJ_HEADER = struct.Struct("<4sBIQB")  # magic, version, n, step count, lazy flag
+_HOLD = 0xFFFF  # both columns of a held lazy step, in memory and in a TVWK record
+_MAX_N = _HOLD - 1  # largest n whose rows fit a TVWK record's u16 fields
 # Steps that `_apply_moves` masks for holds and turns into Python ints at a
 # time, and the most 32-bit words `_lazy_moves` draws and turns into Python
 # ints at a time: a chunk's object array and list are 32 KiB each, below
@@ -46,34 +48,34 @@ _MOVE_CHUNK = 4096
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A recorded run: dimension, master seed, moves, and laziness.
+    """A recorded run: dimension, moves, and laziness.
 
-    ``moves`` is a read-only (t, 2) int64 array with one (i, j) row per
-    step; a held lazy step is the row (-1, -1).  Replaying the non-held
-    moves from the identity reproduces the final state bit for bit.  An
-    int64 array that owns its data and is read-only is kept as given, as
-    run() and load_trajectory() hand theirs over; any other is copied.
+    ``moves`` holds what a TVWK file holds: a read-only (t, 2) uint16 array
+    with one (i, j) record per step, and (_HOLD, _HOLD) for a held lazy step.
+    Replaying the non-held moves from the identity reproduces the final
+    state bit for bit.  The moves given are checked and always copied, so
+    no caller can change them later.
     """
 
     n: int
-    seed: int
     moves: np.ndarray
     lazy: bool = False
 
     def __post_init__(self) -> None:
-        moves = self.moves
-        owned = isinstance(moves, np.ndarray) and moves.dtype == np.int64 and moves.flags.owndata
-        if not owned or moves.flags.writeable:  # the caller may change it later
-            moves = np.array(moves, dtype=np.int64)
+        moves = np.asarray(self.moves)
         if moves.size == 0:
-            moves = moves.reshape(0, 2)
+            moves = np.empty((0, 2), dtype=np.uint16)
+        elif moves.dtype.kind not in "iu" or moves.min() < 0 or moves.max() > _HOLD:
+            raise ValueError(f"moves must be integers in 0..{_HOLD}")
         if moves.ndim != 2 or moves.shape[1] != 2:
             raise ValueError("moves must be a (t, 2) array of row pairs")
+        moves = moves.astype(np.uint16, order="C")
         i, j = moves[:, 0], moves[:, 1]
         held = (i == _HOLD) & (j == _HOLD)
         if held.any() and not self.lazy:
             raise ValueError("held step in a non-lazy trajectory")
-        if not (held | (i != j) & (i >= 0) & (j >= 0) & (i < self.n) & (j < self.n)).all():
+        rows = min(self.n, _HOLD)  # past n = 0xFFFF a row 0xFFFF would spell half a hold
+        if not (held | (i != j) & (i < rows) & (j < rows)).all():
             raise ValueError("each move needs two distinct rows in 0..n-1")
         moves.flags.writeable = False
         object.__setattr__(self, "moves", moves)
@@ -97,10 +99,10 @@ def _decode(u: np.ndarray, n: int, out=None) -> tuple[np.ndarray, np.ndarray]:
     batched walks, decodes them with this function.  Lazy walks draw u from
     `_words32`; non-lazy pair draws, ``standard_normal``, ``binomial`` and the
     sampler's uint64 words still come from Generator methods.  ``out=(i, j)``
-    names two integer arrays of u's shape, such as the columns of a move
-    array, to decode into; they are returned.
+    names two integer arrays of u's shape, such as the uint16 columns of a
+    move array, to decode into; they may be narrower than u, and are returned.
     """
-    i, j = np.divmod(u, n - 1, out=out or (None, None))
+    i, j = np.divmod(u, n - 1, out=out or (None, None), casting="unsafe")
     j += j >= i
     return i, j
 
@@ -211,8 +213,8 @@ def run(n: int, t: int, seed: int, lazy: bool = False) -> tuple[Trajectory, BitM
 
     Fully deterministic in (n, t, seed, lazy).  A non-lazy run draws all t
     pairs in one batch.  When lazy, each step first flips a fair coin and
-    holds with probability 1/2; a held step records (-1, -1) and leaves the
-    state unchanged.  Lazy draws are parsed from batches of 32-bit words by
+    holds with probability 1/2; a held step records (_HOLD, _HOLD) and leaves
+    the state unchanged.  Lazy draws are parsed from batches of 32-bit words by
     `_lazy_moves`, with the values and final state of per-step draws.  n is
     at most 65,534, which keeps n(n-1) < 2**32 and the moves TVWK records.
     """
@@ -222,14 +224,13 @@ def run(n: int, t: int, seed: int, lazy: bool = False) -> tuple[Trajectory, BitM
         raise ValueError(f"need 2 <= n <= {_MAX_N}, for distinct rows and TVWK records (got {n})")
     rng = derive_rng(seed, STREAM_WALK)
     if not lazy:
-        moves = np.empty((t, 2), dtype=np.int64)
+        moves = np.empty((t, 2), dtype=np.uint16)
         _decode(rng.integers(0, n * (n - 1), size=t), n, out=(moves[:, 0], moves[:, 1]))
     else:
-        moves = np.full((t, 2), _HOLD, dtype=np.int64)
+        moves = np.full((t, 2), _HOLD, dtype=np.uint16)
         for steps, draws in _lazy_moves(rng, n * (n - 1), t):
             moves[steps] = np.stack(_decode(np.array(draws, dtype=np.int64), n), axis=1)
-    moves.flags.writeable = False  # the trajectory owns these moves
-    traj = Trajectory(n, seed, moves, lazy)
+    traj = Trajectory(n, moves, lazy)
     return traj, _endpoint(traj)
 
 
@@ -247,44 +248,29 @@ def save_trajectory(path, traj: Trajectory) -> None:
     """
     if traj.n > _MAX_N:
         raise ValueError("dimension exceeds the u16 move encoding")
-    header = (
-        _TRAJ_MAGIC
-        + bytes([_TRAJ_VERSION])
-        + traj.n.to_bytes(4, "little")
-        + traj.steps.to_bytes(8, "little")
-        + bytes([1 if traj.lazy else 0])
-    )
     with open(path, "wb") as fh:
-        fh.write(header)
-        # The integer cast wraps _HOLD = -1 to 0xFFFF, so a held step writes
-        # the hold record without a copy of the moves at their own width.
+        fh.write(_TRAJ_HEADER.pack(_TRAJ_MAGIC, _TRAJ_VERSION, traj.n, traj.steps, traj.lazy))
         fh.write(np.ascontiguousarray(traj.moves, dtype="<u2"))
 
 
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory written by save_trajectory; validates the header.
 
-    The seed is not stored in the file (the moves alone determine the
-    replay); loaded trajectories carry seed 0.
+    The records become the moves as they are; the master seed is not stored,
+    since the moves alone determine the replay.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _TRAJ_MAGIC:
         raise ValueError("not a TVWK file")
-    if len(raw) < _TRAJ_HEADER:
+    if len(raw) < _TRAJ_HEADER.size:
         raise ValueError("truncated TVWK header")
-    if raw[4] != _TRAJ_VERSION:
-        raise ValueError(f"unsupported TVWK version {raw[4]}")
-    if raw[17] > 1:
-        raise ValueError(f"TVWK lazy flag must be 0 or 1 (got {raw[17]})")
-    n = int.from_bytes(raw[5:9], "little")
-    t = int.from_bytes(raw[9:17], "little")
-    if len(raw) - _TRAJ_HEADER != 4 * t:
+    _, version, n, t, lazy = _TRAJ_HEADER.unpack_from(raw)
+    if version != _TRAJ_VERSION:
+        raise ValueError(f"unsupported TVWK version {version}")
+    if lazy > 1:
+        raise ValueError(f"TVWK lazy flag must be 0 or 1 (got {lazy})")
+    if len(raw) - _TRAJ_HEADER.size != 4 * t:
         raise ValueError("TVWK payload length mismatch")
-    lazy = bool(raw[17])
-    moves = np.frombuffer(raw, dtype="<u2", offset=_TRAJ_HEADER).reshape(t, 2).astype(np.int64)
-    # A hold record, one all-ones u32, names one row twice, so it is never a move:
-    # mapped at either laziness, Trajectory rejects it in a non-lazy file itself.
-    moves[np.frombuffer(raw, dtype="<u4", offset=_TRAJ_HEADER) == 0xFFFFFFFF] = _HOLD
-    moves.flags.writeable = False  # the trajectory owns these moves
-    return Trajectory(n, 0, moves, lazy)
+    moves = np.frombuffer(raw, "<u2", offset=_TRAJ_HEADER.size).reshape(t, 2)
+    return Trajectory(n, moves, bool(lazy))

@@ -51,7 +51,7 @@ class TestRun:
         n, t, seed, lazy = params
         traj, final = c.run(n, t, seed, lazy)
         assert c.replay(traj) == final
-        assert traj.n == n and traj.seed == seed and traj.lazy == lazy
+        assert traj.n == n and traj.lazy == lazy
         assert traj.steps == t
 
     def test_deterministic_in_seed(self):
@@ -68,7 +68,7 @@ class TestRun:
     def test_non_lazy_never_holds(self):
         traj, _ = c.run(4, 500, seed=0)
         assert traj.work_steps == 500
-        assert (traj.moves >= 0).all()
+        assert (traj.moves != c._HOLD).all()
 
     def test_lazy_holds_about_half(self):
         traj, final = c.run(4, 4000, seed=1, lazy=True)
@@ -103,58 +103,90 @@ class TestRun:
             c.draw_pair(g.derive_rng(0), 1)
 
 
+H = c._HOLD
+
+
 class TestTrajectory:
     def test_validates_move_indices(self):
         with pytest.raises(ValueError):
-            c.Trajectory(2, 0, np.array([[0, 5]]))
+            c.Trajectory(2, np.array([[0, 5]]))
 
     @pytest.mark.parametrize(
-        "moves", [[[1, 1]], [[-2, 0]], [[-1, 0]], [[0, 1, 1]], [0, 1]]
+        "moves", [[[1, 1]], [[-2, 0]], [[H, 0]], [[0, 1, 1]], [0, 1]]
     )
     def test_rejects_malformed_moves(self, moves):
         # i == j, a negative index, a half-held row, a wrong shape
         with pytest.raises(ValueError):
-            c.Trajectory(3, 0, np.array(moves), lazy=True)
+            c.Trajectory(3, np.array(moves), lazy=True)
+
+    @pytest.mark.parametrize(
+        "moves", [[[0.7, 1.2]], [["1", "0"]], [[True, False]], [[65537, 0]], [[-1, -1]]]
+    )
+    def test_rejects_moves_that_are_not_u16_records(self, moves):
+        """Floats, strings and bools are not cast to rows, 65537 does not wrap
+        to 1, and -1 is no second spelling of a hold; each names a row below
+        this n, so only the record check refuses it."""
+        with pytest.raises(ValueError, match=r"integers in 0\.\.65535"):
+            c.Trajectory(70_000, moves, lazy=True)
+
+    def test_half_hold_rejected_past_u16_rows(self):
+        """At n = 70,000 row 0xFFFF exists, but a record naming it beside
+        another row would read as a hold to the kernel's first-column mask."""
+        for moves in ([[H, 0]], [[0, H]]):
+            with pytest.raises(ValueError, match="distinct rows"):
+                c.Trajectory(70_000, moves, lazy=True)
 
     def test_work_steps_counts_non_held(self):
-        moves = np.array([[0, 1], [-1, -1], [1, 0], [-1, -1], [-1, -1]])
-        traj = c.Trajectory(2, 0, moves, lazy=True)
+        moves = np.array([[0, 1], [H, H], [1, 0], [H, H], [H, H]])
+        traj = c.Trajectory(2, moves, lazy=True)
         assert traj.steps == 5 and traj.work_steps == 2
         # the non-held moves, in order: (0, 1) then (1, 0) differ from the reverse
-        assert c.replay(traj) == c.replay(c.Trajectory(2, 0, [[0, 1], [1, 0]]))
-        assert c.replay(traj) != c.replay(c.Trajectory(2, 0, [[1, 0], [0, 1]]))
+        assert c.replay(traj) == c.replay(c.Trajectory(2, [[0, 1], [1, 0]]))
+        assert c.replay(traj) != c.replay(c.Trajectory(2, [[1, 0], [0, 1]]))
 
     @pytest.mark.parametrize("lazy", [False, True])
     def test_work_steps_is_the_applied_count(self, lazy):
         traj, _ = c.run(5, 300, seed=4, lazy=lazy)
-        assert traj.work_steps == np.count_nonzero(traj.moves[:, 0] != -1)
+        assert traj.work_steps == np.count_nonzero(traj.moves[:, 0] != H)
 
     @pytest.mark.parametrize(
         "moves, lazy",
-        [([[0, 1], [-1, -1], [0, 3]], True), ([[-1, -1], [3, 0]], True),
-         ([[-1, -1], [0, 1]], False), ([[0, 1], [-1, -1]], False)],
+        [([[0, 1], [H, H], [0, 3]], True), ([[H, H], [3, 0]], True),
+         ([[H, H], [0, 1]], False), ([[0, 1], [H, H]], False)],
     )
     def test_rejects_bad_rows_beside_holds(self, moves, lazy):
         """An out-of-range move next to a hold of a lazy trajectory, and a
         hold in a non-lazy one."""
         with pytest.raises(ValueError, match="distinct rows" if lazy else "held step"):
-            c.Trajectory(3, 0, np.array(moves), lazy)
+            c.Trajectory(3, np.array(moves), lazy)
 
     def test_moves_are_read_only_int_pairs(self):
         traj, _ = c.run(5, 20, seed=1)
-        assert traj.moves.shape == (20, 2) and traj.moves.dtype == np.int64
+        assert traj.moves.shape == (20, 2) and traj.moves.dtype == np.uint16
         with pytest.raises(ValueError):
             traj.moves[0, 0] = 1
-        assert c.Trajectory(5, 0, ()).moves.shape == (0, 2)
+        assert c.Trajectory(5, ()).moves.shape == (0, 2)
 
     def test_caller_array_is_copied(self):
         moves = np.array([[0, 1], [1, 2]], dtype=np.int64)
-        traj = c.Trajectory(3, 0, moves)
+        traj = c.Trajectory(3, moves)
         view = moves.view()
         view.flags.writeable = False  # read-only, but its base is not
-        other = c.Trajectory(3, 0, view)
+        other = c.Trajectory(3, view)
         moves[0] = [2, 0]
         assert traj.moves.tolist() == other.moves.tolist() == [[0, 1], [1, 2]]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+    def test_read_only_caller_array_is_copied(self, dtype):
+        """An owned read-only array is copied too: its owner can make it
+        writeable again and rewrite it after the checks."""
+        moves = np.array([[0, 1]], dtype=dtype)
+        moves.flags.writeable = False
+        traj = c.Trajectory(2, moves)
+        moves.flags.writeable = True
+        moves[0] = [7, 7]
+        assert traj.moves.tolist() == [[0, 1]]
+        assert c.replay(traj) == g.BitMatrix(2, np.array([[3], [2]], dtype=np.uint64))
 
 
 class TestKeyStream:
@@ -169,7 +201,7 @@ class TestKeyStream:
         traj, _ = c.run(n, 400, seed=8, lazy=True)
         rng = g.derive_rng(8, c.STREAM_WALK)
         want = [
-            [-1, -1] if int(rng.integers(0, 2)) else list(c.draw_pair(rng, n))
+            [H, H] if int(rng.integers(0, 2)) else list(c.draw_pair(rng, n))
             for _ in range(400)
         ]
         assert traj.moves.tolist() == want
@@ -282,13 +314,13 @@ class TestMoveKernel:
         moves = np.stack(c._decode(rng.integers(0, n * (n - 1), t), n), 1)
         held = rng.integers(0, 2, t).astype(bool)
         held[C - 2 : C + 2] = [False, True, True, False][: max(0, t - C + 2)]
-        lazy_moves = np.where(held[:, None], -1, moves)
-        for traj in (c.Trajectory(n, 0, moves), c.Trajectory(n, 0, lazy_moves, lazy=True)):
+        lazy_moves = np.where(held[:, None], H, moves)
+        for traj in (c.Trajectory(n, moves), c.Trajectory(n, lazy_moves, lazy=True)):
             for start in ([1 << r for r in range(n)], [r % 2 for r in range(n)]):
                 rows, want = list(start), list(start)
                 c._apply_moves(rows, traj)
                 for a, b in traj.moves.tolist():
-                    if a != -1:
+                    if a != H:
                         want[a] ^= want[b]
                 assert rows == want
 
@@ -296,7 +328,7 @@ class TestMoveKernel:
     def test_decode_into_out_equals_decode(self, n):
         u = np.concatenate([np.arange(min(n * (n - 1), 5000)),
                             np.random.default_rng(n).integers(0, n * (n - 1), 5000)])
-        moves = np.empty((len(u), 2), dtype=np.int64)
+        moves = np.empty((len(u), 2), dtype=np.uint16)  # narrower than u, as in run()
         out = (moves[:, 0], moves[:, 1])
         i, j = c._decode(u, n, out=out)
         assert i is out[0] and j is out[1]
@@ -357,8 +389,6 @@ class TestTrajectoryFile:
         assert back.n == traj.n and back.lazy == traj.lazy
         assert np.array_equal(back.moves, traj.moves)
         assert c.replay(back) == c.replay(traj)
-        # the master seed is not stored in the file
-        assert back.seed == 0
 
     @pytest.mark.parametrize("lazy", [False, True])
     def test_bytes_survive_round_trip(self, tmp_path, lazy):
@@ -368,7 +398,7 @@ class TestTrajectoryFile:
         first, second = tmp_path / "a.tvwk", tmp_path / "b.tvwk"
         c.save_trajectory(first, traj)
         header = b"TVWK\x01" + struct.pack("<IQB", 1024, traj.steps, lazy)
-        records = b"".join(struct.pack("<HH", i & 0xFFFF, j & 0xFFFF) for i, j in traj.moves.tolist())
+        records = b"".join(struct.pack("<HH", i, j) for i, j in traj.moves.tolist())
         assert first.read_bytes() == header + records
         c.save_trajectory(second, c.load_trajectory(first))
         assert second.read_bytes() == first.read_bytes()
@@ -378,12 +408,12 @@ class TestTrajectoryFile:
         path = tmp_path / "t.tvwk"
         c.save_trajectory(path, c.run(6, 40, seed=2, lazy=lazy)[0])
         back = c.load_trajectory(path)
-        assert back.moves.dtype == np.int64
+        assert back.moves.dtype == np.uint16
         with pytest.raises(ValueError):
             back.moves[0, 0] = 1
 
     def test_format_bytes(self, tmp_path):
-        traj = c.Trajectory(3, 9, np.array([[2, 0], [-1, -1]]), lazy=True)
+        traj = c.Trajectory(3, np.array([[2, 0], [H, H]]), lazy=True)
         path = tmp_path / "t.tvwk"
         c.save_trajectory(path, traj)
         expected = (
@@ -464,8 +494,8 @@ class TestTrajectoryFile:
 
 
 class TestTransientMemory:
-    """Traced peaks at the protocol's n = 1024, t = 10**5: replay, decode and
-    save hold no full-length copy of the moves beyond the trajectory's own."""
+    """Traced peaks at the protocol's n = 1024, t = 10**5: replay, decode, load
+    and save hold no full-length copy of the moves beyond the trajectory's own."""
 
     N, T = 1024, 100_000
 
@@ -505,26 +535,37 @@ class TestTransientMemory:
         assert self.peak_mib(lambda: c.replay(lazy_secret)) < 0.6
 
     def test_lazy_trajectory_checks(self, lazy_secret):
-        """Validation masks over the two columns, with no copy of the live moves."""
-        assert self.peak_mib(lambda: c.Trajectory(self.N, 1, lazy_secret.moves, True)) < 0.5
+        """Beyond the 0.38 MiB copy of the records that the trajectory keeps,
+        validation masks over the two columns, with no copy of the live moves."""
+        kept = lazy_secret.moves.nbytes / 2**20
+        assert self.peak_mib(lambda: c.Trajectory(self.N, lazy_secret.moves, True)) - kept < 0.5
 
     def test_non_lazy_run(self):
-        """The trajectory's 1.53 MiB of moves and the 0.76 MiB of draws, with
-        no stacked copy."""
-        assert self.peak_mib(lambda: c.run(self.N, self.T, seed=1)) < 2.6
+        """The 0.76 MiB of draws, decoded straight into 0.38 MiB of u16
+        records, and the trajectory's copy of those, with no int64 moves."""
+        assert self.peak_mib(lambda: c.run(self.N, self.T, seed=1)) < 1.6
 
     def test_save_trajectory(self, secret, tmp_path):
-        assert self.peak_mib(lambda: c.save_trajectory(tmp_path / "s.tvwk", secret)) < 0.5
+        """The records are written as they are held: no cast, no copy."""
+        assert self.peak_mib(lambda: c.save_trajectory(tmp_path / "s.tvwk", secret)) < 0.1
 
     def test_lazy_run(self):
-        """The moves, the trajectory's validation masks and one batch of
-        `_MOVE_CHUNK` words as Python ints, with no list as long as the run:
-        `_endpoint` replays the moves in place, a chunk at a time."""
-        assert self.peak_mib(lambda: c.run(self.N, self.T, seed=1, lazy=True)) < 2.5
+        """The records, the trajectory's copy and validation masks, and one
+        batch of `_MOVE_CHUNK` words as Python ints, with no list as long as
+        the run: `_endpoint` replays the moves in place, a chunk at a time."""
+        assert self.peak_mib(lambda: c.run(self.N, self.T, seed=1, lazy=True)) < 1.6
 
     def test_lazy_save_trajectory(self, lazy_secret, tmp_path):
-        """Only the u16 records: held steps are cast, not masked into a copy."""
-        assert self.peak_mib(lambda: c.save_trajectory(tmp_path / "s.tvwk", lazy_secret)) < 0.5
+        """Held steps are already hold records: nothing is cast or masked."""
+        assert self.peak_mib(lambda: c.save_trajectory(tmp_path / "s.tvwk", lazy_secret)) < 0.1
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_load_trajectory(self, secret, lazy_secret, tmp_path, lazy):
+        """The file's bytes and the trajectory's copy of its records, with no
+        int64 widening and no hold remap."""
+        path = tmp_path / "s.tvwk"
+        c.save_trajectory(path, lazy_secret if lazy else secret)
+        assert self.peak_mib(lambda: c.load_trajectory(path)) < 1.5
 
     def test_lazy_work_steps(self, lazy_secret):
         """A count of the non-held rows, with no copy of the applied moves."""

@@ -29,7 +29,7 @@ def _check_load(loader, tmp, data: bytes):
         g.BitMatrix(obj.n, obj.words)  # canonical words, n rows
     else:
         assert isinstance(obj, c.Trajectory)
-        c.Trajectory(obj.n, obj.seed, obj.moves, obj.lazy)  # passes validation
+        c.Trajectory(obj.n, obj.moves, obj.lazy)  # passes validation
         assert obj.moves.shape == (obj.steps, 2) and not obj.moves.flags.writeable
     return obj
 

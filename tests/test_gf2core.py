@@ -29,7 +29,7 @@ def draw_vector(n: int, rng: np.random.Generator) -> g.BitVector:
 
 def one_move(n: int, i: int, j: int) -> g.BitMatrix:
     """I + E_{i,j}: the identity with row j added to row i, by replay."""
-    return replay(Trajectory(n, 0, [[i, j]]))
+    return replay(Trajectory(n, [[i, j]]))
 
 
 def pair_strategy(max_n: int = 24):
@@ -91,7 +91,7 @@ class TestMove:
         rng = np.random.default_rng(seed)
         xv = g.matvec(draw_matrix(n, rng), draw_vector(n, rng))
         bits = xv.to_bits().tolist()
-        _apply_moves(bits, Trajectory(n, 0, [[i, j]]))
+        _apply_moves(bits, Trajectory(n, [[i, j]]))
         assert g.matvec(one_move(n, i, j), xv) == g.BitVector.from_bits(bits)
 
     @given(pair_strategy())
@@ -99,7 +99,7 @@ class TestMove:
         n, i, j, seed = tns
         bits = draw_vector(n, np.random.default_rng(seed)).to_bits().tolist()
         before = list(bits)
-        _apply_moves(bits, Trajectory(n, 0, [[i, j], [i, j]]))
+        _apply_moves(bits, Trajectory(n, [[i, j], [i, j]]))
         assert bits == before
 
 
