@@ -20,8 +20,11 @@ command line win over the file.  File values are converted and checked as
 command-line values are, and a bad one is reported with its key.
 
 Each command, a leaf of the parser tree, is declared once in ``_leaves``.  A
-command builds only its leaf's parser, which reports its own usage errors;
-the whole tree is built only for help and usage errors above the leaves.
+well-formed command (exact long flags, each at most once, every required
+flag given) is read straight from its leaf's declarations and builds no
+parser.  argparse is built only for help, usage errors and ``--config``: a
+leaf's own parser reports the leaf's usage errors, and the whole tree is
+built only for help and usage errors above the leaves.
 """
 
 from __future__ import annotations
@@ -352,14 +355,18 @@ def _cmd_protocol(args) -> int:
         _require_range("deadline", args.deadline, 0)
         public = gf2core.load_matrix(args.key)
         challenge = protocol.Challenge(_vector_from_hex(args.challenge, public.n))
+        if args.response and args.response_file:  # argparse rejects both, so the file set one
+            raise ValueError(
+                "--response and --response-file exclude each other, in the config file too"
+            )
         if args.response_file:
             with open(args.response_file, "r", encoding="utf-8") as fh:
-                text = fh.readline()
+                text = fh.readline().strip()
         else:
-            text = args.response
+            text = (args.response or "").strip()
         if not text:
-            raise ValueError("need --response or --response-file")
-        response = _parse_response_line(text.strip(), public.n)
+            raise ValueError("response line is empty")
+        response = _parse_response_line(text, public.n)
         verdict = protocol.verify(public, challenge, response, args.deadline)
         if verdict.accepted:
             print(f"accept role={response.role} bit_ops={response.ops.bit_ops} deadline={args.deadline}")
@@ -477,7 +484,7 @@ def _leaves() -> tuple[_Leaf, ...]:
             ("--response", dict(help="response line from `prove`")),
             ("--response-file", dict(help="file holding the response line")),
             ("--deadline", dict(type=int, required=True, help="bit-operation budget")),
-        )),
+        ), sources=("--response", "--response-file")),
         _Leaf(("protocol", "report"), _cmd_protocol, "honest vs dishonest cost table", (
             ("--n", dict(type=_int_list, required=True, help="comma-separated dimensions")),
             ("--t", dict(type=int, required=True, help="honest move count")),
@@ -578,6 +585,49 @@ def _may_name_config(argv) -> bool:
     return False
 
 
+def _parse_well_formed(leaf: _Leaf, argv) -> argparse.Namespace | None:
+    """The namespace the leaf's parser returns for argv, read from the leaf's
+    declarations, or None unless argv is well formed: exact long flags, each
+    at most once, as --flag value or --flag=value, switches bare, no value
+    starting with -, every value converted and within its choices, every
+    required flag and exactly one source given.  Whatever returns None goes
+    to argparse, which helps and reports usage errors."""
+    options = dict(_COMMON + leaf.options)
+    given = {}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kwargs = options.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        choices = kwargs.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        given[flag] = value
+    if any(kwargs.get("required") and flag not in given for flag, kwargs in options.items()):
+        return None
+    if leaf.sources and sum(flag in given for flag in leaf.sources) != 1:
+        return None
+    args = argparse.Namespace(func=leaf.handler, **dict(zip(("command", "action"), leaf.path)))
+    for flag, kwargs in options.items():
+        default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
 def cli_dispatch(argv) -> int:
     """Parse argv, run the mapped operation, and return the exit code."""
     argv = list(argv)
@@ -586,24 +636,29 @@ def cli_dispatch(argv) -> int:
         print("error: missing subcommand: tvwalk SUBCOMMAND --config FILE", file=sys.stderr)
         return 2
     leaf = _leaf_named(argv)
-    try:
-        path = None
-        if _may_name_config(argv):
-            pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-            pre.add_argument("--config", default=None)
-            path = pre.parse_known_args(argv)[0].config
-        parser, untaken = _build_parser(leaf, _read_config_file(path) if path else {})
-        if untaken:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(untaken))}")
-    except (OSError, ValueError, argparse.ArgumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    names_config = _may_name_config(argv)
+    args = None
+    if leaf and not names_config:
+        args = _parse_well_formed(leaf, argv[len(leaf.path) :])
+    if args is None:
+        try:
+            path = None
+            if names_config:
+                pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+                pre.add_argument("--config", default=None)
+                path = pre.parse_known_args(argv)[0].config
+            parser, untaken = _build_parser(leaf, _read_config_file(path) if path else {})
+            if untaken:
+                raise ValueError(f"unknown config keys: {', '.join(sorted(untaken))}")
+        except (OSError, ValueError, argparse.ArgumentError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
-    try:
-        args = parser.parse_args(argv[len(leaf.path) :] if leaf else argv)
-    except SystemExit as exc:  # argparse: 2 on usage error, 0 on --help
-        code = exc.code
-        return code if isinstance(code, int) else 0
+        try:
+            args = parser.parse_args(argv[len(leaf.path) :] if leaf else argv)
+        except SystemExit as exc:  # argparse: 2 on usage error, 0 on --help
+            code = exc.code
+            return code if isinstance(code, int) else 0
 
     try:
         return args.func(args)

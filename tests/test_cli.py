@@ -1,7 +1,9 @@
 """Command-line surface: outputs, CSV reproducibility, config files, exits."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import tvwalk
@@ -691,6 +693,54 @@ class TestProtocolFlow:
         )
         assert code == 0 and out.startswith("accept")
 
+    @pytest.mark.parametrize("given", [("--response", "--response-file"), ()])
+    def test_verify_requires_exactly_one_response_source(self, capsys, tmp_path, given):
+        """A garbage --response beside a good --response-file is a usage error,
+        not a silent accept of the file's line; so is giving neither."""
+        run(capsys, "protocol", "keygen", "--n", "8", "--t", "20", "--out", str(tmp_path))
+        _, line, _ = run(
+            capsys, "protocol", "prove", "--secret", str(tmp_path / "secret.tvwk"),
+            "--challenge", "a5",
+        )
+        resp = tmp_path / "response.txt"
+        resp.write_text(line)
+        values = {"--response": "garbage", "--response-file": str(resp)}
+        code, out, err = run(
+            capsys, "protocol", "verify", "--key", str(tmp_path / "key.gf2m"),
+            "--challenge", "a5", "--deadline", "20", *[t for f in given for t in (f, values[f])],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("usage: tvwalk protocol verify ")
+
+    def test_verify_response_in_file_and_on_line_exits_2(self, capsys, tmp_path):
+        run(capsys, "protocol", "keygen", "--n", "8", "--t", "20", "--out", str(tmp_path))
+        _, line, _ = run(
+            capsys, "protocol", "prove", "--secret", str(tmp_path / "secret.tvwk"),
+            "--challenge", "a5",
+        )
+        resp, cfg = tmp_path / "response.txt", tmp_path / "run.cfg"
+        resp.write_text(line)
+        cfg.write_text("response=garbage\n")
+        code, out, err = run(
+            capsys, "protocol", "verify", "--config", str(cfg), "--key", str(tmp_path / "key.gf2m"),
+            "--challenge", "a5", "--deadline", "20", "--response-file", str(resp),
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: --response and --response-file exclude each other, in the config file too\n"
+        )
+
+    @pytest.mark.parametrize("text", ["", "  \n"])
+    def test_verify_empty_response_says_so(self, capsys, tmp_path, text):
+        run(capsys, "protocol", "keygen", "--n", "8", "--t", "20", "--out", str(tmp_path))
+        resp = tmp_path / "response.txt"
+        resp.write_text(text)
+        code, out, err = run(
+            capsys, "protocol", "verify", "--key", str(tmp_path / "key.gf2m"),
+            "--challenge", "a5", "--deadline", "20", "--response-file", str(resp),
+        )
+        assert (code, out, err) == (2, "", "error: response line is empty\n")
+
     @pytest.mark.parametrize("in_file", [False, True])
     def test_negative_deadline_exits_2(self, capsys, tmp_path, in_file):
         """A deadline below 0 is malformed input, not a rejection (exit 1),
@@ -990,12 +1040,83 @@ class TestLeafParser:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=3\n")
         argv = ("order", "--n", "3")
-        assert self.parsers_built(capsys, monkeypatch, *argv) == (0, 1)
+        assert self.parsers_built(capsys, monkeypatch, *argv) == (0, 0)
         assert self.parsers_built(capsys, monkeypatch, *argv, "--conf", str(cfg)) == (0, 2)
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_well_formed_command_builds_no_parser(self, capsys, monkeypatch, tmp_path, keys, leaf):
+        argv = valid_argv(leaf, str(tmp_path), keys)
+        assert self.parsers_built(capsys, monkeypatch, *argv)[1] == 0
 
     def test_root_help_builds_the_whole_tree(self, capsys, monkeypatch):
         # the root, the protocol level and every leaf
         assert self.parsers_built(capsys, monkeypatch, "--help") == (0, 2 + len(LEAVES))
+
+
+# Values of every type the leaves take, and ones argparse reads otherwise.
+VALUES = ["3", "0", "0.5", "8,16", "key", "all", "x", "", "a b", "-1", "-0.5", "-", "--n"]
+
+
+@st.composite
+def leaf_argv(draw, path):
+    """The rest of a command line of the leaf at path: a well-formed one (every
+    required flag, one source and some other flags, in any order, as --flag
+    value or --flag=value with a value that fits, switches bare) with up to
+    two departures: a flag repeated, dropped, or added (a flag, a prefix of
+    one or a stray token), a value drawn from VALUES, or a flag's form
+    swapped between bare and valued."""
+    leaf = next(lf for lf in cli._leaves() if lf.path == path)
+    options = dict(cli._COMMON + leaf.options)
+    flags = [flag for flag, kwargs in leaf.options if kwargs.get("required")]
+    if leaf.sources:
+        flags.append(draw(st.sampled_from(leaf.sources)))
+    others = [flag for flag in options if flag not in flags and flag not in leaf.sources]
+    flags += draw(st.lists(st.sampled_from(others), unique=True))
+    odd = [flag[:k] for flag in options for k in range(3, len(flag))] + ["-h", "--help", "--", "3"]
+    kinds = st.sampled_from(["repeat", "drop", "add", "value", "form"])
+    departures = draw(st.lists(kinds, max_size=2))
+    for kind in departures:
+        if kind == "add":
+            flags.append(draw(st.sampled_from([*options, *odd])))
+        elif kind in ("repeat", "drop") and flags:
+            flag = draw(st.sampled_from(flags))
+            (flags.append if kind == "repeat" else flags.remove)(flag)
+    tokens = []
+    for flag in draw(st.permutations(flags)):
+        kwargs = options.get(flag, {})
+        bare = kwargs.get("action") == "store_true"
+        tokens.append([flag, bare, draw(st.booleans()), "key" if kwargs.get("choices") else "3"])
+    for kind in departures:
+        if kind in ("value", "form") and tokens:
+            token = draw(st.sampled_from(tokens))
+            if kind == "value":
+                token[3] = draw(st.sampled_from(VALUES))
+            else:
+                token[1] = not token[1]
+    argv = []
+    for flag, bare, equals, value in tokens:
+        argv += [flag] if bare else [f"{flag}={value}"] if equals else [flag, value]
+    return leaf, argv
+
+
+@pytest.mark.parametrize("path", LEAVES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_well_formed_parse_matches_the_leaf_parser(path, data):
+    """Whatever the parse without argparse accepts, the leaf's own parser
+    accepts too, into an equal namespace."""
+    leaf, argv = data.draw(leaf_argv(path))
+    got = cli._parse_well_formed(leaf, argv)
+    event("parsed" if got is not None else "declined")
+    if got is None:
+        return
+    parser, _ = cli._build_parser(leaf)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(parser.parse_args(argv))
+    except SystemExit:
+        expected = None
+    assert vars(got) == expected, argv
 
 
 CONFIG_LIKE = st.builds(

@@ -302,6 +302,33 @@ class TestSpectrum:
         assert rep.gap == pytest.approx(0.18566651061176953, abs=1e-6)
         assert rep.period == 1
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lambda2_equals_the_column_chain(self, n):
+        """The first column, lumped to (its first bit b, the weight w of its
+        other n - 1 bits), is a 2n - 1 state chain of the walk: move (i, j)
+        adds bit j to bit i.  Its law is uniform on nonzero columns, so
+        pi(b, w) is proportional to C(n - 1, w), and each of its eigenvalues
+        is one of the walk's.  Its dense lambda_2 checks the n = 4 Lanczos one
+        without the solver's own residual."""
+        m, moves = n - 1, n * (n - 1)
+        states = [(b, w) for b in (0, 1) for w in range(n) if b or w]
+        index = {s: k for k, s in enumerate(states)}
+        p = np.zeros((len(states), len(states)))
+        for (b, w), k in index.items():
+            # Counts of moves (i, j): i = 1 flips b when bit j is set; an other
+            # bit i flips when bit j is set, j = 1 or j among the others.
+            steps = {(1 - b, w): w, (b, w - 1): (w - 1 + b) * w, (b, w + 1): (w + b) * (m - w)}
+            for target, count in steps.items():
+                if count:
+                    p[k, index[target]] = count / moves
+            p[k, k] = 1.0 - p[k].sum()
+        pi = np.array([math.comb(m, w) for _, w in states], dtype=np.float64)
+        root = np.sqrt(pi / pi.sum())
+        sym = root[:, None] * p / root[None, :]
+        assert np.allclose(sym, sym.T)  # detailed balance: pi is the chain's law
+        lam2 = np.linalg.eigvalsh(sym)[-2]
+        assert abs(lam2 - eg.spectral_report(eg.analyze(n)[1]).eigenvalues[1]) < 1e-12
+
     def test_eigenvalues_descending(self):
         for n in (2, 3):
             rep = eg.spectral_report(eg.analyze(n)[1])
