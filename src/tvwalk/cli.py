@@ -338,8 +338,6 @@ def _cmd_protocol(args) -> int:
         return 0
 
     if args.action == "prove":
-        if args.secret and args.key:  # argparse rejects both flags, so the file set one
-            raise ValueError("--secret and --key exclude each other, in the config file too")
         if args.secret:
             secret = chain.load_trajectory(args.secret)
             challenge = protocol.Challenge(_vector_from_hex(args.challenge, secret.n))
@@ -355,10 +353,6 @@ def _cmd_protocol(args) -> int:
         _require_range("deadline", args.deadline, 0)
         public = gf2core.load_matrix(args.key)
         challenge = protocol.Challenge(_vector_from_hex(args.challenge, public.n))
-        if args.response and args.response_file:  # argparse rejects both, so the file set one
-            raise ValueError(
-                "--response and --response-file exclude each other, in the config file too"
-            )
         if args.response_file:
             with open(args.response_file, "r", encoding="utf-8") as fh:
                 text = fh.readline().strip()
@@ -659,6 +653,12 @@ def cli_dispatch(argv) -> int:
         except SystemExit as exc:  # argparse: 2 on usage error, 0 on --help
             code = exc.code
             return code if isinstance(code, int) else 0
+        # argparse rejects two sources on the command line, so the file set one.
+        given = [f for f in (leaf.sources if leaf else ()) if vars(args)[f[2:].replace("-", "_")] is not None]
+        if len(given) > 1:
+            joined = " and ".join(given)
+            print(f"error: {joined} exclude each other, in the config file too", file=sys.stderr)
+            return 2
 
     try:
         return args.func(args)

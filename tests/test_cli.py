@@ -712,23 +712,31 @@ class TestProtocolFlow:
         assert code == 2 and out == ""
         assert err.startswith("usage: tvwalk protocol verify ")
 
-    def test_verify_response_in_file_and_on_line_exits_2(self, capsys, tmp_path):
-        run(capsys, "protocol", "keygen", "--n", "8", "--t", "20", "--out", str(tmp_path))
-        _, line, _ = run(
-            capsys, "protocol", "prove", "--secret", str(tmp_path / "secret.tvwk"),
-            "--challenge", "a5",
-        )
+    @pytest.mark.parametrize("value", ["garbage", ""])
+    def test_verify_response_in_file_and_on_line_exits_2(self, capsys, tmp_path, value):
+        """A config file's response, even an empty one, beside --response-file
+        is refused before the key file is read."""
         resp, cfg = tmp_path / "response.txt", tmp_path / "run.cfg"
-        resp.write_text(line)
-        cfg.write_text("response=garbage\n")
+        resp.write_text("honest 1 ab\n")
+        cfg.write_text(f"response={value}\n")
         code, out, err = run(
-            capsys, "protocol", "verify", "--config", str(cfg), "--key", str(tmp_path / "key.gf2m"),
+            capsys, "protocol", "verify", "--config", str(cfg), "--key", str(tmp_path / "absent"),
             "--challenge", "a5", "--deadline", "20", "--response-file", str(resp),
         )
         assert code == 2 and out == ""
         assert err == (
             "error: --response and --response-file exclude each other, in the config file too\n"
         )
+
+    def test_prove_secret_in_file_and_key_on_line_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"secret={tmp_path / 'absent.tvwk'}\n")
+        code, out, err = run(
+            capsys, "protocol", "prove", "--config", str(cfg), "--key", str(tmp_path / "absent"),
+            "--challenge", "a5",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --secret and --key exclude each other, in the config file too\n"
 
     @pytest.mark.parametrize("text", ["", "  \n"])
     def test_verify_empty_response_says_so(self, capsys, tmp_path, text):
