@@ -654,7 +654,9 @@ def cli_dispatch(argv) -> int:
             code = exc.code
             return code if isinstance(code, int) else 0
         # argparse rejects two sources on the command line, so the file set one.
-        given = [f for f in (leaf.sources if leaf else ()) if vars(args)[f[2:].replace("-", "_")] is not None]
+        given = [
+            f for f in (leaf.sources if leaf else ()) if vars(args)[f[2:].replace("-", "_")] is not None
+        ]
         if len(given) > 1:
             joined = " and ".join(given)
             print(f"error: {joined} exclude each other, in the config file too", file=sys.stderr)
