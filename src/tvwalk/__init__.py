@@ -68,7 +68,6 @@ from .gf2core import (
     save_matrix,
 )
 from .protocol import (
-    Challenge,
     KeyPair,
     Response,
     VerifyResult,
@@ -138,7 +137,6 @@ __all__ = [
     "mc_state_frequencies",
     "statistic_tv",
     # protocol
-    "Challenge",
     "KeyPair",
     "Response",
     "VerifyResult",

@@ -340,11 +340,11 @@ def _cmd_protocol(args) -> int:
     if args.action == "prove":
         if args.secret:
             secret = chain.load_trajectory(args.secret)
-            challenge = protocol.Challenge(_vector_from_hex(args.challenge, secret.n))
+            challenge = _vector_from_hex(args.challenge, secret.n)
             response = protocol.respond_honest(secret, challenge)
         else:
             public = gf2core.load_matrix(args.key)
-            challenge = protocol.Challenge(_vector_from_hex(args.challenge, public.n))
+            challenge = _vector_from_hex(args.challenge, public.n)
             response = protocol.respond_dishonest(public, challenge)
         print(_response_line(response))
         return 0
@@ -352,7 +352,7 @@ def _cmd_protocol(args) -> int:
     if args.action == "verify":
         _require_range("deadline", args.deadline, 0)
         public = gf2core.load_matrix(args.key)
-        challenge = protocol.Challenge(_vector_from_hex(args.challenge, public.n))
+        challenge = _vector_from_hex(args.challenge, public.n)
         if args.response_file:
             with open(args.response_file, "r", encoding="utf-8") as fh:
                 text = fh.readline().strip()

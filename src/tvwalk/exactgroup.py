@@ -84,30 +84,19 @@ class GroupTable:
     """Enumerated group: canonical keys in BFS-from-identity order.
 
     ``keys[idx]`` is the packed row-major key of element idx; the identity
-    sits at index 0.  ``_index[key]`` is the index of each of the 2^(n^2)
-    keys, -1 off the group (256 KiB at n = 4).  ``successors[x, u]`` is the
-    index of state x moved by move u, in ``chain._pair_tables`` order
-    (0.97 MB at n = 4).  ``period`` is 1 or 2: 2 exactly when the walk graph
-    is bipartite.
+    sits at index 0.  ``successors[x, u]`` is the index of state x moved by
+    move u, in ``chain._pair_tables`` order (0.97 MB at n = 4).  ``period``
+    is 1 or 2: 2 exactly when the walk graph is bipartite.
     """
 
     n: int
     keys: np.ndarray = field(repr=False)  # (size,) uint64, BFS order
-    _index: np.ndarray = field(repr=False)  # (2^(n^2),) int32
     successors: np.ndarray = field(repr=False)  # (size, n(n-1)) int32
     period: int
 
     @property
     def size(self) -> int:
         return int(self.keys.shape[0])
-
-    def index_of(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized key -> int32 index; raises KeyError if any key is not in the group."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        idx = np.take(self._index, keys, mode="clip")  # keys out of range fail below
-        if keys.size and (keys.max() >= self._index.size or idx.min() < 0):
-            raise KeyError("key does not belong to the enumerated group")
-        return idx
 
 
 @dataclass(frozen=True)
@@ -213,7 +202,7 @@ def enumerate_group(n: int) -> GroupTable:
         lo, hi = hi, hi + uniq.size
     if hi != size:
         raise RuntimeError(f"BFS found {hi} elements, expected {size}")
-    return GroupTable(n=n, keys=keys, _index=index, successors=successors, period=period)
+    return GroupTable(n=n, keys=keys, successors=successors, period=period)
 
 
 def enumerate_group_reference(n: int) -> list[int]:

@@ -14,6 +14,7 @@ matrices.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ _ONE = np.uint64(1)
 # Magic prefix for the matrix file format.
 _MATRIX_MAGIC = b"GF2M"
 _MATRIX_VERSION = 1
-_MATRIX_HEADER = 9  # magic, version, n (u32)
+_MATRIX_HEADER = struct.Struct("<4sBI")  # magic, version, n
 
 # Rejection sampling accepts a candidate with probability > 0.288 for every
 # n, so a round of at least 1024 candidates accepts none with probability
@@ -314,8 +315,8 @@ def rank_words_batch(rows: np.ndarray, ncols: int) -> np.ndarray:
     Parameters
     ----------
     rows : np.ndarray
-        uint64 array of shape (B, m, W) or (B, m) for single-word rows;
-        sample b is an m x ncols matrix.  Bits at or above ncols are ignored.
+        uint64 array of shape (B, m, W); sample b is an m x ncols matrix.
+        Bits at or above ncols are ignored.
     ncols : int
         Number of valid bit columns per row.
 
@@ -340,8 +341,6 @@ def rank_words_batch(rows: np.ndarray, ncols: int) -> np.ndarray:
     The batch is eliminated in sub-batches of at most 512 KiB of rows, so
     the scratch does not grow with B.
     """
-    if rows.ndim == 2:
-        rows = rows[:, :, None]
     rows = rows[:, :, : _n_words(ncols)]
     nb, m, nw = rows.shape
     target = min(m, ncols)
@@ -490,7 +489,7 @@ def save_matrix(path, x: BitMatrix) -> None:
     ceil(n/8) bytes per row, row-major, LSB-first within each byte: the
     leading bytes of each row's little-endian words.
     """
-    header = _MATRIX_MAGIC + bytes([_MATRIX_VERSION]) + x.n.to_bytes(4, "little")
+    header = _MATRIX_HEADER.pack(_MATRIX_MAGIC, _MATRIX_VERSION, x.n)
     with open(path, "wb") as fh:
         fh.write(header + _row_bytes(x).tobytes())
 
@@ -505,15 +504,15 @@ def load_matrix(path) -> BitMatrix:
         raw = fh.read()
     if raw[:4] != _MATRIX_MAGIC:
         raise ValueError("not a GF2M file")
-    if len(raw) < _MATRIX_HEADER:
+    if len(raw) < _MATRIX_HEADER.size:
         raise ValueError("truncated GF2M header")
-    if raw[4] != _MATRIX_VERSION:
-        raise ValueError(f"unsupported GF2M version {raw[4]}")
-    n = int.from_bytes(raw[5:9], "little")
+    _, version, n = _MATRIX_HEADER.unpack_from(raw)
+    if version != _MATRIX_VERSION:
+        raise ValueError(f"unsupported GF2M version {version}")
     if n < 1:
         raise ValueError("corrupt GF2M header")
     row_bytes = (n + 7) // 8
-    body = raw[_MATRIX_HEADER:]
+    body = raw[_MATRIX_HEADER.size :]
     if len(body) != n * row_bytes:
         raise ValueError("GF2M payload length mismatch")
     rows = np.frombuffer(body, dtype=np.uint8).reshape(n, row_bytes)

@@ -26,7 +26,6 @@ from .gf2core import BitMatrix, BitVector, OpCount, matvec, matvec_cost
 
 __all__ = [
     "KeyPair",
-    "Challenge",
     "Response",
     "VerifyResult",
     "keygen",
@@ -43,13 +42,6 @@ class KeyPair:
 
     public: BitMatrix
     secret: Trajectory
-
-
-@dataclass(frozen=True)
-class Challenge:
-    """Challenge vector of length n."""
-
-    x: BitVector
 
 
 @dataclass(frozen=True)
@@ -80,47 +72,45 @@ def keygen(n: int, t: int, seed: int, lazy: bool = False) -> KeyPair:
     return KeyPair(public=public, secret=secret)
 
 
-def respond_honest(secret: Trajectory, c: Challenge) -> Response:
+def respond_honest(secret: Trajectory, x: BitVector) -> Response:
     """Answer by replaying the secret moves as single-bit updates on x.
 
     The secret is all the honest prover holds.  Each non-held move costs one
     bit operation (x_i ^= x_j); held lazy steps change nothing and cost
     nothing.
     """
-    if c.x.n != secret.n:
+    if x.n != secret.n:
         raise ValueError("challenge dimension mismatch")
-    bits = c.x.to_bits().tolist()
+    bits = x.to_bits().tolist()
     _apply_moves(bits, secret)
     return Response(y=BitVector.from_bits(bits), ops=OpCount(secret.work_steps, 0), role="honest")
 
 
-def respond_dishonest(public: BitMatrix, c: Challenge) -> Response:
+def respond_dishonest(public: BitMatrix, x: BitVector) -> Response:
     """Answer from the public key alone: a full matrix-vector product."""
-    if c.x.n != public.n:
+    if x.n != public.n:
         raise ValueError("challenge dimension mismatch")
-    return Response(y=matvec(public, c.x), ops=matvec_cost(public.n), role="dishonest")
+    return Response(y=matvec(public, x), ops=matvec_cost(public.n), role="dishonest")
 
 
-def verify(public: BitMatrix, c: Challenge, r: Response, deadline_ops: int) -> VerifyResult:
+def verify(public: BitMatrix, x: BitVector, r: Response, deadline_ops: int) -> VerifyResult:
     """Accept iff the answer equals (public key) x and cost meets the deadline.
 
     Acceptance is monotone in the deadline: anything accepted at D is
     accepted at any D' >= D.
     """
-    correct = r.y == matvec(public, c.x)
+    correct = r.y == matvec(public, x)
     within = r.ops.bit_ops <= deadline_ops
     return VerifyResult(accepted=correct and within, correct=correct, within_deadline=within)
 
 
-def separation_report(ns, t: int, word_bits: int = 64) -> list[dict]:
+def separation_report(ns: list[int], t: int, word_bits: int = 64) -> list[dict]:
     """Cost-separation table; pure arithmetic, no simulation.
 
     One row per dimension: honest bit ops (= t), dishonest bit and word
     ops, and the bit-op ratio.  A ratio well above 1 is the premise that
     lets the verifier set a deadline separating the parties.
     """
-    if isinstance(ns, int):
-        ns = [ns]
     if not ns:
         raise ValueError("need at least one dimension")
     if word_bits < 1:

@@ -169,8 +169,7 @@ def test_criterion_8_protocol():
     for n in range(2, 13):
         kp = pr.keygen(n, 64, seed=800 + n)
         for value in range(1 << n):
-            x = g.BitVector(n, np.array([value], dtype=np.uint64))
-            ch = pr.Challenge(x)
+            ch = g.BitVector(n, np.array([value], dtype=np.uint64))
             if pr.respond_honest(kp.secret, ch).y != pr.respond_dishonest(kp.public, ch).y:
                 exhaustive_ok = False
     # random challenges at production sizes + deadline rejection
@@ -180,7 +179,7 @@ def test_criterion_8_protocol():
         kp = pr.keygen(n, 500, seed=900 + n)
         rng = g.derive_rng(901, n)
         for _ in range(1000):
-            ch = pr.Challenge(g.BitVector(n, g.random_bit_words(rng, (1,), n)[0]))
+            ch = g.BitVector(n, g.random_bit_words(rng, (1,), n)[0])
             rh = pr.respond_honest(kp.secret, ch)
             rd = pr.respond_dishonest(kp.public, ch)
             if rh.y != rd.y:

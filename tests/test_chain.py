@@ -519,8 +519,7 @@ class TestTransientMemory:
 
     @pytest.fixture(scope="class")
     def challenge(self):
-        x = g.BitVector.from_bits(np.random.default_rng(0).integers(0, 2, self.N, dtype=np.uint8))
-        return pr.Challenge(x)
+        return g.BitVector.from_bits(np.random.default_rng(0).integers(0, 2, self.N, dtype=np.uint8))
 
     def test_respond_honest(self, secret, challenge):
         assert self.peak_mib(lambda: pr.respond_honest(secret, challenge)) < 0.5

@@ -975,7 +975,7 @@ def valid_argv(leaf, out, keys):
         ("spectrum",): ["spectrum", "--n", "2", "--out", out],
         ("lsi",): ["lsi", "--n", "2", "--restarts", "1", "--iters", "3", "--out", out],
         ("check",): ["check", "--suite", "key", "--n", "2", "--trials", "2", "--out", out],
-        ("cutoff",): ["cutoff", "--n", "16", "--trials", "100", "--grid", "1.0",
+        ("cutoff",): ["cutoff", "--n", "16", "--trials", "1000", "--grid", "1.0",
                       "--threads", "1", "--out", out],
         ("bounds",): ["bounds", "--n", "5"],
         ("protocol", "keygen"): ["protocol", "keygen", "--n", "8", "--t", "20", "--out", out],
@@ -1055,6 +1055,13 @@ class TestLeafParser:
     def test_well_formed_command_builds_no_parser(self, capsys, monkeypatch, tmp_path, keys, leaf):
         argv = valid_argv(leaf, str(tmp_path), keys)
         assert self.parsers_built(capsys, monkeypatch, *argv)[1] == 0
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_valid_argv_runs(self, capsys, tmp_path, keys, leaf):
+        """Each quick command line is valid to its handler too: it exits 0,
+        save verify's, whose canned y=00 is no key's answer to a5 (exit 1)."""
+        code = run(capsys, *valid_argv(leaf, str(tmp_path), keys))[0]
+        assert code == (1 if leaf == ("protocol", "verify") else 0)
 
     def test_root_help_builds_the_whole_tree(self, capsys, monkeypatch):
         # the root, the protocol level and every leaf

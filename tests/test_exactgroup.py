@@ -35,45 +35,6 @@ class TestEnumeration:
         )
         assert count == eg.analyze(n)[0].size
 
-    def test_index_round_trip(self):
-        gt, _ = eg.analyze(3)
-        idx = np.arange(0, gt.size, 17)
-        assert (gt.index_of(gt.keys[idx]) == idx).all()
-
-    def test_unknown_key_rejected(self):
-        gt, _ = eg.analyze(2)
-        with pytest.raises(KeyError):
-            gt.index_of(np.array([0], dtype=np.uint64))  # zero matrix
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_index_of_every_key(self, n):
-        gt = eg.enumerate_group(n)
-        assert np.array_equal(gt.index_of(gt.keys), np.arange(gt.size))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_index_covers_exactly_the_group(self, n):
-        gt = eg.enumerate_group(n)
-        assert gt._index.shape == (1 << (n * n),) and gt._index.dtype == np.int32
-        assert np.count_nonzero(gt._index >= 0) == gt.size
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_key_out_of_range_is_key_error(self, n):
-        gt = eg.enumerate_group(n)
-        for key in (1 << (n * n), (1 << 64) - 1):
-            with pytest.raises(KeyError):
-                gt.index_of(np.array([int(gt.keys[0]), key], dtype=np.uint64))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_non_member_key_is_key_error(self, n):
-        gt = eg.enumerate_group(n)
-        with pytest.raises(KeyError):
-            gt.index_of(np.array([int(gt.keys[-1]), 0], dtype=np.uint64))  # zero matrix
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_empty_query(self, n):
-        gt = eg.enumerate_group(n)
-        assert gt.index_of(np.array([], dtype=np.uint64)).shape == (0,)
-
     def test_identity_sits_at_index_zero(self):
         gt, _ = eg.analyze(2)
         assert g.decode_key(int(gt.keys[0]), 2) == g.BitMatrix.identity(2)
@@ -130,26 +91,20 @@ class TestKernelStructure:
         for perm in gt.successors.T:
             assert (perm[perm] == idx).all()
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_successor_keys_match_scalar_moves(self, n):
         """Column u of the successor table adds row j to row i of each key,
-        (i, j) = _decode(u)."""
+        (i, j) = _decode(u); the keys are distinct, so this fixes the table."""
         gt = eg.enumerate_group(n)
         table = gt.successors
         assert table.shape == (gt.size, n * (n - 1)) and table.dtype == np.int32
+        assert np.unique(gt.keys).size == gt.size
         succ = gt.keys[table]
         mask = (1 << n) - 1
         for u in range(n * (n - 1)):
             i, j = (int(a[0]) for a in _decode(np.array([u]), n))
             want = [key ^ (((key >> j * n) & mask) << i * n) for key in gt.keys.tolist()]
             assert succ[:, u].tolist() == want
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_stored_successors_match_the_keys(self, n):
-        """The table the BFS keeps equals the successor keys looked up afresh."""
-        gt = eg.enumerate_group(n)
-        want = gt.index_of(eg._successor_keys(gt.keys, n))
-        assert gt.successors.dtype == np.int32 and np.array_equal(gt.successors, want)
 
     def test_adjacency_rows_sorted(self):
         _, ts = eg.analyze(3)

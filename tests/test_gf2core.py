@@ -197,8 +197,6 @@ class TestRank:
         before = rows.copy()
         assert g.rank_words_batch(rows, ncols).tolist() == expected
         assert np.array_equal(rows, before)
-        if rows.shape[2] == 1:
-            assert g.rank_words_batch(rows[:, :, 0], ncols).tolist() == expected
 
     @pytest.mark.parametrize("n", [8, 9, 63, 64, 65, 127, 128, 129, 200])
     @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from tvwalk.chain import load_trajectory, replay, save_trajectory
 
 
 def random_challenge(n, rng):
-    return pr.Challenge(g.BitVector(n, g.random_bit_words(rng, (1,), n)[0]))
+    return g.BitVector(n, g.random_bit_words(rng, (1,), n)[0])
 
 
 class TestKeygen:
@@ -49,7 +49,7 @@ class TestResponders:
         rng = g.derive_rng(1)
         ch = random_challenge(8, rng)
         r = pr.respond_honest(kp.secret, ch)
-        assert r.y == ch.x
+        assert r.y == ch
         assert r.ops == g.OpCount(0, 0)
         assert r.role == "honest"
 
@@ -61,7 +61,7 @@ class TestResponders:
             ch = random_challenge(n, rng)
             rh = pr.respond_honest(kp.secret, ch)
             rd = pr.respond_dishonest(kp.public, ch)
-            assert rh.y == rd.y == g.matvec(kp.public, ch.x)
+            assert rh.y == rd.y == g.matvec(kp.public, ch)
 
     def test_loaded_secret_answers_as_loaded_key(self, tmp_path):
         n = 1024
@@ -73,7 +73,7 @@ class TestResponders:
         rng = np.random.default_rng(8)
         for _ in range(4):
             c = random_challenge(n, rng)
-            assert pr.respond_honest(secret, c).y == g.matvec(key, c.x)
+            assert pr.respond_honest(secret, c).y == g.matvec(key, c)
 
     def test_honest_cost_is_work_steps(self):
         kp = pr.keygen(1024, 500_000, seed=6)
@@ -96,7 +96,7 @@ class TestResponders:
         ch = random_challenge(16, g.derive_rng(4))
         r = pr.respond_honest(kp.secret, ch)
         assert r.ops.bit_ops == kp.secret.work_steps < 800
-        assert r.y == g.matvec(kp.public, ch.x)
+        assert r.y == g.matvec(kp.public, ch)
 
     def test_dimension_mismatch_rejected(self):
         kp = pr.keygen(8, 10, seed=0)
@@ -105,6 +105,9 @@ class TestResponders:
             pr.respond_honest(kp.secret, ch)
         with pytest.raises(ValueError):
             pr.respond_dishonest(kp.public, ch)
+        r = pr.respond_dishonest(kp.public, random_challenge(8, g.derive_rng(6)))
+        with pytest.raises(ValueError):
+            pr.verify(kp.public, ch, r, deadline_ops=10**9)
 
 
 @pytest.fixture(scope="module")
@@ -156,23 +159,23 @@ class TestSeparationReport:
         assert by_n[1024]["ratio"] == pytest.approx(1048576 / 409, rel=1e-12)
 
     def test_ratio_one_when_trajectory_matches_matrix_cost(self):
-        (row,) = pr.separation_report(64, 64 * 64)
+        (row,) = pr.separation_report([64], 64 * 64)
         assert row["ratio"] == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_length_trajectory_gives_infinite_ratio(self):
-        (row,) = pr.separation_report(1024, 0)
+        (row,) = pr.separation_report([1024], 0)
         assert row["ratio"] == float("inf")
 
     def test_accepts_single_dimension(self):
-        assert len(pr.separation_report(32, 10)) == 1
+        assert len(pr.separation_report([32], 10)) == 1
 
     def test_word_cost_follows_word_size(self):
-        (row,) = pr.separation_report(64, 10, word_bits=32)
+        (row,) = pr.separation_report([64], 10, word_bits=32)
         assert row["dishonest_word_ops"] == 64 * 2
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match=r"non-negative \(got -5\)"):
-            pr.separation_report(64, -5)
+            pr.separation_report([64], -5)
 
     def test_empty_dimension_list_rejected(self):
         with pytest.raises(ValueError, match="at least one dimension"):
