@@ -19,7 +19,8 @@ are the long option names of the chosen subcommand; values given on the
 command line win over the file.  File values are converted and checked as
 command-line values are, and a bad one is reported with its key.
 
-Each command, a leaf of the parser tree, is declared once in ``_leaves``.  A
+Each command, a leaf of the parser tree, is declared in ``_leaf_table``, once
+per number of available cores (the default of ``--threads``).  A
 well-formed command (exact long flags, each at most once, every required
 flag given) is read straight from its leaf's declarations and builds no
 parser.  argparse is built only for help, usage errors and ``--config``: a
@@ -30,6 +31,7 @@ built only for help and usage errors above the leaves.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections import namedtuple
@@ -82,7 +84,7 @@ def _config_echo(args, **extra) -> dict:
 
 
 def _vector_to_hex(v: gf2core.BitVector) -> str:
-    return gf2core._row_bytes(v).tobytes().hex()
+    return v.words.astype("<u8", copy=False).tobytes()[: (v.n + 7) // 8].hex()
 
 
 def _vector_from_hex(text: str, n: int) -> gf2core.BitVector:
@@ -93,14 +95,22 @@ def _vector_from_hex(text: str, n: int) -> gf2core.BitVector:
     return gf2core.BitVector(n, gf2core._from_row_bytes(np.frombuffer(data, dtype=np.uint8), n))
 
 
+_RESPONSE_FIELDS = ("y", "bit_ops", "word_ops", "role")
+
+
 def _parse_response_line(text: str, n: int) -> protocol.Response:
+    """The response a `_response_line` wrote: each field exactly once, no other."""
     fields = {}
     for token in text.split():
         key, sep, value = token.partition("=")
         if not sep:
             raise ValueError(f"malformed response token {token!r}")
+        if key not in _RESPONSE_FIELDS:
+            raise ValueError(f"unknown response field {key!r}")
+        if key in fields:
+            raise ValueError(f"response field {key!r} given twice")
         fields[key] = value
-    missing = {"y", "bit_ops", "word_ops", "role"} - fields.keys()
+    missing = set(_RESPONSE_FIELDS) - fields.keys()
     if missing:
         raise ValueError(f"response line is missing fields: {', '.join(sorted(missing))}")
     if fields["role"] not in ("honest", "dishonest"):
@@ -397,8 +407,10 @@ def _float_list(text: str) -> list[float]:
 
 
 # One command: its name path below tvwalk, handler, help line, options as
-# (flag, add_argument keywords), and sources, flags of which exactly one is given.
-_Leaf = namedtuple("_Leaf", "path handler help options sources", defaults=((),))
+# (flag, add_argument keywords) and sources, flags of which exactly one is
+# given.  _leaf adds flags, the common options and its own by flag, and
+# defaults, the namespace of a command line that gives no flag.
+_Leaf = namedtuple("_Leaf", "path handler help options sources flags defaults")
 _COMMON = (
     ("--seed", dict(type=int, default=0, help="master seed (default 0)")),
     ("--out", dict(default=".", help="output directory for CSVs (default .)")),
@@ -407,84 +419,105 @@ _COMMON = (
 _GROUP_HELP = {"protocol": "timed challenge-response authentication"}
 
 
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _leaf(path, handler, help, options, sources=()) -> _Leaf:
+    flags = dict(_COMMON + options)
+    defaults = {"func": handler, **dict(zip(("command", "action"), path))}
+    for flag, kwargs in flags.items():
+        switch = kwargs.get("action") == "store_true"
+        defaults[_dest(flag)] = kwargs.get("default", False if switch else None)
+    return _Leaf(path, handler, help, options, sources, flags, defaults)
+
+
 def _leaves() -> tuple[_Leaf, ...]:
-    """Every command, in help order; declared per dispatch, as the default of
-    --threads is the number of cores available now."""
+    """Every command, in help order, with the cores available now as the
+    default of --threads."""
+    return tuple(_leaf_table(diagnostics._available_cores()).values())
+
+
+@functools.cache
+def _leaf_table(cores: int) -> dict[tuple[str, ...], _Leaf]:
+    """Every command by path, in help order, declared once per core count:
+    `cores` is the default of --threads."""
     exact_n = f"n <= {exactgroup.ANALYZE_DIMENSIONS[-1]}"
     lsi_n = "n in {" + ",".join(map(str, funineq.LSI_DIMENSIONS)) + "}"
     cutoff_n = f"n >= {diagnostics.CUTOFF_MIN_N}"
     n, lazy = ("--n", dict(type=int, required=True)), ("--lazy", dict(action="store_true"))
-    return (
-        _Leaf(("order",), _cmd_order, "group order and its ratio to all binary matrices", (
+    leaves = (
+        _leaf(("order",), _cmd_order, "group order and its ratio to all binary matrices", (
             ("--n", dict(type=int, required=True, help="matrix dimension")),
         )),
-        _Leaf(("walk",), _cmd_walk, "run one seeded walk and summarize the endpoint", (
+        _leaf(("walk",), _cmd_walk, "run one seeded walk and summarize the endpoint", (
             n,
             ("--t", dict(type=int, required=True, help="number of steps")),
             ("--lazy", dict(action="store_true", help="hold each step with probability 1/2")),
             ("--save-trajectory", dict(help="write the move record here")),
             ("--save-matrix", dict(help="write the final matrix here")),
         )),
-        _Leaf(("exact",), _cmd_exact, f"exact distance curve and mixing times ({exact_n})", (
+        _leaf(("exact",), _cmd_exact, f"exact distance curve and mixing times ({exact_n})", (
             n,
             ("--eps", dict(type=float, default=0.25, help="distance threshold (default 0.25)")),
             ("--tmax", dict(type=int, help="curve horizon (default: t2_mix + 5)")),
             lazy,
         )),
-        _Leaf(("spectrum",), _cmd_spectrum, f"eigenvalue report of the walk ({exact_n})", (n,)),
-        _Leaf(("lsi",), _cmd_lsi, f"log-Sobolev constant lower bound ({lsi_n})", (
+        _leaf(("spectrum",), _cmd_spectrum, f"eigenvalue report of the walk ({exact_n})", (n,)),
+        _leaf(("lsi",), _cmd_lsi, f"log-Sobolev constant lower bound ({lsi_n})", (
             n,
             ("--restarts", dict(type=int, default=50)),
             ("--iters", dict(type=int, default=1500)),
         )),
-        _Leaf(("check",), _cmd_check, "randomized zero-violation inequality suites", (
+        _leaf(("check",), _cmd_check, "randomized zero-violation inequality suites", (
             ("--suite", dict(required=True, choices=(*funineq.SUITE_NAMES, "all"),
                              help="which inequality to stress")),
             ("--n", dict(type=int, default=2, help="group dimension (default 2)")),
             ("--trials", dict(type=int, required=True, help="random functions per suite")),
             ("--d", dict(type=int, default=8, help="hypercube dimension (default 8)")),
         )),
-        _Leaf(("cutoff",), _cmd_cutoff, f"k-column projection cutoff curve ({cutoff_n})", (
+        _leaf(("cutoff",), _cmd_cutoff, f"k-column projection cutoff curve ({cutoff_n})", (
             n,
             ("--trials", dict(type=int, required=True)),
             ("--k", dict(type=int, default=1, help="number of projected columns (default 1)")),
-            ("--threads", dict(type=int, default=diagnostics._available_cores(),
+            ("--threads", dict(type=int, default=cores,
                                help="worker processes, at least 1; never changes results "
                                "(default: the available cores, %(default)s)")),
             ("--grid", dict(type=_float_list, help="comma-separated times in units of "
                             "n log n (default: built-in grid)")),
         )),
-        _Leaf(("bounds",), _cmd_bounds, "counting lower bound and the mixing upper bound", (
+        _leaf(("bounds",), _cmd_bounds, "counting lower bound and the mixing upper bound", (
             n,
             ("--eps", dict(type=float, default=0.25)),
             ("--restarts", dict(type=int, default=8, help="constant-estimation restarts")),
             ("--iters", dict(type=int, default=600, help="constant-estimation iterations")),
         )),
-        _Leaf(("protocol", "keygen"), _cmd_protocol, "walk out a key pair and save both halves", (
+        _leaf(("protocol", "keygen"), _cmd_protocol, "walk out a key pair and save both halves", (
             n,
             ("--t", dict(type=int, required=True)),
             lazy,
             ("--key", dict(help="public key path (default OUT/key.gf2m)")),
             ("--secret", dict(help="secret move-record path (default OUT/secret.tvwk)")),
         )),
-        _Leaf(("protocol", "prove"), _cmd_protocol, "answer a challenge, honestly or not", (
+        _leaf(("protocol", "prove"), _cmd_protocol, "answer a challenge, honestly or not", (
             ("--secret", dict(help="answer honestly from this move record")),
             ("--key", dict(help="answer dishonestly from this public key")),
             ("--challenge", dict(required=True, help="hex challenge vector (ceil(n/8) bytes)")),
         ), sources=("--secret", "--key")),
-        _Leaf(("protocol", "verify"), _cmd_protocol, "check an answer against the deadline", (
+        _leaf(("protocol", "verify"), _cmd_protocol, "check an answer against the deadline", (
             ("--key", dict(required=True, help="public key path")),
             ("--challenge", dict(required=True, help="hex challenge vector")),
             ("--response", dict(help="response line from `prove`")),
             ("--response-file", dict(help="file holding the response line")),
             ("--deadline", dict(type=int, required=True, help="bit-operation budget")),
         ), sources=("--response", "--response-file")),
-        _Leaf(("protocol", "report"), _cmd_protocol, "honest vs dishonest cost table", (
+        _leaf(("protocol", "report"), _cmd_protocol, "honest vs dishonest cost table", (
             ("--n", dict(type=_int_list, required=True, help="comma-separated dimensions")),
             ("--t", dict(type=int, required=True, help="honest move count")),
             ("--word-bits", dict(type=int, default=64, help="machine word width (default 64)")),
         )),
     )
+    return {leaf.path: leaf for leaf in leaves}
 
 
 def _build_parser(leaf=None, config=None) -> tuple[argparse.ArgumentParser, set[str]]:
@@ -502,10 +535,10 @@ def _build_parser(leaf=None, config=None) -> tuple[argparse.ArgumentParser, set[
     def build(p: argparse.ArgumentParser, leaf: _Leaf) -> None:
         if leaf.sources:
             src = p.add_mutually_exclusive_group(
-                required=not any(flag[2:].replace("-", "_") in config for flag in leaf.sources)
+                required=not any(_dest(flag) in config for flag in leaf.sources)
             )
-        for flag, kwargs in _COMMON + leaf.options:
-            key = flag[2:].replace("-", "_")
+        for flag, kwargs in leaf.flags.items():
+            key = _dest(flag)
             if key in config:
                 raw, choices = config[key], kwargs.get("choices")
                 try:
@@ -564,7 +597,8 @@ _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
 def _leaf_named(argv) -> _Leaf | None:
-    return next((lf for lf in _leaves() if tuple(argv[: len(lf.path)]) == lf.path), None)
+    table = _leaf_table(diagnostics._available_cores())
+    return table.get(tuple(argv[:1])) or table.get(tuple(argv[:2]))
 
 
 def _may_name_config(argv) -> bool:
@@ -586,7 +620,7 @@ def _parse_well_formed(leaf: _Leaf, argv) -> argparse.Namespace | None:
     starting with -, every value converted and within its choices, every
     required flag and exactly one source given.  Whatever returns None goes
     to argparse, which helps and reports usage errors."""
-    options = dict(_COMMON + leaf.options)
+    options = leaf.flags
     given = {}
     tokens = iter(argv)
     for token in tokens:
@@ -615,10 +649,9 @@ def _parse_well_formed(leaf: _Leaf, argv) -> argparse.Namespace | None:
         return None
     if leaf.sources and sum(flag in given for flag in leaf.sources) != 1:
         return None
-    args = argparse.Namespace(func=leaf.handler, **dict(zip(("command", "action"), leaf.path)))
-    for flag, kwargs in options.items():
-        default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
-        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    args = argparse.Namespace(**leaf.defaults)
+    for flag, value in given.items():
+        setattr(args, _dest(flag), value)
     return args
 
 
@@ -630,14 +663,13 @@ def cli_dispatch(argv) -> int:
         print("error: missing subcommand: tvwalk SUBCOMMAND --config FILE", file=sys.stderr)
         return 2
     leaf = _leaf_named(argv)
-    names_config = _may_name_config(argv)
-    args = None
-    if leaf and not names_config:
-        args = _parse_well_formed(leaf, argv[len(leaf.path) :])
-    if args is None:
+    args = _parse_well_formed(leaf, argv[len(leaf.path) :]) if leaf else None
+    # A well-formed command line names --config only by its exact flag, and
+    # argparse reads the file.
+    if args is None or args.config is not None:
         try:
             path = None
-            if names_config:
+            if _may_name_config(argv):
                 pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
                 pre.add_argument("--config", default=None)
                 path = pre.parse_known_args(argv)[0].config
@@ -654,9 +686,7 @@ def cli_dispatch(argv) -> int:
             code = exc.code
             return code if isinstance(code, int) else 0
         # argparse rejects two sources on the command line, so the file set one.
-        given = [
-            f for f in (leaf.sources if leaf else ()) if vars(args)[f[2:].replace("-", "_")] is not None
-        ]
+        given = [f for f in (leaf.sources if leaf else ()) if vars(args)[_dest(f)] is not None]
         if len(given) > 1:
             joined = " and ".join(given)
             print(f"error: {joined} exclude each other, in the config file too", file=sys.stderr)

@@ -76,7 +76,7 @@ def _check_canonical(n: int, words: np.ndarray) -> None:
         raise ValueError("packed storage must be uint64")
     if words.shape[-1] != _n_words(n):
         raise ValueError("wrong number of words for dimension")
-    if (words[..., -1] & ~_pad_mask(n)) .any():
+    if n % WORD_BITS and (words[..., -1] & ~_pad_mask(n)).any():
         raise ValueError("padding bits past position n must be zero")
 
 
@@ -145,7 +145,7 @@ class _Packed:
         return (
             type(other) is type(self)
             and self.n == other.n
-            and bool(np.array_equal(self.words, other.words))
+            and self.words.tobytes() == other.words.tobytes()
         )
 
     def __hash__(self) -> int:
@@ -222,9 +222,13 @@ def _row_bytes(x: _Packed) -> np.ndarray:
 
 
 def _from_row_bytes(rows: np.ndarray, n: int) -> np.ndarray:
-    """uint64 words of uint8 rows laid out as by _row_bytes; canonical when
-    the bytes' bits past n are zero."""
-    words = np.zeros(rows.shape[:-1] + (_n_words(n),), dtype="<u8")
+    """Owned uint64 words of uint8 rows laid out as by _row_bytes; canonical
+    when the bytes' bits past n are zero.  C-contiguous rows of whole words
+    (8 ceil(n/64) bytes, as at n = 1024) take one copy."""
+    nw = _n_words(n)
+    if rows.shape[-1] == 8 * nw and rows.flags.c_contiguous:
+        return rows.view("<u8").astype(np.uint64)
+    words = np.zeros(rows.shape[:-1] + (nw,), dtype="<u8")
     words.view(np.uint8)[..., : rows.shape[-1]] = rows
     return words.astype(np.uint64, copy=False)
 
@@ -446,14 +450,15 @@ def sample_uniform_invertible_batch(
 def matvec(x: BitMatrix, v: BitVector) -> BitVector:
     """Product y = x v over Z_2: y_i is the parity of row_i AND v.
 
-    Word-AND plus population count per row; the cost model for this routine
-    is given by matvec_cost.
+    Word-AND, an XOR of each row's words and the parity of that word's
+    population count; the cost model for this routine is given by
+    matvec_cost.
     """
     if x.n != v.n:
         raise ValueError("dimension mismatch")
-    acc = np.bitwise_count(x.words & v.words[None, :]).sum(axis=1) & 1
-    bits = acc.astype(np.uint8)
-    return BitVector.from_bits(bits)
+    folded = np.bitwise_xor.reduce(x.words & v.words, axis=1)
+    parity = np.bitwise_count(folded) & 1
+    return BitVector(x.n, _from_row_bytes(np.packbits(parity, bitorder="little"), x.n))
 
 
 def matvec_cost(n: int, word_bits: int = WORD_BITS) -> OpCount:
@@ -500,7 +505,7 @@ def load_matrix(path) -> BitMatrix:
     Validates magic, version, length and that every padding bit past column
     n of each row is zero, so a corrupted file never loads as a matrix.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
         raw = fh.read()
     if raw[:4] != _MATRIX_MAGIC:
         raise ValueError("not a GF2M file")
@@ -512,10 +517,9 @@ def load_matrix(path) -> BitMatrix:
     if n < 1:
         raise ValueError("corrupt GF2M header")
     row_bytes = (n + 7) // 8
-    body = raw[_MATRIX_HEADER.size :]
-    if len(body) != n * row_bytes:
+    if len(raw) - _MATRIX_HEADER.size != n * row_bytes:
         raise ValueError("GF2M payload length mismatch")
-    rows = np.frombuffer(body, dtype=np.uint8).reshape(n, row_bytes)
+    rows = np.frombuffer(raw, np.uint8, offset=_MATRIX_HEADER.size).reshape(n, row_bytes)
     if n % 8 and (rows[:, -1] >> n % 8).any():  # padding sits in a row's last byte only
         raise ValueError("GF2M padding bits past column n must be zero")
     return BitMatrix(n, _from_row_bytes(rows, n))

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import os
@@ -501,6 +502,32 @@ class TestReproducibility:
             outputs.append((out, (tmp_path / "cutoff.csv").read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_leaf_table_declared_once_per_core_count(self, capsys, monkeypatch, tmp_path):
+        """Dispatches at one core count share one leaf table, and a
+        well-formed cutoff without --threads runs with the cores available
+        at its dispatch."""
+        declared, threads = [], []
+        declare, cutoff = cli._leaf_table.__wrapped__, diagnostics.cutoff_experiment
+
+        def counted(cores):
+            declared.append(cores)
+            return declare(cores)
+
+        def recorded(*args, **kwargs):
+            threads.append(kwargs["threads"])
+            return cutoff(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_leaf_table", functools.cache(counted))
+        monkeypatch.setattr(diagnostics, "cutoff_experiment", recorded)
+        monkeypatch.setattr(diagnostics, "_available_cores", lambda: 5)
+        argv = ("cutoff", "--n", "16", "--trials", "1000", "--grid", "1.0", "--out", str(tmp_path))
+        assert run(capsys, "order", "--n", "3")[0] == 0
+        assert run(capsys, *argv)[0] == 0
+        assert (declared, threads) == ([5], [5])
+        monkeypatch.setattr(diagnostics, "_available_cores", lambda: 7)
+        assert run(capsys, *argv)[0] == 0
+        assert (declared, threads) == ([5, 7], [5, 7])
+
     def test_threads_default_is_the_available_cores(self, capsys, monkeypatch):
         monkeypatch.setattr(diagnostics, "_available_cores", lambda: 3)
         code, out, _ = run(capsys, "cutoff", "--help")
@@ -801,6 +828,29 @@ class TestProtocolFlow:
         )
         assert code == 2 and "missing fields" in err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (" bit_ops=999999999 extra=1", "response field 'bit_ops' given twice"),
+            (" extra=1", "unknown response field 'extra'"),
+            (" role=honest", "response field 'role' given twice"),
+        ],
+    )
+    def test_repeated_or_unknown_response_field_exits_2(self, capsys, tmp_path, extra, message):
+        """A valid honest line with a field repeated or added is malformed
+        input (2), not a rejection (1): a second bit_ops= must not replace
+        the declared cost."""
+        run(capsys, "protocol", "keygen", "--n", "8", "--t", "20", "--out", str(tmp_path))
+        _, line, _ = run(
+            capsys, "protocol", "prove", "--secret", str(tmp_path / "secret.tvwk"),
+            "--challenge", "a5",
+        )
+        verify = ("protocol", "verify", "--key", str(tmp_path / "key.gf2m"),
+                  "--challenge", "a5", "--deadline", "20", "--response")
+        accepted = (0, "accept role=honest bit_ops=20 deadline=20\n", "")
+        assert run(capsys, *verify, line.strip()) == accepted
+        assert run(capsys, *verify, line.strip() + extra) == (2, "", f"error: {message}\n")
+
     def test_truncated_files_exit_2(self, capsys, tmp_path):
         """Cut headers are invalid input (2), never a rejection (1)."""
         (tmp_path / "cut.gf2m").write_bytes(b"GF2M")
@@ -832,6 +882,22 @@ class TestProtocolFlow:
             "--response", "y=0100 bit_ops=0 word_ops=0 role=honest", "--deadline", "10",
         )
         assert code == 2 and "padding" in err
+
+    def test_padding_bit_at_n_100_exits_2(self, capsys, tmp_path):
+        """Rows of 13 bytes, two words, hold 4 padding bits; one set in the
+        challenge or in the key file is invalid input."""
+        run(capsys, "protocol", "keygen", "--n", "100", "--t", "50", "--out", str(tmp_path))
+        key = tmp_path / "key.gf2m"
+        prove = ("protocol", "prove", "--key", str(key), "--challenge")
+        good, bad = "00" * 12 + "05", "00" * 12 + "15"  # bad sets column 100
+        assert run(capsys, *prove, good)[0] == 0
+        assert run(capsys, *prove, bad) == (
+            2, "", "error: padding bits past position n must be zero\n")
+        data = bytearray(key.read_bytes())
+        data[9 + 12] |= 0x10  # column 100 of row 0
+        key.write_bytes(bytes(data))
+        assert run(capsys, *prove, good) == (
+            2, "", "error: GF2M padding bits past column n must be zero\n")
 
     def test_prove_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, _ = run(capsys, "protocol", "prove", "--challenge", "01")

@@ -585,6 +585,25 @@ class TestMatrixFile:
             assert cli._vector_to_hex(g.BitVector(n, x.words[r])) == row.hex()
             assert cli._vector_from_hex(row.hex(), n) == g.BitVector(n, x.words[r])
 
+    @pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 100, 128, 1024])
+    def test_loaded_words_are_owned_and_canonical(self, tmp_path, n):
+        """Whole-word rows (n = 64, 128, 1024) and padded ones load, from a
+        file or from hex, into words equal to from_bits of the same bits,
+        in fresh aligned memory: no view onto the read bytes."""
+        bits = np.random.default_rng(n).integers(0, 2, size=(n, n), dtype=np.uint8)
+        path = tmp_path / "m.gf2m"
+        g.save_matrix(path, g.BitMatrix.from_bits(bits))
+        row = np.packbits(bits[0], bitorder="little").tobytes().hex()
+        loaded = (
+            (g.load_matrix(path), g.BitMatrix.from_bits(bits)),
+            (cli._vector_from_hex(row, n), g.BitVector.from_bits(bits[0])),
+        )
+        for got, want in loaded:
+            assert got.words.dtype == np.uint64
+            np.testing.assert_array_equal(got.words, want.words)
+            flags = got.words.flags
+            assert flags.c_contiguous and flags.aligned and flags.writeable and flags.owndata
+
     @pytest.mark.parametrize("n", [1, 9, 11, 63, 65])
     def test_rejects_padding_bits_in_first_and_last_rows(self, tmp_path, n):
         path = tmp_path / "pad.gf2m"
