@@ -20,12 +20,11 @@ command line win over the file.  File values are converted and checked as
 command-line values are, and a bad one is reported with its key.
 
 Each command, a leaf of the parser tree, is declared in ``_leaf_table``, once
-per number of available cores (the default of ``--threads``).  A
-well-formed command (exact long flags, each at most once, every required
-flag given) is read straight from its leaf's declarations and builds no
-parser.  argparse is built only for help, usage errors and ``--config``: a
-leaf's own parser reports the leaf's usage errors, and the whole tree is
-built only for help and usage errors above the leaves.
+per process.  A well-formed command (exact long flags, each at most once,
+every required flag given) is read straight from its leaf's declarations and
+builds no parser.  argparse is built only for help, usage errors and
+``--config``: a leaf's own parser reports the leaf's usage errors, and the
+whole tree is built only for help and usage errors above the leaves.
 """
 
 from __future__ import annotations
@@ -274,6 +273,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cutoff(args) -> int:
+    if args.threads is None:
+        args.threads = diagnostics._available_cores()
     _require_range("threads", args.threads, 1)
     grid = diagnostics.DEFAULT_CUTOFF_GRID if args.grid is None else tuple(args.grid)
     points = diagnostics.cutoff_experiment(
@@ -406,11 +407,11 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-# One command: its name path below tvwalk, handler, help line, options as
-# (flag, add_argument keywords) and sources, flags of which exactly one is
-# given.  _leaf adds flags, the common options and its own by flag, and
-# defaults, the namespace of a command line that gives no flag.
-_Leaf = namedtuple("_Leaf", "path handler help options sources flags defaults")
+# One command: its name path below tvwalk, handler, help line, sources (flags
+# of which exactly one is given), flags (the common options and its own, as
+# add_argument keywords by flag) and defaults, the namespace of a command
+# line that gives no flag.
+_Leaf = namedtuple("_Leaf", "path handler help sources flags defaults")
 _COMMON = (
     ("--seed", dict(type=int, default=0, help="master seed (default 0)")),
     ("--out", dict(default=".", help="output directory for CSVs (default .)")),
@@ -429,19 +430,12 @@ def _leaf(path, handler, help, options, sources=()) -> _Leaf:
     for flag, kwargs in flags.items():
         switch = kwargs.get("action") == "store_true"
         defaults[_dest(flag)] = kwargs.get("default", False if switch else None)
-    return _Leaf(path, handler, help, options, sources, flags, defaults)
-
-
-def _leaves() -> tuple[_Leaf, ...]:
-    """Every command, in help order, with the cores available now as the
-    default of --threads."""
-    return tuple(_leaf_table(diagnostics._available_cores()).values())
+    return _Leaf(path, handler, help, sources, flags, defaults)
 
 
 @functools.cache
-def _leaf_table(cores: int) -> dict[tuple[str, ...], _Leaf]:
-    """Every command by path, in help order, declared once per core count:
-    `cores` is the default of --threads."""
+def _leaf_table() -> dict[tuple[str, ...], _Leaf]:
+    """Every command by path, in help order, declared once per process."""
     exact_n = f"n <= {exactgroup.ANALYZE_DIMENSIONS[-1]}"
     lsi_n = "n in {" + ",".join(map(str, funineq.LSI_DIMENSIONS)) + "}"
     cutoff_n = f"n >= {diagnostics.CUTOFF_MIN_N}"
@@ -480,9 +474,8 @@ def _leaf_table(cores: int) -> dict[tuple[str, ...], _Leaf]:
             n,
             ("--trials", dict(type=int, required=True)),
             ("--k", dict(type=int, default=1, help="number of projected columns (default 1)")),
-            ("--threads", dict(type=int, default=cores,
-                               help="worker processes, at least 1; never changes results "
-                               "(default: the available cores, %(default)s)")),
+            ("--threads", dict(type=int, help="worker processes, at least 1; never "
+                               "changes results (default: the available cores)")),
             ("--grid", dict(type=_float_list, help="comma-separated times in units of "
                             "n log n (default: built-in grid)")),
         )),
@@ -540,17 +533,8 @@ def _build_parser(leaf=None, config=None) -> tuple[argparse.ArgumentParser, set[
         for flag, kwargs in leaf.flags.items():
             key = _dest(flag)
             if key in config:
-                raw, choices = config[key], kwargs.get("choices")
                 try:
-                    if kwargs.get("action") == "store_true":
-                        if raw.lower() not in _TRUE_WORDS | _FALSE_WORDS:
-                            raise ValueError(f"not a boolean: {raw!r}")
-                        value = raw.lower() in _TRUE_WORDS
-                    else:
-                        value = kwargs.get("type", str)(raw)
-                    if choices is not None and value not in choices:
-                        listed = ", ".join(map(repr, choices))
-                        raise ValueError(f"invalid choice: {value!r} (choose from {listed})")
+                    value = _convert(kwargs, config[key])
                 except ValueError as exc:
                     raise ValueError(f"config key {key!r}: {exc}") from None
                 kwargs = {**kwargs, "default": value, "required": False}
@@ -569,7 +553,7 @@ def _build_parser(leaf=None, config=None) -> tuple[argparse.ArgumentParser, set[
         "cutoff diagnostics, and a timed authentication protocol.",
     )
     subs = {(): parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")}
-    for leaf in _leaves():
+    for leaf in _leaf_table().values():
         above = leaf.path[:-1]
         if above not in subs:
             group = subs[()].add_parser(above[0], help=_GROUP_HELP[above[0]])
@@ -588,7 +572,10 @@ def _read_config_file(path: str) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            pairs[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in pairs:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+            pairs[key] = value.strip()
     return pairs
 
 
@@ -596,8 +583,23 @@ _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
+def _convert(kwargs, text: str):
+    """A flag's value from its text: its type, then its choices; a switch
+    (only a config file gives one text) takes the boolean words."""
+    if kwargs.get("action") == "store_true":
+        if text.lower() not in _TRUE_WORDS | _FALSE_WORDS:
+            raise ValueError(f"not a boolean: {text!r}")
+        return text.lower() in _TRUE_WORDS
+    value = kwargs.get("type", str)(text)
+    choices = kwargs.get("choices")
+    if choices is not None and value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise ValueError(f"invalid choice: {value!r} (choose from {listed})")
+    return value
+
+
 def _leaf_named(argv) -> _Leaf | None:
-    table = _leaf_table(diagnostics._available_cores())
+    table = _leaf_table()
     return table.get(tuple(argv[:1])) or table.get(tuple(argv[:2]))
 
 
@@ -620,12 +622,11 @@ def _parse_well_formed(leaf: _Leaf, argv) -> argparse.Namespace | None:
     starting with -, every value converted and within its choices, every
     required flag and exactly one source given.  Whatever returns None goes
     to argparse, which helps and reports usage errors."""
-    options = leaf.flags
     given = {}
     tokens = iter(argv)
     for token in tokens:
         flag, eq, value = token.partition("=")
-        kwargs = options.get(flag)
+        kwargs = leaf.flags.get(flag)
         if kwargs is None or flag in given:
             return None
         if kwargs.get("action") == "store_true":
@@ -638,14 +639,10 @@ def _parse_well_formed(leaf: _Leaf, argv) -> argparse.Namespace | None:
         if value is None or value.startswith("-"):
             return None
         try:
-            value = kwargs.get("type", str)(value)
-        except (TypeError, ValueError):
+            given[flag] = _convert(kwargs, value)
+        except ValueError:
             return None
-        choices = kwargs.get("choices")
-        if choices is not None and value not in choices:
-            return None
-        given[flag] = value
-    if any(kwargs.get("required") and flag not in given for flag, kwargs in options.items()):
+    if any(kwargs.get("required") and flag not in given for flag, kwargs in leaf.flags.items()):
         return None
     if leaf.sources and sum(flag in given for flag in leaf.sources) != 1:
         return None

@@ -191,8 +191,10 @@ def enumerate_group(n: int) -> GroupTable:
         # State-major candidate order keeps discovery order sequential.
         candidates = _successor_keys(keys[lo:hi], n)
         fresh = candidates[np.take(index, candidates) < 0]
-        _, first = np.unique(fresh, return_index=True)
-        uniq = fresh[np.sort(first)]
+        # Rising marks below -1; a minimum keeps each key's first in any write order.
+        marks = np.arange(-1 - fresh.size, -1, dtype=np.int32)
+        np.minimum.at(index, fresh, marks)
+        uniq = fresh[np.take(index, fresh) == marks]
         index[uniq] = np.arange(hi, hi + uniq.size, dtype=np.int32)
         keys[hi : hi + uniq.size] = uniq
         rows = successors[lo:hi]

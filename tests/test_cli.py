@@ -502,16 +502,16 @@ class TestReproducibility:
             outputs.append((out, (tmp_path / "cutoff.csv").read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_leaf_table_declared_once_per_core_count(self, capsys, monkeypatch, tmp_path):
-        """Dispatches at one core count share one leaf table, and a
-        well-formed cutoff without --threads runs with the cores available
-        at its dispatch."""
+    def test_leaf_table_declared_once_per_process(self, capsys, monkeypatch, tmp_path):
+        """Dispatches share one leaf table whatever the core count, and a
+        cutoff without --threads, well formed or read through argparse, runs
+        with the cores available at its dispatch."""
         declared, threads = [], []
         declare, cutoff = cli._leaf_table.__wrapped__, diagnostics.cutoff_experiment
 
-        def counted(cores):
-            declared.append(cores)
-            return declare(cores)
+        def counted():
+            declared.append(True)
+            return declare()
 
         def recorded(*args, **kwargs):
             threads.append(kwargs["threads"])
@@ -521,17 +521,22 @@ class TestReproducibility:
         monkeypatch.setattr(diagnostics, "cutoff_experiment", recorded)
         monkeypatch.setattr(diagnostics, "_available_cores", lambda: 5)
         argv = ("cutoff", "--n", "16", "--trials", "1000", "--grid", "1.0", "--out", str(tmp_path))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=0\n")
         assert run(capsys, "order", "--n", "3")[0] == 0
         assert run(capsys, *argv)[0] == 0
-        assert (declared, threads) == ([5], [5])
+        assert (declared, threads) == ([True], [5])
         monkeypatch.setattr(diagnostics, "_available_cores", lambda: 7)
         assert run(capsys, *argv)[0] == 0
-        assert (declared, threads) == ([5, 7], [5, 7])
+        assert run(capsys, *argv, "--config", str(cfg))[0] == 0
+        assert (declared, threads) == ([True], [5, 7, 7])
 
     def test_threads_default_is_the_available_cores(self, capsys, monkeypatch):
         monkeypatch.setattr(diagnostics, "_available_cores", lambda: 3)
         code, out, _ = run(capsys, "cutoff", "--help")
-        assert code == 0 and "(default: the available cores, 3)" in " ".join(out.split())
+        help_text = " ".join(out.split())
+        assert code == 0 and "(default: the available cores)" in help_text
+        assert "cores, 3" not in help_text
 
     def test_seed_changes_sampled_output(self, capsys, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
@@ -595,6 +600,18 @@ class TestConfigFile:
         assert code == 2 and "threads" in err
         argv = ("cutoff", "--config", str(cfg), "--n", "16", "--trials", "1000", "--grid", "1.0")
         assert run(capsys, *argv, "--out", str(tmp_path))[0] == 0
+
+    @pytest.mark.parametrize("argv, text, key", [
+        (("order",), "n=3\n# n again\nn=4\n", "n"),
+        (("walk", "--n", "4", "--t", "10"), "save-trajectory=a\n\nsave_trajectory=b\n",
+         "save_trajectory"),
+    ])
+    def test_repeated_key_exits_2(self, capsys, tmp_path, argv, text, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:3: key {key!r} given twice\n"
 
     def test_value_outside_choices_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -1129,6 +1146,22 @@ class TestLeafParser:
         code = run(capsys, *valid_argv(leaf, str(tmp_path), keys))[0]
         assert code == (1 if leaf == ("protocol", "verify") else 0)
 
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_only_cutoff_without_threads_reads_the_cores(
+        self, capsys, monkeypatch, tmp_path, keys, leaf
+    ):
+        """Neither a help text nor a command of another leaf asks how many
+        cores are available."""
+
+        def refuse():
+            raise AssertionError("read the available cores")
+
+        monkeypatch.setattr(diagnostics, "_available_cores", refuse)
+        assert run(capsys, *leaf, "--help")[0] == 0
+        if leaf != ("cutoff",):
+            code = run(capsys, *valid_argv(leaf, str(tmp_path), keys))[0]
+            assert code == (1 if leaf == ("protocol", "verify") else 0)
+
     def test_root_help_builds_the_whole_tree(self, capsys, monkeypatch):
         # the root, the protocol level and every leaf
         assert self.parsers_built(capsys, monkeypatch, "--help") == (0, 2 + len(LEAVES))
@@ -1146,9 +1179,9 @@ def leaf_argv(draw, path):
     two departures: a flag repeated, dropped, or added (a flag, a prefix of
     one or a stray token), a value drawn from VALUES, or a flag's form
     swapped between bare and valued."""
-    leaf = next(lf for lf in cli._leaves() if lf.path == path)
-    options = dict(cli._COMMON + leaf.options)
-    flags = [flag for flag, kwargs in leaf.options if kwargs.get("required")]
+    leaf = cli._leaf_table()[path]
+    options = leaf.flags
+    flags = [flag for flag, kwargs in options.items() if kwargs.get("required")]
     if leaf.sources:
         flags.append(draw(st.sampled_from(leaf.sources)))
     others = [flag for flag in options if flag not in flags and flag not in leaf.sources]

@@ -20,7 +20,7 @@ class TestEnumeration:
         assert gt.size == order
         assert eg.group_order(n) == order
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_bfs_matches_reference_queue(self, n):
         gt, _ = eg.analyze(n)
         assert list(gt.keys) == eg.enumerate_group_reference(n)
